@@ -9,22 +9,4 @@ Library layout:
   cli          `qksat` command-line entry point
 """
 
-from .analysis import (BoundReport, OdeState, general_k_bound, nosegay_bound,
-                       nosegay_ode, single_clause_threshold, solve_b,
-                       sunflower_bound, sunflower_degree_density,
-                       threshold_root)
-from .gadgets import (GadgetRank, K2Component, Nosegay3, NosegayHang, NosegayK,
-                      Sunflower, gadget_log_weight, gadget_rank, k2_rank,
-                      nosegay3_rank, nosegay3_via_binomial, nosegay_hang_rank,
-                      nosegay_k_rank, stoquastic_component_count,
-                      sunflower_rank)
-from .hypergraph import (ComponentSummary, Hypergraph, attach, components,
-                         format_hypergraph, parse_hypergraph, random_hypergraph,
-                         read_hypergraph, write_hypergraph)
-from .peeling import (EmpiricalBound, PeelStep, PeelTrace, empirical_log_rank,
-                      nosegay_peel, sunflower_peel, write_trace_csv)
-from .rank_oracle import (ClauseVector, Formula, RankInstabilityError,
-                          RankResult, generic_rank_field, generic_rank_float,
-                          min_rank_float, random_formula, sample_clause_vector)
-
 __version__ = "0.1.0"

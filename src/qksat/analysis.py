@@ -15,7 +15,7 @@ the reported value, and a negative truncated bound still certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, erf, exp, inf, log, log1p, pi, sqrt
+from math import ceil, log, log1p, sqrt
 
 import numpy as np
 
@@ -39,6 +39,13 @@ class OdeState:
     nu: float
     mu: float
     nu0: float
+
+
+def _check_model(alpha: float, k: int = 3) -> None:
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if k < 2:
+        raise ValueError(f"arity k must be >= 2, got {k}")
 
 
 def _verdict(value: float) -> str:
@@ -95,10 +102,7 @@ def sunflower_degree_densities(d_max: int, alpha: float, k: int = 3,
     sunflower has degree d. Composite Simpson on [0,1] in log space."""
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    _check_model(alpha, k)
     panels = _even_panels(quadrature_points)
     w = _simpson_weights(panels + 1, 1.0 / panels)
     out = np.empty(d_max + 1)
@@ -106,11 +110,6 @@ def sunflower_degree_densities(d_max: int, alpha: float, k: int = 3,
         ds = np.arange(start, min(start + _CHUNK, d_max + 1))
         out[ds] = _density_matrix(alpha, k, ds, panels) @ w
     return out
-
-
-def sunflower_degree_density(d: int, alpha: float, k: int = 3,
-                             quadrature_points: int = 4096) -> float:
-    return float(sunflower_degree_densities(d, alpha, k, quadrature_points)[d])
 
 
 def _auto_dmax(alpha: float, k: int) -> int:
@@ -125,10 +124,7 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = 100,
     d_max=None picks a cutoff far into the Poisson tail automatically. The
     omitted terms are negative, so the value is an upper bound regardless.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    _check_model(alpha, k)
     if d_max is None:
         d_max = _auto_dmax(alpha, k)
     if d_max < 1:
@@ -172,8 +168,7 @@ def nosegay_ode(alpha: float, nu: float) -> OdeState:
     mu(nu) = (nu/6)((6 alpha + 1) nu^2 - 1) solves d mu/d nu = 1/3 + 3 mu/nu
     with mu(1) = alpha; it hits zero at nu0 = 1/sqrt(6 alpha + 1).
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_model(alpha)
     nu0 = 1.0 / sqrt(6.0 * alpha + 1.0)
     if not nu0 - 1e-12 <= nu <= 1.0 + 1e-12:
         raise ValueError(f"nu={nu} outside [{nu0}, 1]")
@@ -200,8 +195,7 @@ def nosegay_bound(alpha: float, truncation: int = 50,
     above `truncation` are dropped, which only raises the value since every
     log-weight is negative.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_model(alpha)
     if truncation < 10:
         raise ValueError(f"truncation must be >= 10, got {truncation}")
     if quadrature_points < 100:
@@ -238,30 +232,38 @@ def general_k_bound(alpha: float, k: int) -> BoundReport:
 
     Arithmetic-mean relaxation of the sunflower sum; weaker but closed-form.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    _check_model(alpha, k)
     value = LN2 + alpha * log1p(-(2.0 ** (1 - k))) + log1p(alpha / ((1 << k) - 2))
     return BoundReport(method="general_k", alpha=float(alpha), k=k,
                        value=value, verdict=_verdict(value))
 
 
-def solve_b(precision: float = 1e-10) -> float:
-    """Unique positive root of ln 2 - 2b + ln(b + 1) = 0, by bisection."""
-    lo, hi = 0.0, 2.0
+def bisect_bracket(f, lo: float, hi: float,
+                   precision: float) -> tuple[float, float]:
+    """Shrink [lo, hi] by bisection until it is at most `precision` wide.
 
-    def f(b: float) -> float:
-        return LN2 - 2.0 * b + log1p(b)
-
-    if not (f(lo) > 0 > f(hi)):
-        raise AssertionError("bisection bracket for b lost its sign change")
+    f must be positive at lo and negative at hi; the returned bracket keeps
+    f(lo) >= 0 > f(hi), so hi is a point where f was evaluated negative (or
+    the given hi).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0 > f_hi:
+        raise ValueError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}"
+        )
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
+        if f(mid) < 0:
             hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def solve_b(precision: float = 1e-10) -> float:
+    """Unique positive root of ln 2 - 2b + ln(b + 1) = 0, by bisection."""
+    lo, hi = bisect_bracket(lambda b: LN2 - 2.0 * b + log1p(b), 0.0, 2.0,
+                            precision)
     return 0.5 * (lo + hi)
 
 
@@ -273,77 +275,51 @@ def single_clause_threshold(k: int) -> float:
     return LN2 / -log1p(-(2.0 ** (-k)))
 
 
+def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = 100,
+          truncation: int = 50,
+          quadrature_points: int | None = None) -> BoundReport:
+    """The "sunflower", "nosegay" or "general_k" bound at density alpha.
+
+    Each method reads only its own options; quadrature_points=None keeps
+    the method's default.
+    """
+    points = {} if quadrature_points is None else {
+        "quadrature_points": quadrature_points}
+    if method == "sunflower":
+        return sunflower_bound(alpha, k, d_max, **points)
+    if method == "nosegay":
+        if k != 3:
+            raise ValueError("the nosegay bound is defined for k = 3 only")
+        return nosegay_bound(alpha, truncation, **points)
+    if method == "general_k":
+        return general_k_bound(alpha, k)
+    raise ValueError(f"unknown method {method!r}")
+
+
+ROOT_PRECISION = 1e-4
+# densities at which the k = 3 bounds are already negative
+_NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
+
+
 def threshold_root(method: str, k: int = 3, *, bracket=None,
                    d_max: int | None = None, truncation: int = 50,
                    quadrature_points: int | None = None,
-                   precision: float = 1e-4) -> float:
-    """Density where the selected bound crosses zero, located by bisection.
+                   precision: float = ROOT_PRECISION) -> float:
+    """A density at most `precision` above the zero crossing of the selected
+    bound at which the bound was evaluated negative: the right end of the
+    final bisection bracket.
 
     The bracket must straddle the sign change: bound positive at the left
-    end, negative at the right end.
+    end, negative at the right end. Without one, the right end is a density
+    known to certify; elsewhere 2^k b + 1 lies above the general-k root,
+    which no sunflower root exceeds.
     """
-    if method == "sunflower":
-        points = quadrature_points or 4096
-
-        def f(alpha: float) -> float:
-            return sunflower_bound(alpha, k, d_max, points).value
-    elif method == "nosegay":
-        if k != 3:
-            raise ValueError("the nosegay bound is defined for k = 3 only")
-        points = quadrature_points or 1000
-
-        def f(alpha: float) -> float:
-            return nosegay_bound(alpha, truncation, points).value
-    elif method == "general_k":
-
-        def f(alpha: float) -> float:
-            return general_k_bound(alpha, k).value
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     if bracket is None:
-        if method == "nosegay":
-            bracket = (0.5, 3.594)
-        elif method == "sunflower" and k == 3:
-            bracket = (0.5, 3.894)
-        else:
-            bracket = (0.5, (1 << k) * solve_b() + 1.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo > 0 > f_hi):
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}"
-        )
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        right = _NEGATIVE_AT.get((method, k))
+        bracket = (0.5, (1 << k) * solve_b() + 1.0 if right is None else right)
 
+    def f(alpha: float) -> float:
+        return bound(method, alpha, k, d_max=d_max, truncation=truncation,
+                     quadrature_points=quadrature_points).value
 
-def log_lower_incomplete_gamma(s: float, x: float) -> float:
-    """ln of the lower incomplete gamma function, by the all-positive series
-    gamma(s, x) = x^s e^-x sum_j x^j / (s (s+1) ... (s+j)).
-
-    Cross-check path only: at k = 3 the degree density has the closed form
-    a_d = gamma(d + 1/2, 3 alpha) / (2 d! sqrt(3 alpha)).
-    """
-    if s <= 0 or x <= 0:
-        raise ValueError(f"need s > 0 and x > 0, got s={s}, x={x}")
-    term = 1.0 / s
-    total = term
-    j = 0
-    while term > total * 1e-18:
-        j += 1
-        term *= x / (s + j)
-        total += term
-    return s * log(x) - x + log(total)
-
-
-def erf_degree_zero(alpha: float) -> float:
-    """Closed form for a_0 at k = 3: (1/2) sqrt(pi/(3 alpha)) erf(sqrt(3 alpha))."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return 0.5 * sqrt(pi / (3.0 * alpha)) * erf(sqrt(3.0 * alpha))
+    return bisect_bracket(f, float(bracket[0]), float(bracket[1]), precision)[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from math import isfinite
 
 from . import analysis, gadgets, peeling
@@ -38,9 +39,8 @@ def _cmd_rank(args) -> tuple[int, dict]:
     }
     if args.mode == "field":
         trials = args.trials if args.trials is not None else 2
-        result = generic_rank_field(g, trials=trials, prime=args.prime,
-                                    seed=args.seed, cap=cap)
-        payload.update(trials=trials, prime=args.prime)
+        result = generic_rank_field(g, trials=trials, seed=args.seed, cap=cap)
+        payload.update(trials=trials, prime=MERSENNE61)
     else:
         samples = args.trials if args.trials is not None else 3
         result = min_rank_float(g, samples=samples, tolerance=args.tolerance,
@@ -55,82 +55,32 @@ def _parse_dvec(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"--dvec expects comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from exc
 
 
 def _cmd_gadget(args) -> tuple[int, dict]:
-    if args.family == "sunflower":
-        spec = gadgets.Sunflower(args.d, args.k)
-        params = {"d": args.d, "k": args.k}
-    elif args.family == "nosegay3":
-        spec = gadgets.Nosegay3(args.a, args.b, args.c)
-        params = {"a": args.a, "b": args.b, "c": args.c}
-    elif args.family == "nosegay-hang":
-        spec = gadgets.NosegayHang(args.a, args.b, args.c)
-        params = {"a": args.a, "b": args.b, "c": args.c}
-    elif args.family == "nosegay-k":
-        dvec = _parse_dvec(args.dvec)
-        spec = gadgets.NosegayK(dvec, len(dvec))
-        params = {"dvec": list(dvec), "k": len(dvec)}
-    else:
-        spec = gadgets.K2Component(args.vertices, args.edges, args.max_mult)
-        params = {"vertices": args.vertices, "edges": args.edges,
-                  "max_mult": args.max_mult}
+    # each family's options are named after its spec's fields
+    spec_type = gadgets.FAMILIES[args.family].spec
+    if args.family == "nosegay-k":
+        args.k = len(args.dvec)     # the arity is the length of --dvec
+    spec = spec_type(**{f.name: getattr(args, f.name) for f in fields(spec_type)})
     result = gadgets.gadget_rank(spec)
     return 0, {
         "command": "gadget",
         "family": args.family,
-        "params": params,
+        "params": asdict(spec),
         "rank": result.rank,
         "vertex_count": result.vertex_count,
         "log_weight": _json_float(result.log_weight),
     }
 
 
-def _verify_cases(max_size: int):
-    for k in (3, 4):
-        for d in range(0, max_size + 1):
-            g = gadgets.sunflower_graph(d, k)
-            if g.n > DEFAULT_CAP:
-                continue
-            yield ("sunflower", {"d": d, "k": k},
-                   gadgets.sunflower_rank(d, k).rank, g)
-    for total in range(0, max_size + 1):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                c = total - a - b
-                if not a >= b >= c:
-                    continue
-                g3 = gadgets.nosegay3_graph(a, b, c)
-                if g3.n <= DEFAULT_CAP:
-                    yield ("nosegay3", {"a": a, "b": b, "c": c},
-                           gadgets.nosegay3_rank(a, b, c).rank, g3)
-                gh = gadgets.nosegay_hang_graph(a, b, c)
-                if gh.n <= DEFAULT_CAP:
-                    yield ("nosegay-hang", {"a": a, "b": b, "c": c},
-                           gadgets.nosegay_hang_rank(a, b, c).rank, gh)
-    from itertools import combinations, combinations_with_replacement
-
-    from .hypergraph import DisjointSets, Hypergraph
-
-    for n in range(2, 5):
-        pairs = list(combinations(range(n), 2))
-        for m in range(n - 1, max_size + 1):
-            for combo in combinations_with_replacement(pairs, m):
-                dsu = DisjointSets(n)
-                for u, v in combo:
-                    dsu.union(u, v)
-                if len({dsu.find(v) for v in range(n)}) != 1:
-                    continue
-                g = Hypergraph(n, combo)
-                yield ("k2", {"n": n, "edges": [list(e) for e in combo]},
-                       gadgets.k2_rank(g), g)
-
-
 def _cmd_verify(args) -> tuple[int, dict]:
     cases = []
     failures = 0
-    for family, params, formula_rank, graph in _verify_cases(args.max_size):
+    for family, params, formula_rank, graph in gadgets.verification_cases(
+            args.max_size):
         oracle = generic_rank_field(graph, trials=2, seed=args.seed)
         equal = oracle.rank == formula_rank
         failures += not equal
@@ -177,19 +127,6 @@ def _cmd_peel(args) -> tuple[int, dict]:
     }
 
 
-def _report_payload(report: analysis.BoundReport) -> dict:
-    return {
-        "command": "bound",
-        "method": report.method,
-        "alpha": report.alpha,
-        "k": report.k,
-        "value": report.value,
-        "verdict": report.verdict,
-        "quad_error": report.quad_error,
-        "params": report.params,
-    }
-
-
 def _cmd_bound(args) -> tuple[int, dict]:
     if args.method == "single-clause":
         threshold = analysis.single_clause_threshold(args.k)
@@ -202,15 +139,9 @@ def _cmd_bound(args) -> tuple[int, dict]:
         return 0, payload
     if args.alpha is None:
         raise ValueError(f"bound {args.method} requires --alpha")
-    if args.method == "sunflower":
-        report = analysis.sunflower_bound(args.alpha, args.k, args.dmax)
-    elif args.method == "nosegay":
-        if args.k != 3:
-            raise ValueError("the nosegay bound needs --k 3")
-        report = analysis.nosegay_bound(args.alpha, args.trunc)
-    else:
-        report = analysis.general_k_bound(args.alpha, args.k)
-    return 0, _report_payload(report)
+    report = analysis.bound(args.method.replace("-", "_"), args.alpha, args.k,
+                            d_max=args.dmax, truncation=args.trunc)
+    return 0, {"command": "bound", **asdict(report)}
 
 
 def _cmd_threshold(args) -> tuple[int, dict]:
@@ -222,7 +153,7 @@ def _cmd_threshold(args) -> tuple[int, dict]:
         "method": method,
         "k": args.k,
         "root": root,
-        "precision": 1e-4,
+        "precision": analysis.ROOT_PRECISION,
         "params": {"d_max": args.dmax, "truncation": args.trunc},
     }
 
@@ -241,8 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="field trials / float samples (defaults 2 / 3)")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                    help="relative singular-value cutoff (float mode)")
-    p.add_argument("--prime", type=int, default=MERSENNE61,
-                   help="field modulus (field mode)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="lift the qubit cap (memory grows as m*4^n)")
@@ -259,12 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--b", type=int, required=True)
         q.add_argument("--c", type=int, required=True)
     q = fam.add_parser("nosegay-k")
-    q.add_argument("--dvec", required=True,
+    q.add_argument("--dvec", type=_parse_dvec, required=True,
                    help="comma-separated hanging counts; arity = length")
     q = fam.add_parser("k2")
     q.add_argument("--vertices", type=int, required=True)
     q.add_argument("--edges", type=int, required=True)
-    q.add_argument("--max-mult", type=int, default=1)
     for q in fam.choices.values():
         q.set_defaults(handler=_cmd_gadget)
 

@@ -19,15 +19,17 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb, inf, log
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .hypergraph import DisjointSets, Hypergraph
+from .hypergraph import DisjointSets, Hypergraph, components
+from .rank_oracle import DEFAULT_CAP
 
 LN2 = log(2.0)
 STOQUASTIC_CAP = 22
@@ -61,9 +63,9 @@ class NosegayK:
 
 @dataclass(frozen=True)
 class K2Component:
-    vertex_count: int
-    edge_count: int
-    max_edge_multiplicity: int = 1
+    """A connected arity-2 component with these vertex and edge counts."""
+    vertices: int
+    edges: int
 
 
 GadgetSpec = Union[Sunflower, Nosegay3, NosegayHang, NosegayK, K2Component]
@@ -183,8 +185,6 @@ def k2_component_rank(vertex_count: int, edge_count: int) -> int:
 
 def k2_rank(g: Hypergraph) -> int:
     """Product of component ranks of an arity-2 multigraph (exact integer)."""
-    from .hypergraph import components
-
     total = 1
     for summary in components(g):
         total *= k2_component_rank(summary.vertex_count, summary.edge_count)
@@ -245,20 +245,53 @@ def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> 
     return (1 << n) - merges
 
 
+class Family(NamedTuple):
+    """One gadget family: its spec type, its closed form, the hypergraph a
+    spec names (only for families checked against the rank oracle) and a
+    spec's params column in a peel trace (only for families a peel yields)."""
+    spec: type
+    rank: Callable[..., GadgetRank]
+    graph: Callable[..., Hypergraph] | None = None
+    trace: Callable[..., str] | None = None
+
+
+# The functions look the closed forms and builders up when called, so a
+# rebound module attribute reaches every caller.
+FAMILIES = {
+    "sunflower": Family(Sunflower, lambda s: sunflower_rank(s.d, s.k),
+                        lambda s: sunflower_graph(s.d, s.k), lambda s: str(s.d)),
+    "nosegay3": Family(Nosegay3, lambda s: nosegay3_rank(s.a, s.b, s.c),
+                       lambda s: nosegay3_graph(s.a, s.b, s.c),
+                       lambda s: f"{s.a};{s.b};{s.c}"),
+    "nosegay-hang": Family(NosegayHang,
+                           lambda s: nosegay_hang_rank(s.a, s.b, s.c),
+                           lambda s: nosegay_hang_graph(s.a, s.b, s.c)),
+    "nosegay-k": Family(NosegayK, lambda s: nosegay_k_rank(s.dvec, s.k)),
+    "k2": Family(K2Component, lambda s: _as_rank(
+        k2_component_rank(s.vertices, s.edges), s.vertices)),
+}
+
+
+def family_of(spec: GadgetSpec) -> str:
+    """The FAMILIES key of a spec."""
+    for name, family in FAMILIES.items():
+        if type(spec) is family.spec:
+            return name
+    raise TypeError(f"not a gadget spec: {spec!r}")
+
+
 def gadget_rank(spec: GadgetSpec) -> GadgetRank:
     """Exact rank, vertex count t, and log-weight for any gadget variant."""
-    if isinstance(spec, Sunflower):
-        return sunflower_rank(spec.d, spec.k)
-    if isinstance(spec, Nosegay3):
-        return nosegay3_rank(spec.a, spec.b, spec.c)
-    if isinstance(spec, NosegayHang):
-        return nosegay_hang_rank(spec.a, spec.b, spec.c)
-    if isinstance(spec, NosegayK):
-        return nosegay_k_rank(spec.dvec, spec.k)
-    if isinstance(spec, K2Component):
-        rank = k2_component_rank(spec.vertex_count, spec.edge_count)
-        return _as_rank(rank, spec.vertex_count)
-    raise TypeError(f"not a gadget spec: {spec!r}")
+    return FAMILIES[family_of(spec)].rank(spec)
+
+
+def trace_columns(spec: GadgetSpec) -> tuple[str, str]:
+    """The family and the params column of a peel step's gadget."""
+    name = family_of(spec)
+    params = FAMILIES[name].trace
+    if params is None:
+        raise TypeError(f"no trace column format for {spec!r}")
+    return name, params(spec)
 
 
 @lru_cache(maxsize=None)
@@ -306,3 +339,38 @@ def nosegay_hang_graph(a: int, b: int, c: int) -> Hypergraph:
     _check_counts(a=a, b=b, c=c)
     edges = [(0, 1, 2)] + _hang_edges(a, b, c)
     return Hypergraph(3 + a + b + c, tuple(edges))
+
+
+def sorted_triples(total: int):
+    """(a, b, c) with a >= b >= c >= 0 and a + b + c = total, a then b
+    descending."""
+    for a in range(total, -1, -1):
+        for b in range(min(a, total - a), -1, -1):
+            if total - a - b <= b:
+                yield a, b, total - a - b
+
+
+def verification_cases(max_size: int):
+    """(family, params, closed-form rank, graph) for every gadget checked
+    against a rank oracle: sunflowers at k = 3, 4 with d <= max_size, both
+    3-uniform nosegay families with a + b + c <= max_size, and connected
+    arity-2 multigraphs on 2 to 4 vertices with at most max_size edges, one
+    per multiset of vertex pairs. Graphs above the oracle's qubit cap are
+    skipped."""
+    specs = [Sunflower(d, k) for k in (3, 4) for d in range(max_size + 1)]
+    for total in range(max_size + 1):
+        for a, b, c in sorted_triples(total):
+            specs += [Nosegay3(a, b, c), NosegayHang(a, b, c)]
+    for spec in specs:
+        name = family_of(spec)
+        g = FAMILIES[name].graph(spec)
+        if g.n <= DEFAULT_CAP:
+            yield name, asdict(spec), FAMILIES[name].rank(spec).rank, g
+    for n in range(2, 5):
+        pairs = list(combinations(range(n), 2))
+        for m in range(n - 1, max_size + 1):
+            for combo in combinations_with_replacement(pairs, m):
+                g = Hypergraph(n, combo)
+                if len(components(g)) == 1:
+                    yield ("k2", {"n": n, "edges": [list(e) for e in g.edges]},
+                           k2_rank(g), g)

@@ -56,7 +56,6 @@ class Hypergraph:
 class ComponentSummary:
     vertex_count: int
     edge_count: int
-    max_edge_multiplicity: int
 
 
 class DisjointSets:
@@ -119,25 +118,11 @@ def components(g: Hypergraph) -> list[ComponentSummary]:
     dsu = DisjointSets(g.n)
     for u, v in g.edges:
         dsu.union(u, v)
-    vertex_count: Counter[int] = Counter()
-    first_vertex: dict[int, int] = {}
-    for v in range(g.n):
-        r = dsu.find(v)
-        vertex_count[r] += 1
-        first_vertex.setdefault(r, v)
-    edge_count: Counter[int] = Counter()
-    for e in g.edges:
-        edge_count[dsu.find(e[0])] += 1
-    mult: Counter[Edge] = Counter(g.edges)
-    max_mult: dict[int, int] = {}
-    for e, c in mult.items():
-        r = dsu.find(e[0])
-        max_mult[r] = max(max_mult.get(r, 0), c)
-    roots = sorted(vertex_count, key=first_vertex.__getitem__)
-    return [
-        ComponentSummary(vertex_count[r], edge_count[r], max_mult.get(r, 0))
-        for r in roots
-    ]
+    # counted in vertex order, so roots come first-seen by smallest vertex
+    vertex_count = Counter(dsu.find(v) for v in range(g.n))
+    edge_count = Counter(dsu.find(u) for u, _ in g.edges)
+    return [ComponentSummary(count, edge_count[r])
+            for r, count in vertex_count.items()]
 
 
 def attach(g: Hypergraph, h: Hypergraph, embedding) -> Hypergraph:
@@ -175,12 +160,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        vs = [int(tok) for tok in ln.split()]
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate vertex in edge line {ln!r}")
-        edges.append(tuple(vs))
+    edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
     return Hypergraph(n, tuple(edges))
 
 

@@ -17,11 +17,10 @@ from math import inf
 
 import numpy as np
 
-from .gadgets import GadgetSpec, Nosegay3, Sunflower, gadget_log_weight
+from .gadgets import (LN2, GadgetSpec, Nosegay3, Sunflower, gadget_log_weight,
+                      trace_columns)
 from .hypergraph import Hypergraph
 from .rng import make_rng
-
-LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -184,14 +183,6 @@ def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
     return EmpiricalBound(LN2 + total / trace.n, len(trace.steps), trace.anomalies)
 
 
-def _gadget_columns(spec: GadgetSpec) -> tuple[str, str]:
-    if isinstance(spec, Sunflower):
-        return "sunflower", str(spec.d)
-    if isinstance(spec, Nosegay3):
-        return "nosegay3", f"{spec.a};{spec.b};{spec.c}"
-    raise TypeError(f"no trace column format for {spec!r}")
-
-
 def write_trace_csv(trace: PeelTrace, path) -> None:
     """One row per step: step index, remaining sizes, gadget, params,
     log-weight, per-step anomaly count."""
@@ -200,7 +191,7 @@ def write_trace_csv(trace: PeelTrace, path) -> None:
         writer.writerow(["step", "vertices_remaining", "edges_remaining",
                          "gadget", "params", "log_weight", "anomaly"])
         for i, step in enumerate(trace.steps):
-            tag, params = _gadget_columns(step.gadget)
+            tag, params = trace_columns(step.gadget)
             writer.writerow([i, step.vertices_remaining, step.edges_remaining,
                              tag, params, repr(gadget_log_weight(step.gadget)),
                              step.anomalies])

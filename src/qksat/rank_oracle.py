@@ -125,18 +125,23 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the cap {cap}; pass a larger cap to force")
 
 
+def _assemble(g: Hypergraph, vectors, dtype) -> np.ndarray:
+    """Constraint matrix of g with vectors[i] spread over the rows of edge i,
+    laid out by clause_columns."""
+    n = g.n
+    a = np.zeros((sum(1 << (n - len(e)) for e in g.edges), 1 << n), dtype=dtype)
+    r = 0
+    for e, v in zip(g.edges, vectors):
+        cols = clause_columns(e, n)
+        a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
+        r += cols.shape[0]
+    return a
+
+
 def constraint_matrix(f: Formula) -> np.ndarray:
     """Dense complex constraint matrix; the kernel is the satisfying subspace."""
-    n = f.hypergraph.n
-    rows = sum(1 << (n - len(e)) for e in f.hypergraph.edges)
-    a = np.zeros((rows, 1 << n), dtype=np.complex128)
-    r = 0
-    for e, cv in zip(f.hypergraph.edges, f.clauses):
-        cols = clause_columns(e, n)
-        nrow = cols.shape[0]
-        a[np.arange(r, r + nrow)[:, None], cols] = np.conj(cv.amplitudes)[None, :]
-        r += nrow
-    return a
+    return _assemble(f.hypergraph, [np.conj(cv.amplitudes) for cv in f.clauses],
+                     np.complex128)
 
 
 def generic_rank_float(f: Formula, tolerance: float = DEFAULT_TOLERANCE,
@@ -180,35 +185,25 @@ def min_rank_float(g: Hypergraph, samples: int = 3,
     return best
 
 
-def generic_rank_field(g: Hypergraph, trials: int = 2, prime: int = MERSENNE61,
-                       seed=0, cap: int = DEFAULT_CAP) -> RankResult:
-    """Satisfying-subspace dimension via exact elimination over GF(prime).
+def generic_rank_field(g: Hypergraph, trials: int = 2, seed=0,
+                       cap: int = DEFAULT_CAP) -> RankResult:
+    """Satisfying-subspace dimension via exact elimination over GF(2^61 - 1).
 
     Each trial adorns every clause with uniform field entries (shared across
     that clause's rows) and computes the exact row rank; the maximum over
-    trials is the generic row rank except with probability O(poly/prime) per
+    trials is the generic row rank except with probability O(poly/p) per
     trial. Confidence reports how many trials attained the maximum.
     """
     n = g.n
     _check_cap(n, cap)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if prime <= (1 << 60):
-        raise ValueError(f"prime must exceed 2^60, got {prime}")
     if isinstance(seed, np.random.Generator):
         raise TypeError("field backend needs an integer seed for replayable trials")
-    rows = sum(1 << (n - len(e)) for e in g.edges)
     ranks = []
     for t in range(trials):
         rng = child_rng(seed, t)
-        a = np.zeros((rows, 1 << n), dtype=np.uint64)
-        r = 0
-        for e in g.edges:
-            v = rand_mod(rng, 1 << len(e), prime)
-            cols = clause_columns(e, n)
-            nrow = cols.shape[0]
-            a[np.arange(r, r + nrow)[:, None], cols] = v[None, :]
-            r += nrow
-        ranks.append(rank_mod(a, prime))
+        vectors = [rand_mod(rng, 1 << len(e), MERSENNE61) for e in g.edges]
+        ranks.append(rank_mod(_assemble(g, vectors, np.uint64), MERSENNE61))
     best = max(ranks)
     return RankResult((1 << n) - best, "field", float(ranks.count(best)))

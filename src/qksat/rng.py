@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def make_rng(seed) -> np.random.Generator:
     """Build a PCG64 generator from an integer seed or SeedSequence.

@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import time
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -28,17 +27,16 @@ from qksat.analysis import (
 )
 from qksat.gadgets import (
     k2_rank,
-    nosegay3_graph,
     nosegay3_rank,
     nosegay3_via_binomial,
-    nosegay_hang_graph,
     nosegay_hang_rank,
     nosegay_k_rank,
+    sorted_triples,
     stoquastic_component_count,
-    sunflower_graph,
     sunflower_rank,
+    verification_cases,
 )
-from qksat.hypergraph import DisjointSets, Hypergraph, attach, random_hypergraph
+from qksat.hypergraph import Hypergraph, attach, random_hypergraph
 from qksat.peeling import empirical_log_rank, nosegay_peel, sunflower_peel
 from qksat.rank_oracle import (
     RankInstabilityError,
@@ -96,19 +94,6 @@ def test_criterion_1_headline_numbers(capsys):
             + (f" failed={failed}" if failed else ""))
 
 
-def _connected_multigraphs(n_max, m_max):
-    yield Hypergraph(1, [])
-    for n in range(2, n_max + 1):
-        pairs = list(combinations(range(n), 2))
-        for m in range(n - 1, m_max + 1):
-            for combo in combinations_with_replacement(pairs, m):
-                dsu = DisjointSets(n)
-                for u, v in combo:
-                    dsu.union(u, v)
-                if len({dsu.find(v) for v in range(n)}) == 1:
-                    yield Hypergraph(n, combo)
-
-
 def test_criterion_2_gadget_formulas_match_oracle(capsys):
     t0 = time.monotonic()
     mismatches = []
@@ -121,41 +106,26 @@ def test_criterion_2_gadget_formulas_match_oracle(capsys):
         if oracle != formula_rank:
             mismatches.append(f"{label}: formula {formula_rank} oracle {oracle}")
 
-    for d in range(5):
-        check(f"S({d},3)", sunflower_graph(d, 3), sunflower_rank(d, 3).rank)
-    for d in range(3):
-        check(f"S({d},4)", sunflower_graph(d, 4), sunflower_rank(d, 4).rank)
-
-    for s in range(4):
-        for a, b, c in _partitions(s):
-            check(f"R({a},{b},{c})", nosegay3_graph(a, b, c),
-                  nosegay3_rank(a, b, c).rank)
-
-    for s in range(8):
-        for a, b, c in _partitions(s):
-            # the largest instances are checked with a single exact trial
-            check(f"R[{a},{b},{c}]", nosegay_hang_graph(a, b, c),
-                  nosegay_hang_rank(a, b, c).rank,
-                  trials=1 if s >= 6 else 2)
-
     k2_cases = 0
-    for g in _connected_multigraphs(4, 5):
-        check(f"k2 n={g.n} edges={g.edges}", g, k2_rank(g))
-        k2_cases += 1
+    for family, params, formula_rank, graph in verification_cases(7):
+        # the oracle's cost grows as 4^n; arity-2 graphs on at most 4
+        # vertices with over 5 edges all fall in the rank-0 classes
+        if graph.n > 10 or family == "k2" and graph.m > 5:
+            continue
+        # the largest instances are checked with a single exact trial
+        single = family == "nosegay-hang" and sum(params.values()) >= 6
+        check(f"{family} {params}", graph, formula_rank,
+              trials=1 if single else 2)
+        k2_cases += family == "k2"
+    # the one arity-2 class without edges: a single vertex
+    check("k2 n=1", Hypergraph(1, []), k2_rank(Hypergraph(1, [])))
+    k2_cases += 1
 
     elapsed = time.monotonic() - t0
     _report(capsys, 2, "gadget closed forms equal the field oracle exactly",
             not mismatches,
             f"{cases} cases ({k2_cases} arity-2 classes) in {elapsed:.0f}s"
             + (f"; mismatches={mismatches[:3]}" if mismatches else ""))
-
-
-def _partitions(total):
-    for a in range(total, -1, -1):
-        for b in range(min(a, total - a), -1, -1):
-            c = total - a - b
-            if b >= c >= 0 and c <= b <= a:
-                yield a, b, c
 
 
 def test_criterion_3_cross_formula_identities(capsys):
@@ -166,7 +136,7 @@ def test_criterion_3_cross_formula_identities(capsys):
         if nosegay_k_rank((a, b, c), 3).rank != nosegay3_rank(a, b, c).rank:
             bad.append(f"karity ({a},{b},{c})")
     for s in range(9):
-        for a, b, c in _partitions(s):
+        for a, b, c in sorted_triples(s):
             want = nosegay_hang_rank(a, b, c).rank
             if stoquastic_component_count(a, b, c, mode="states") != want:
                 bad.append(f"states ({a},{b},{c})")

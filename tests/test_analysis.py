@@ -8,19 +8,47 @@ from scipy import integrate
 
 from qksat.analysis import (
     BoundReport,
-    erf_degree_zero,
     general_k_bound,
-    log_lower_incomplete_gamma,
     nosegay_bound,
     nosegay_ode,
     single_clause_threshold,
     solve_b,
     sunflower_bound,
     sunflower_degree_densities,
-    sunflower_degree_density,
     threshold_root,
 )
 from qksat.gadgets import Nosegay3, gadget_log_weight
+
+
+def sunflower_degree_density(d: int, alpha: float, k: int = 3,
+                             quadrature_points: int = 4096) -> float:
+    return float(sunflower_degree_densities(d, alpha, k, quadrature_points)[d])
+
+
+def log_lower_incomplete_gamma(s: float, x: float) -> float:
+    """ln of the lower incomplete gamma function, by the all-positive series
+    gamma(s, x) = x^s e^-x sum_j x^j / (s (s+1) ... (s+j)).
+
+    Cross-check path only: at k = 3 the degree density has the closed form
+    a_d = gamma(d + 1/2, 3 alpha) / (2 d! sqrt(3 alpha)).
+    """
+    if s <= 0 or x <= 0:
+        raise ValueError(f"need s > 0 and x > 0, got s={s}, x={x}")
+    term = 1.0 / s
+    total = term
+    j = 0
+    while term > total * 1e-18:
+        j += 1
+        term *= x / (s + j)
+        total += term
+    return s * math.log(x) - x + math.log(total)
+
+
+def erf_degree_zero(alpha: float) -> float:
+    """Closed form for a_0 at k = 3: (1/2) sqrt(pi/(3 alpha)) erf(sqrt(3 alpha))."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return 0.5 * math.sqrt(math.pi / (3.0 * alpha)) * math.erf(math.sqrt(3.0 * alpha))
 
 
 def test_densities_normalize():
@@ -218,6 +246,7 @@ def test_threshold_roots():
     root_s = threshold_root("sunflower", 3)
     assert 3.89 < root_s <= 3.894
     assert abs(sunflower_bound(root_s, 3).value) < 1e-3
+    assert sunflower_bound(root_s, 3).value < 0
     root_g3 = threshold_root("general_k", 3)
     root_g4 = threshold_root("general_k", 4)
     assert root_s < root_g3 < root_g4

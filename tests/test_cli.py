@@ -107,6 +107,8 @@ def test_rank_instability_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_argument_errors_exit_two(tmp_path, capsys):
+    graph = tmp_path / "edge.hg"
+    write_hypergraph(Hypergraph(2, [(0, 1)]), graph)
     bad = [
         ("frobnicate",),
         ("peel", "--n", "10", "--alpha", "1.0", "--gadget", "sunflower"),
@@ -117,6 +119,8 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         ("rank", "--graph", str(tmp_path / "missing.hg")),
         ("gadget", "nosegay-k", "--dvec", "1,x"),
         ("gadget", "sunflower", "--d", "-1"),
+        ("gadget", "k2", "--vertices", "3", "--edges", "3", "--max-mult", "1"),
+        ("rank", "--graph", str(graph), "--prime", "97"),
     ]
     for argv in bad:
         code, out, _ = run_cli(capsys, *argv)
@@ -153,14 +157,22 @@ def test_peel_trace_file(tmp_path, capsys):
     assert len(rows) == 1 + payload["step_count"]
 
 
-def test_verify_small_sweep(capsys):
-    payload = run_json(capsys, "verify", "gadgets", "--max-size", "2")
+def check_verify_sweep(capsys, max_size, case_count):
+    payload = run_json(capsys, "verify", "gadgets", "--max-size", str(max_size))
     assert payload["all_equal"] is True
     assert payload["failures"] == 0
-    assert payload["case_count"] == 19
+    assert payload["case_count"] == case_count
     families = {case["family"] for case in payload["cases"]}
     assert families == {"sunflower", "nosegay3", "nosegay-hang", "k2"}
     assert all(case["equal"] for case in payload["cases"])
+
+
+def test_verify_small_sweep(capsys):
+    check_verify_sweep(capsys, 2, 19)
+
+
+def test_verify_size_three_sweep(capsys):
+    check_verify_sweep(capsys, 3, 51)
 
 
 def test_threshold_general_k(capsys):

@@ -179,7 +179,7 @@ def test_gadget_rank_dispatch():
     assert gadget_rank(Nosegay3(1, 1, 0)) == nosegay3_rank(1, 1, 0)
     assert gadget_rank(NosegayHang(2, 0, 0)) == nosegay_hang_rank(2, 0, 0)
     assert gadget_rank(NosegayK((1, 0, 1, 0), 4)) == nosegay_k_rank((1, 0, 1, 0), 4)
-    tree = gadget_rank(K2Component(3, 2, 1))
+    tree = gadget_rank(K2Component(3, 2))
     assert tree == GadgetRank(4, 3, math.log(4) - 3 * math.log(2))
     with pytest.raises(TypeError):
         gadget_rank("sunflower")
@@ -189,7 +189,7 @@ def test_log_weights():
     assert gadget_log_weight(Sunflower(0, 3)) == 0.0
     w = gadget_log_weight(Sunflower(1, 3))
     assert w == pytest.approx(math.log(7 / 8))
-    assert gadget_log_weight(K2Component(2, 4, 4)) == -math.inf
+    assert gadget_log_weight(K2Component(2, 4)) == -math.inf
     # every positive-rank gadget weight is at most 0 for these families
     for d in range(12):
         assert gadget_log_weight(Sunflower(d, 3)) <= 0.0

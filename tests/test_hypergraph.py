@@ -114,18 +114,18 @@ def test_duplicate_edge_rate():
 def test_components_triangle_plus_isolated():
     g = Hypergraph(5, [(0, 1), (1, 2), (0, 2), (0, 1)])
     comps = components(g)
-    assert comps[0] == ComponentSummary(3, 4, 2)
-    assert comps[1] == ComponentSummary(1, 0, 0)
-    assert comps[2] == ComponentSummary(1, 0, 0)
+    assert comps[0] == ComponentSummary(3, 4)
+    assert comps[1] == ComponentSummary(1, 0)
+    assert comps[2] == ComponentSummary(1, 0)
 
 
 def test_components_small_cases():
     path = Hypergraph(3, [(0, 1), (1, 2)])
-    assert components(path) == [ComponentSummary(3, 2, 1)]
+    assert components(path) == [ComponentSummary(3, 2)]
     two = Hypergraph(4, [(0, 1), (2, 3)])
-    assert components(two) == [ComponentSummary(2, 1, 1), ComponentSummary(2, 1, 1)]
+    assert components(two) == [ComponentSummary(2, 1), ComponentSummary(2, 1)]
     triple = Hypergraph(3, [(0, 1), (0, 1), (0, 1)])
-    assert components(triple) == [ComponentSummary(2, 3, 3), ComponentSummary(1, 0, 0)]
+    assert components(triple) == [ComponentSummary(2, 3), ComponentSummary(1, 0)]
 
 
 def test_components_requires_arity_two():

@@ -179,7 +179,7 @@ def test_empirical_log_rank_manual_trace():
 
 
 def test_empirical_log_rank_zero_rank_gadget():
-    steps = (PeelStep(0, 0, K2Component(2, 4, 4), 2),)
+    steps = (PeelStep(0, 0, K2Component(2, 4), 2),)
     trace = PeelTrace("k2", 2, 4, 2, 0, steps)
     got = empirical_log_rank(trace)
     assert got.value == -math.inf
@@ -227,6 +227,6 @@ def test_trace_csv_nosegay_params(tmp_path):
 
 def test_trace_csv_rejects_unknown_gadget(tmp_path):
     trace = PeelTrace("k2", 2, 4, 2, 0,
-                      (PeelStep(0, 0, K2Component(2, 4, 4), 0),))
+                      (PeelStep(0, 0, K2Component(2, 4), 0),))
     with pytest.raises(TypeError):
         write_trace_csv(trace, tmp_path / "t.csv")

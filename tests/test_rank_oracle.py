@@ -221,8 +221,6 @@ def test_cap_and_parameter_validation():
         generic_rank_float(random_formula(Hypergraph(2, [(0, 1)]), 0), tolerance=1e-3)
     with pytest.raises(ValueError):
         generic_rank_field(Hypergraph(2, [(0, 1)]), trials=0)
-    with pytest.raises(ValueError):
-        generic_rank_field(Hypergraph(2, [(0, 1)]), prime=97)
     with pytest.raises(TypeError):
         generic_rank_field(Hypergraph(2, [(0, 1)]), seed=make_rng(0))
     with pytest.raises(ValueError):
