@@ -1,230 +1,128 @@
-"""Exact dense linear algebra modulo a large prime.
+"""Exact dense linear algebra over the word-size prime field GF(P).
 
-The default modulus is the Mersenne prime 2^61 - 1, for which all kernels
-run vectorized on uint64 arrays: products are reduced through 31-bit limb
-splits (2^61 = 1 mod p makes the high limb fold back with a shift), and the
-blocked row reduction pushes most work into float64 matrix products over
-21-bit limbs, which are exact because 3 * inner_dim * (2^21)^2 < 2^53 for
-inner dimensions up to the block size. Other primes fall back to a plain
-object-dtype elimination, which is exact but slow; it exists for
-cross-checking, not production sizes.
+P = 8388593 is the largest prime below 2^23. A residue is held in float64
+as a centered integer in [-(P-1)/2, (P-1)/2]; `_reduce` maps an integer x
+with |x| < 2^52 back into that range as x - P*rint(x/P). Below 2^52 the
+computed quotient x/P is off by less than 1/(2P), while x/P lies at least
+1/(2P) from every half-integer (P is odd), so rint picks the exact nearest
+integer. Every sum and product formed here is an integer below 2^53, which
+float64 holds exactly.
+
+The elimination reduces lazily, in the style of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, "Dense linear algebra over word-size prime fields", ACM
+TOMS 2008): a reduced entry takes up to NB products of reduced entries
+before it is reduced again. The largest value this forms stays below 2^52
+because
+
+    NB * ((P - 1) // 2) ** 2 + P < 2 ** 52,
+
+which is checked at import. So each NB-wide block update is one float64
+matrix product (BLAS dgemm) followed by one reduction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MERSENNE61 = (1 << 61) - 1
-
-_P = np.uint64(MERSENNE61)
-_MASK61 = np.uint64(MERSENNE61)
-_LOW31 = np.uint64((1 << 31) - 1)
-_LOW30 = np.uint64((1 << 30) - 1)
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
-_U30 = np.uint64(30)
-_U31 = np.uint64(31)
-_U61 = np.uint64(61)
-
-# limbs for exact float64 matrix products
-_LIMB_BITS = 21
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_U21 = np.uint64(_LIMB_BITS)
-_U42 = np.uint64(2 * _LIMB_BITS)
-_SHIFT_MOD = tuple(np.uint64(pow(2, _LIMB_BITS * s, MERSENNE61)) for s in range(5))
-# 3 limb products of magnitude < 2^42 summed over the inner dimension must
-# stay below 2^53 for float64 exactness
-_MAX_INNER = 1 << (53 - 2 * _LIMB_BITS - 2)
+P = 8388593
+NB = 128
+if not NB * ((P - 1) // 2) ** 2 + P < 2 ** 52:
+    raise ImportError(f"NB = {NB} products modulo {P} are not exact in float64")
 
 
-def mul_mod(x, y):
-    """Elementwise (x * y) mod (2^61 - 1) on uint64 arrays; inputs < 2^61."""
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
-    x1 = x >> _U31
-    x0 = x & _LOW31
-    y1 = y >> _U31
-    y0 = y & _LOW31
-    # x*y = x1*y1*2^62 + (x1*y0 + x0*y1)*2^31 + x0*y0, folded with 2^61 = 1
-    mid = x1 * y0 + x0 * y1
-    ll = x0 * y0
-    ll = (ll & _MASK61) + (ll >> _U61)
-    s = ((x1 * y1) << _U1) + (mid >> _U30) + ((mid & _LOW30) << _U31) + ll
-    s = (s & _MASK61) + (s >> _U61)
-    s = (s & _MASK61) + (s >> _U61)
-    return s - np.where(s >= _P, _P, _U0)
+def _reduce(x, out=None):
+    """Centered residues of an integer-valued float64 array, |x| < 2^52,
+    written to out (which must not overlap x) when given."""
+    q = np.divide(x, P, out=out)
+    np.rint(q, out=q)
+    q *= P
+    return np.subtract(x, q, out=q)
 
 
-def add_mod(x, y):
-    s = np.asarray(x, dtype=np.uint64) + np.asarray(y, dtype=np.uint64)
-    return s - np.where(s >= _P, _P, _U0)
+def inv_mod(a) -> int:
+    """Inverse of a nonzero residue, in [0, P)."""
+    return pow(int(a) % P, P - 2, P)
 
 
-def sub_mod(x, y):
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
-    return x + np.where(x >= y, _U0, _P) - y
+def matmul_mod(left, right, acc):
+    """acc + left @ right mod P as centered residues, written into acc (a
+    gemm with beta = 1). Exact for reduced left and right, |acc| < P and an
+    inner dimension of at most NB."""
+    if left.shape[1] > NB:
+        raise ValueError(f"inner dimension {left.shape[1]} exceeds {NB}")
+    # the product takes acc's memory layout: adding across layouts would
+    # cost more than the product itself
+    prod = np.matmul(left, right, out=np.empty_like(acc))
+    prod += acc
+    return _reduce(prod, out=acc)
 
 
-def inv_mod(a: int, p: int = MERSENNE61) -> int:
-    return pow(int(a), p - 2, p)
+def _rank(a: np.ndarray, nb: int = NB) -> int:
+    """Row rank of a reduced float64 matrix with rows >= cols, which it
+    overwrites.
 
-
-def _limbs(a):
-    return (
-        (a & _LIMB_MASK).astype(np.float64),
-        ((a >> _U21) & _LIMB_MASK).astype(np.float64),
-        (a >> _U42).astype(np.float64),
-    )
-
-
-def matmul_mod(left, right):
-    """(left @ right) mod (2^61 - 1), exact, via nine float64 gemms.
-
-    Inner dimensions beyond the float64 exactness budget are accumulated in
-    chunks.
+    Left-looking within each panel of nb columns: column c is brought up to
+    date by one matrix-vector product with the panel's earlier pivots, and
+    so is each pivot row, out to the last column (normalized by its
+    pivot). Only reduced entries reach the pivot search and the inverses.
+    The rows below the panel then take one block update.
     """
-    left = np.asarray(left, dtype=np.uint64)
-    right = np.asarray(right, dtype=np.uint64)
-    if left.shape[1] != right.shape[0]:
-        raise ValueError(f"shape mismatch {left.shape} @ {right.shape}")
-    inner = left.shape[1]
-    if inner == 0:
-        return np.zeros((left.shape[0], right.shape[1]), dtype=np.uint64)
-    if inner > _MAX_INNER:
-        acc = None
-        for start in range(0, inner, _MAX_INNER):
-            part = matmul_mod(left[:, start:start + _MAX_INNER],
-                              right[start:start + _MAX_INNER])
-            acc = part if acc is None else add_mod(acc, part)
-        return acc
-    l_limbs = _limbs(left)
-    r_limbs = _limbs(right)
-    acc = None
-    for s in range(5):
-        total = None
-        for i in range(max(0, s - 2), min(2, s) + 1):
-            prod = l_limbs[i] @ r_limbs[s - i]
-            total = prod if total is None else total + prod
-        term = mul_mod(total.astype(np.uint64), _SHIFT_MOD[s])
-        acc = term if acc is None else add_mod(acc, term)
-    return acc
-
-
-def _rank_naive(a: np.ndarray) -> int:
-    """Single-column Gaussian elimination mod 2^61 - 1; reference path."""
-    a = np.array(a, dtype=np.uint64)
     rows, cols = a.shape
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, nb):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = mul_mod(a[r, c:], np.uint64(inv_mod(int(a[r, c]))))
-        if r + 1 < rows:
-            f = a[r + 1:, c].copy()
-            a[r + 1:, c:] = sub_mod(a[r + 1:, c:], mul_mod(f[:, None], a[r, c:][None, :]))
-        r += 1
-    return r
-
-
-def _rank_blocked(a: np.ndarray, nb: int = 128) -> int:
-    """Right-looking blocked elimination mod 2^61 - 1.
-
-    Panels of nb columns are factored with rank-1 updates; pivot rows' trailing
-    parts then get a forward substitution against the panel multipliers, and
-    the remaining block takes one exact matrix-product update. Columns with no
-    pivot are skipped, so rank-deficient input is fine.
-    """
-    a = np.array(a, dtype=np.uint64)
-    rows, cols = a.shape
-    r = 0
-    c0 = 0
-    while c0 < cols and r < rows:
         c1 = min(c0 + nb, cols)
         r0 = r
-        lbuf = np.zeros((rows - r0, c1 - c0), dtype=np.uint64)
-        invs: list[np.uint64] = []
+        # negated multipliers of the panel's pivots, rows r0.. of a
+        lmul = np.zeros((rows - r0, c1 - c0), order="F")
+        # the pivot rows from column c0 on, each divided by its pivot
+        urow = np.zeros((c1 - c0, cols - c0))
         for c in range(c0, c1):
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                # columns left of c0 are already zero on these rows
-                a[[r, i], c0:] = a[[i, r], c0:]
-                lbuf[[r - r0, i - r0]] = lbuf[[i - r0, r - r0]]
-            inv = np.uint64(inv_mod(int(a[r, c])))
-            invs.append(inv)
-            a[r, c:c1] = mul_mod(a[r, c:c1], inv)
-            if r + 1 < rows:
-                f = a[r + 1:, c].copy()
-                lbuf[r + 1 - r0:, len(invs) - 1] = f
-                a[r + 1:, c:c1] = sub_mod(a[r + 1:, c:c1],
-                                          mul_mod(f[:, None], a[r, c:c1][None, :]))
+            j = r - r0
+            col = _reduce(a[r:, c] + lmul[j:, :j] @ urow[:j, c - c0])
+            i = 0
+            if not col[0]:
+                nz = col.nonzero()[0]
+                if nz.size == 0:
+                    continue
+                i = int(nz[0])
+            tail = _reduce(a[r + i, c + 1:]
+                           + lmul[j + i, :j] @ urow[:j, c - c0 + 1:])
+            urow[j, c - c0 + 1:] = _reduce(tail * inv_mod(col[i]))
+            if i:
+                # row r + i is the pivot row: move row r into its place
+                a[r + i, c + 1:] = a[r, c + 1:]
+                lmul[j + i, :j] = lmul[j, :j]
+                col[i] = col[0]
+            lmul[j + 1:, j] = -col[1:]
             r += 1
+            if r == rows:
+                break
         pc = r - r0
-        if pc > 0 and c1 < cols:
-            # pivot rows were only reduced inside the panel; fix their tails
-            for i in range(pc):
-                a[r0 + i, c1:] = mul_mod(a[r0 + i, c1:], invs[i])
-                if i + 1 < pc:
-                    fcol = lbuf[i + 1:pc, i]
-                    a[r0 + i + 1:r, c1:] = sub_mod(
-                        a[r0 + i + 1:r, c1:],
-                        mul_mod(fcol[:, None], a[r0 + i, c1:][None, :]))
-            if r < rows:
-                update = matmul_mod(lbuf[pc:, :pc], a[r0:r, c1:])
-                a[r:, c1:] = sub_mod(a[r:, c1:], update)
-        c0 = c1
+        if pc and r < rows and c1 < cols:
+            matmul_mod(lmul[pc:, :pc], urow[:pc, c1 - c0:], a[r:, c1:])
     return r
 
 
-def _rank_object(a, p: int) -> int:
-    """Gaussian elimination over any prime field with Python integers."""
-    mat = [[int(x) % p for x in row] for row in np.asarray(a)]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = inv_mod(mat[r][c], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        prow = mat[r]
-        for i in range(r + 1, rows):
-            f = mat[i][c]
-            if f:
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-        r += 1
-    return r
-
-
-def rank_mod(a, p: int = MERSENNE61) -> int:
-    """Exact rank of `a` over GF(p). Fast path only for p = 2^61 - 1."""
+def rank_mod(a) -> int:
+    """Exact rank over GF(P) of an integer matrix (float input must hold
+    integers below 2^52 in magnitude)."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"rank_mod expects a matrix, got shape {a.shape}")
     if a.size == 0:
         return 0
-    if p == MERSENNE61:
-        if min(a.shape) <= 64:
-            return _rank_naive(a)
-        return _rank_blocked(a)
-    return _rank_object(a, p)
+    if a.dtype.kind != "f":
+        a = (a % P).astype(np.float64)
+    elif not (np.abs(a) < 2.0 ** 52).all() or (a != np.rint(a)).any():
+        raise ValueError("rank_mod needs integer entries below 2^52")
+    # eliminate along the shorter side, on a column-major copy: the panels
+    # read columns (a C-order matrix transposes to one without a copy)
+    return _rank(np.asfortranarray(_reduce(a if a.shape[0] >= a.shape[1] else a.T)))
 
 
-def rand_mod(rng: np.random.Generator, size, p: int = MERSENNE61) -> np.ndarray:
-    """Uniform field elements in [0, p) as uint64."""
-    if p > (1 << 63):
-        raise ValueError("modulus too large for uint64 sampling")
-    return rng.integers(0, p, size=size, dtype=np.uint64)
+def rand_mod(rng: np.random.Generator, size) -> np.ndarray:
+    """Uniform field elements as centered float64 residues."""
+    half = P // 2
+    return rng.integers(-half, half + 1, size=size).astype(np.float64)

@@ -21,6 +21,8 @@ import numpy as np
 
 LN2 = log(2.0)
 _CHUNK = 512
+# degree truncation of the nosegay bound and its threshold search
+NOSEGAY_TRUNCATION = 50
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def _nosegay_weight_table(truncation: int) -> np.ndarray:
     return (s - 3) * log(3.0) + np.log(wide - narrow) - (3 + 2 * s) * LN2
 
 
-def nosegay_bound(alpha: float, truncation: int = 50,
+def nosegay_bound(alpha: float, truncation: int = NOSEGAY_TRUNCATION,
                   quadrature_points: int = 1000) -> BoundReport:
     """ln 2 + (1/3) integral over nu of E[ln(R_(a,b,c)/2^t)], a, b, c Poisson.
 
@@ -276,7 +278,7 @@ def single_clause_threshold(k: int) -> float:
 
 
 def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = 100,
-          truncation: int = 50,
+          truncation: int = NOSEGAY_TRUNCATION,
           quadrature_points: int | None = None) -> BoundReport:
     """The "sunflower", "nosegay" or "general_k" bound at density alpha.
 
@@ -302,7 +304,8 @@ _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 
 
 def threshold_root(method: str, k: int = 3, *, bracket=None,
-                   d_max: int | None = None, truncation: int = 50,
+                   d_max: int | None = None,
+                   truncation: int = NOSEGAY_TRUNCATION,
                    quadrature_points: int | None = None,
                    precision: float = ROOT_PRECISION) -> float:
     """A density at most `precision` above the zero crossing of the selected

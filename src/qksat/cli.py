@@ -17,8 +17,9 @@ from math import isfinite
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
 from .rank_oracle import (DEFAULT_CAP, DEFAULT_TOLERANCE, RankInstabilityError,
-                          generic_rank_field, min_rank_float)
-from ._modlin import MERSENNE61
+                          constraint_rows, field_trials, generic_rank_field,
+                          min_rank_float)
+from ._modlin import P
 from .rng import child_rng
 
 
@@ -38,9 +39,11 @@ def _cmd_rank(args) -> tuple[int, dict]:
         "seed": args.seed,
     }
     if args.mode == "field":
-        trials = args.trials if args.trials is not None else 2
+        trials = (args.trials if args.trials is not None
+                  else field_trials(constraint_rows(g), g.n))
         result = generic_rank_field(g, trials=trials, seed=args.seed, cap=cap)
-        payload.update(trials=trials, prime=MERSENNE61)
+        payload.update(trials=trials, prime=P,
+                       failure_bound=result.failure_bound)
     else:
         samples = args.trials if args.trials is not None else 3
         result = min_rank_float(g, samples=samples, tolerance=args.tolerance,
@@ -81,12 +84,14 @@ def _cmd_verify(args) -> tuple[int, dict]:
     failures = 0
     for family, params, formula_rank, graph in gadgets.verification_cases(
             args.max_size):
-        oracle = generic_rank_field(graph, trials=2, seed=args.seed)
+        oracle = generic_rank_field(
+            graph, trials=field_trials(constraint_rows(graph), graph.n),
+            seed=args.seed)
         equal = oracle.rank == formula_rank
         failures += not equal
         cases.append({"family": family, "params": params,
                       "formula": formula_rank, "oracle": oracle.rank,
-                      "equal": equal})
+                      "equal": equal, "failure_bound": oracle.failure_bound})
     payload = {
         "command": "verify",
         "max_size": args.max_size,
@@ -127,7 +132,24 @@ def _cmd_peel(args) -> tuple[int, dict]:
     }
 
 
+# the one option each bound method reads: CLI name and analysis keyword
+_METHOD_OPTION = {"sunflower": ("dmax", "d_max"),
+                  "nosegay": ("trunc", "truncation")}
+
+
+def _method_options(args) -> dict:
+    """The given options of args.method as analysis keywords; an option the
+    method never reads is an argument error."""
+    reads, keyword = _METHOD_OPTION.get(args.method, (None, None))
+    for name in ("dmax", "trunc"):
+        if getattr(args, name) is not None and name != reads:
+            raise ValueError(f"{args.command} {args.method} does not read --{name}")
+    value = getattr(args, reads) if reads else None
+    return {} if value is None else {keyword: value}
+
+
 def _cmd_bound(args) -> tuple[int, dict]:
+    options = _method_options(args)
     if args.method == "single-clause":
         threshold = analysis.single_clause_threshold(args.k)
         payload = {"command": "bound", "method": "single_clause", "k": args.k,
@@ -140,21 +162,25 @@ def _cmd_bound(args) -> tuple[int, dict]:
     if args.alpha is None:
         raise ValueError(f"bound {args.method} requires --alpha")
     report = analysis.bound(args.method.replace("-", "_"), args.alpha, args.k,
-                            d_max=args.dmax, truncation=args.trunc)
+                            **options)
     return 0, {"command": "bound", **asdict(report)}
 
 
 def _cmd_threshold(args) -> tuple[int, dict]:
     method = args.method.replace("-", "_")
-    root = analysis.threshold_root(method, args.k, truncation=args.trunc,
-                                   d_max=args.dmax)
+    # each method's defaults, echoed in params
+    params = {"sunflower": {"d_max": None},
+              "nosegay": {"truncation": analysis.NOSEGAY_TRUNCATION},
+              "general_k": {}}[method]
+    params.update(_method_options(args))
+    root = analysis.threshold_root(method, args.k, **params)
     return 0, {
         "command": "threshold",
         "method": method,
         "k": args.k,
         "root": root,
         "precision": analysis.ROOT_PRECISION,
-        "params": {"d_max": args.dmax, "truncation": args.trunc},
+        "params": params,
     }
 
 
@@ -169,7 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="hypergraph text file")
     p.add_argument("--mode", choices=("field", "float"), default="field")
     p.add_argument("--trials", type=int, default=None,
-                   help="field trials / float samples (defaults 2 / 3)")
+                   help="field trials (default: the fewest whose "
+                        "failure_bound is <= 2^-40) / float samples "
+                        "(default 3)")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                    help="relative singular-value cutoff (float mode)")
     p.add_argument("--seed", type=int, default=0)
@@ -219,15 +247,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("sunflower", "nosegay", "general-k", "single-clause"))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=100)
-    p.add_argument("--trunc", type=int, default=50)
+    p.add_argument("--dmax", type=int, default=None,
+                   help="sunflower degree cutoff (default 100)")
+    p.add_argument("--trunc", type=int, default=None,
+                   help=f"nosegay degree truncation (default "
+                        f"{analysis.NOSEGAY_TRUNCATION})")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("threshold", help="root of a bound, by bisection")
     p.add_argument("method", choices=("sunflower", "nosegay", "general-k"))
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=50)
+    p.add_argument("--dmax", type=int, default=None,
+                   help="sunflower degree cutoff (default: automatic)")
+    p.add_argument("--trunc", type=int, default=None,
+                   help=f"nosegay degree truncation (default "
+                        f"{analysis.NOSEGAY_TRUNCATION})")
     p.set_defaults(handler=_cmd_threshold)
     return parser
 

@@ -7,9 +7,20 @@ over the matching global basis states. The generic rank 2^n - rowrank is the
 minimum over clause vectors, attained with probability 1, so sampling the
 vectors at random and maximizing the row rank observed gives the generic
 value. Two independent backends realize this: floating point via singular
-values, and an exact finite field via Gaussian elimination, with random field
-entries standing in for generic amplitudes (Schwartz-Zippel: a rank drop
-requires hitting a proper subvariety, probability O(poly/p) per trial).
+values, and exact elimination over GF(P), P = 8388593 (see `_modlin`), with
+uniform field entries standing in for generic amplitudes.
+
+Field trials fail only one way: a trial can find a row rank below the
+generic row rank R over GF(P), never above it. Each constraint entry is one
+clause entry, so a nonzero R x R minor is a polynomial of degree at most
+R <= d = min(rows, 2^n) in the clause entries, and by Schwartz-Zippel a
+trial misses it with probability at most d/P. The maximum over t independent
+trials is wrong with probability at most
+
+    failure_bound = (d / P)^t,
+
+and `field_trials` picks the least t that makes this at most 2^-40. (The
+float backend checks the characteristic-zero rank independently.)
 
 Qubit convention: bit v of a column index is the basis value of vertex v,
 vertex 0 least significant. Within a clause, local bit j belongs to the j-th
@@ -18,16 +29,19 @@ smallest vertex of the edge.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._modlin import MERSENNE61, rand_mod, rank_mod
+from ._modlin import P, rand_mod, rank_mod
 from .hypergraph import Hypergraph
 from .rng import child_rng, make_rng
 
 DEFAULT_CAP = 13
 DEFAULT_TOLERANCE = 1e-9
+# default field trials make a wrong rank at most 2^-FAILURE_LOG2 likely
+FAILURE_LOG2 = 40
 CONFIDENCE_FLOOR = 10.0
 
 
@@ -77,11 +91,13 @@ class Formula:
 @dataclass(frozen=True)
 class RankResult:
     """rank = dim of the satisfying subspace; confidence is backend-specific:
-    the spectral gap ratio (float) or the count of agreeing trials (field)."""
+    the spectral gap ratio (float) or the count of agreeing trials (field).
+    failure_bound (field only) bounds the chance that rank is too high."""
 
     rank: int
     backend: str
     confidence: float
+    failure_bound: float | None = None
 
 
 def sample_clause_vector(k: int, seed) -> ClauseVector:
@@ -125,11 +141,35 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the cap {cap}; pass a larger cap to force")
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse a computation estimated to need more than physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ValueError(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more "
+                         f"than the {total / 2 ** 30:.3g} GiB of physical memory")
+
+
+def constraint_rows(g: Hypergraph) -> int:
+    """Row count of the constraint matrix: 2^(n-k) per clause of arity k."""
+    return sum(1 << (g.n - len(e)) for e in g.edges)
+
+
+def field_trials(rows: int, n: int) -> int:
+    """Least t with (min(rows, 2^n) / P)^t <= 2^-40."""
+    d = min(rows, 1 << n)
+    if d >= P:
+        raise ValueError(f"rank up to {d} is too large for the field GF({P})")
+    t = 1
+    while d ** t << FAILURE_LOG2 > P ** t:
+        t += 1
+    return t
+
+
 def _assemble(g: Hypergraph, vectors, dtype) -> np.ndarray:
     """Constraint matrix of g with vectors[i] spread over the rows of edge i,
     laid out by clause_columns."""
     n = g.n
-    a = np.zeros((sum(1 << (n - len(e)) for e in g.edges), 1 << n), dtype=dtype)
+    a = np.zeros((constraint_rows(g), 1 << n), dtype=dtype)
     r = 0
     for e, v in zip(g.edges, vectors):
         cols = clause_columns(e, n)
@@ -158,6 +198,8 @@ def generic_rank_float(f: Formula, tolerance: float = DEFAULT_TOLERANCE,
         raise ValueError(f"tolerance must lie in (0, 1e-3), got {tolerance}")
     if f.hypergraph.m == 0:
         return RankResult(1 << n, "float", float("inf"))
+    # the complex matrix and the copy that LAPACK factors
+    _check_memory(2 * 16 * constraint_rows(f.hypergraph) << n, "the float rank")
     sv = np.linalg.svd(constraint_matrix(f), compute_uv=False)
     cut = tolerance * sv[0]
     row_rank = int((sv > cut).sum())
@@ -185,17 +227,25 @@ def min_rank_float(g: Hypergraph, samples: int = 3,
     return best
 
 
-def generic_rank_field(g: Hypergraph, trials: int = 2, seed=0,
+def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
                        cap: int = DEFAULT_CAP) -> RankResult:
-    """Satisfying-subspace dimension via exact elimination over GF(2^61 - 1).
+    """Satisfying-subspace dimension via exact elimination over GF(P).
 
     Each trial adorns every clause with uniform field entries (shared across
     that clause's rows) and computes the exact row rank; the maximum over
-    trials is the generic row rank except with probability O(poly/p) per
-    trial. Confidence reports how many trials attained the maximum.
+    trials is the generic row rank except with probability at most
+    failure_bound = (min(rows, 2^n) / P)^trials. By default trials is
+    field_trials(rows, n), which makes that at most 2^-40. Confidence
+    reports how many trials attained the maximum.
     """
     n = g.n
     _check_cap(n, cap)
+    rows = constraint_rows(g)
+    # the float64 matrix, the working copy that the elimination reduces and
+    # the product of its first block update
+    _check_memory(3 * 8 * rows << n, "the field rank")
+    if trials is None:
+        trials = field_trials(rows, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, np.random.Generator):
@@ -203,7 +253,9 @@ def generic_rank_field(g: Hypergraph, trials: int = 2, seed=0,
     ranks = []
     for t in range(trials):
         rng = child_rng(seed, t)
-        vectors = [rand_mod(rng, 1 << len(e), MERSENNE61) for e in g.edges]
-        ranks.append(rank_mod(_assemble(g, vectors, np.uint64), MERSENNE61))
+        vectors = [rand_mod(rng, 1 << len(e)) for e in g.edges]
+        ranks.append(rank_mod(_assemble(g, vectors, np.float64)))
     best = max(ranks)
-    return RankResult((1 << n) - best, "field", float(ranks.count(best)))
+    d = min(rows, 1 << n)
+    return RankResult((1 << n) - best, "field", float(ranks.count(best)),
+                      failure_bound=d ** trials / P ** trials)

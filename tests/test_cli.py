@@ -7,6 +7,8 @@ import math
 import pytest
 
 import qksat.cli as cli
+import qksat.rank_oracle as rank_oracle
+from qksat._modlin import P
 from qksat.hypergraph import Hypergraph, write_hypergraph
 from qksat.rank_oracle import RankInstabilityError
 
@@ -85,7 +87,11 @@ def test_rank_modes(tmp_path, capsys):
     write_hypergraph(Hypergraph(3, [(0, 1, 2)]), path)
     field = run_json(capsys, "rank", "--graph", str(path))
     assert field["rank"] == 7 and field["backend"] == "field"
-    assert field["trials"] == 2 and field["prime"] == (1 << 61) - 1
+    # one row, so two trials take the Schwartz-Zippel bound (1/P)^2 below 2^-40
+    assert field["prime"] == P and field["trials"] == 2
+    assert field["failure_bound"] == 1 / P ** 2 <= 2 ** -40
+    forced = run_json(capsys, "rank", "--graph", str(path), "--trials", "1")
+    assert forced["trials"] == 1 and forced["failure_bound"] == 1 / P
     fl = run_json(capsys, "rank", "--graph", str(path), "--mode", "float")
     assert fl["rank"] == 7 and fl["backend"] == "float"
     assert fl["trials"] == 3 and fl["tolerance"] == 1e-9
@@ -126,6 +132,48 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+def test_options_a_method_never_reads_exit_two(capsys):
+    ignored = [
+        ("bound", "nosegay", "--alpha", "3.7", "--dmax", "50"),
+        ("bound", "general-k", "--alpha", "5.0", "--dmax", "50"),
+        ("bound", "sunflower", "--alpha", "3.9", "--trunc", "20"),
+        ("bound", "general-k", "--alpha", "5.0", "--trunc", "20"),
+        ("bound", "single-clause", "--trunc", "20"),
+        ("threshold", "nosegay", "--dmax", "50"),
+        ("threshold", "general-k", "--k", "4", "--dmax", "50"),
+        ("threshold", "sunflower", "--trunc", "20"),
+        ("threshold", "general-k", "--k", "4", "--trunc", "10"),
+    ]
+    for argv in ignored:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "does not read" in err
+    # params echoes only what the method reads, defaults filled in
+    assert run_json(capsys, "threshold", "general-k", "--k", "4")["params"] == {}
+    assert run_json(capsys, "threshold", "sunflower", "--dmax", "60")[
+        "params"] == {"d_max": 60}
+    nosegay = run_json(capsys, "bound", "nosegay", "--alpha", "3.7",
+                       "--trunc", "20")
+    assert nosegay["params"]["truncation"] == 20
+    sunflower = run_json(capsys, "bound", "sunflower", "--alpha", "3.9")
+    assert sunflower["params"]["d_max"] == 100
+
+
+def test_oracles_refuse_matrices_beyond_memory(tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the oracle allocated past its memory preflight")
+
+    monkeypatch.setattr(rank_oracle, "_assemble", no_allocation)
+    path = tmp_path / "wide.hg"
+    # 2^20 columns and 2^18 rows: terabytes in either backend
+    write_hypergraph(Hypergraph(20, [(0, 1), (2, 3)]), path)
+    for mode in ("field", "float"):
+        code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                 "--mode", mode, "--force")
+        assert code == 2, mode
+        assert out == "" and "physical memory" in err
 
 
 def test_peel_reports_and_reruns_identically(capsys):

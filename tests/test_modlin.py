@@ -1,164 +1,233 @@
-"""Tests for exact modular arithmetic and rank kernels."""
+"""Tests for the float64 GF(P) kernels, against a Python-integer reference."""
 
 import numpy as np
 import pytest
 
-from qksat._modlin import (
-    MERSENNE61,
-    _rank_blocked,
-    _rank_naive,
-    _rank_object,
-    add_mod,
-    inv_mod,
-    matmul_mod,
-    mul_mod,
-    rand_mod,
-    rank_mod,
-    sub_mod,
-)
+from qksat._modlin import (NB, P, _rank, _reduce, inv_mod, matmul_mod,
+                           rand_mod, rank_mod)
 
-P = MERSENNE61
-# a non-Mersenne prime just above 2^60, for the generic elimination path
+H = (P - 1) // 2
+# a prime just above 2^60, for checking the reference itself
 OTHER_PRIME = 1152921504606847009
 
-EDGE_VALUES = [0, 1, 2, (1 << 31) - 1, 1 << 31, 1 << 45, P // 2, P - 2, P - 1]
+
+def _rank_object(a, p: int = P) -> int:
+    """Gaussian elimination over any prime field with Python integers."""
+    mat = [[int(x) % p for x in row] for row in np.asarray(a)]
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        prow = mat[r]
+        for i in range(r + 1, rows):
+            f = mat[i][c]
+            if f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
+        r += 1
+    return r
 
 
-def test_mul_mod_edge_values():
-    for x in EDGE_VALUES:
-        for y in EDGE_VALUES:
-            got = int(mul_mod(np.uint64(x), np.uint64(y)))
-            assert got == (x * y) % P, (x, y)
+def _centered(x):
+    """Python-integer centered residues, as floats."""
+    return np.vectorize(lambda v: float((int(v) + H) % P - H), otypes=[float])(x)
 
 
-def test_mul_mod_random_arrays():
+def _planted(rng, rows, cols, r):
+    """A rows x cols product of two random factors of width r, reduced with
+    int64 arithmetic (exact: r * H^2 < 2^63)."""
+    left = rand_mod(rng, (rows, r)).astype(np.int64)
+    right = rand_mod(rng, (r, cols)).astype(np.int64)
+    return _centered((left @ right) % P)
+
+
+def test_prime_and_exactness_inequality():
+    assert P < 1 << 23
+    assert all(P % q for q in range(2, int(P ** 0.5) + 1))
+    assert NB * H ** 2 + P < 2 ** 52
+
+
+def test_reduce_is_the_centered_residue():
+    top = NB * H ** 2 + H
+    ints = [0, 1, -1, H, -H, H + 1, -H - 1, P, -P, 3 * P + H, top, -top,
+            top - 1, 2 ** 52 - 1, -(2 ** 52 - 1)]
     rng = np.random.default_rng(0)
-    x = rand_mod(rng, 5000)
-    y = rand_mod(rng, 5000)
-    got = mul_mod(x, y)
-    want = [(int(a) * int(b)) % P for a, b in zip(x, y)]
-    assert got.tolist() == want
-
-
-def test_add_sub_mod():
-    rng = np.random.default_rng(1)
-    x = rand_mod(rng, 2000)
-    y = rand_mod(rng, 2000)
-    assert add_mod(x, y).tolist() == [(int(a) + int(b)) % P for a, b in zip(x, y)]
-    assert sub_mod(x, y).tolist() == [(int(a) - int(b)) % P for a, b in zip(x, y)]
+    ints += [int(v) for v in rng.integers(-top, top, size=2000)]
+    # x/P just past a half-integer, near 2^52: a reciprocal product rounds
+    # some of these to the wrong side
+    k_top = 2 ** 52 // P - 1
+    ints += [sign * (k * P + s) for k in range(k_top - 20000, k_top)
+             for s in (H + 1, -H) for sign in (1, -1)]
+    got = _reduce(np.array(ints, dtype=np.float64))
+    assert got.tolist() == [float((v + H) % P - H) for v in ints]
 
 
 def test_inv_mod():
     rng = np.random.default_rng(2)
-    for a in rand_mod(rng, 50):
-        if int(a) == 0:
-            continue
-        assert (int(a) * inv_mod(int(a))) % P == 1
-    assert (7 * inv_mod(7, OTHER_PRIME)) % OTHER_PRIME == 1
+    for a in rand_mod(rng, 50).tolist() + [1, -1, H, -H]:
+        if a:
+            assert (int(a) * inv_mod(a)) % P == 1
 
 
-def _object_matmul(left, right, p=P):
-    return np.dot(left.astype(object), right.astype(object)) % p
+def _object_matmul(left, right):
+    return _centered(np.dot(left.astype(np.int64).astype(object),
+                            right.astype(np.int64).astype(object)) % P)
 
 
 def test_matmul_mod_small():
     rng = np.random.default_rng(3)
-    for shape in [(4, 7, 3), (1, 1, 1), (5, 2, 8), (6, 64, 6)]:
+    for shape in [(4, 7, 3), (1, 1, 1), (5, 2, 8), (6, 64, 6), (3, NB, 5)]:
         left = rand_mod(rng, (shape[0], shape[1]))
         right = rand_mod(rng, (shape[1], shape[2]))
-        got = matmul_mod(left, right)
-        assert got.tolist() == _object_matmul(left, right).tolist()
-
-
-def test_matmul_mod_chunked_inner():
-    # inner dimension beyond the float64 exactness budget takes the chunked path
-    rng = np.random.default_rng(4)
-    left = rand_mod(rng, (5, 1300))
-    right = rand_mod(rng, (1300, 4))
-    got = matmul_mod(left, right)
-    assert got.tolist() == _object_matmul(left, right).tolist()
+        acc = rand_mod(rng, (shape[0], shape[2]))
+        product = matmul_mod(left, right, np.zeros_like(acc))
+        assert product.tolist() == _object_matmul(left, right).tolist()
+        want = _centered(_object_matmul(left, right) + acc)
+        # acc is updated in place, whatever its memory layout
+        for layout in (acc.copy(), np.asfortranarray(acc)):
+            assert matmul_mod(left, right, layout) is layout
+            assert layout.tolist() == want.tolist()
 
 
 def test_matmul_mod_worst_case_magnitudes():
-    # all-max entries maximize the limb products; exactness must hold
-    left = np.full((3, 512), P - 1, dtype=np.uint64)
-    right = np.full((512, 3), P - 1, dtype=np.uint64)
-    got = matmul_mod(left, right)
-    want = (512 * (P - 1) * (P - 1)) % P
-    assert got.tolist() == [[want] * 3] * 3
+    # a full block of entries +-(P-1)/2 added to (P-1)/2: the largest
+    # sums the elimination forms
+    rng = np.random.default_rng(4)
+    for sign in (1.0, -1.0):
+        left = np.full((3, NB), sign * H)
+        right = np.full((NB, 3), H)
+        acc = np.full((3, 3), sign * H)
+        want = (int(sign) * (NB * H * H + H) + H) % P - H
+        assert matmul_mod(left, right, acc).tolist() == [[want] * 3] * 3
+    left = H * rng.choice([-1.0, 1.0], size=(5, NB))
+    right = H * rng.choice([-1.0, 1.0], size=(NB, 4))
+    got = matmul_mod(left, right, np.zeros((5, 4)))
+    assert got.tolist() == _object_matmul(left, right).tolist()
 
 
 def test_matmul_mod_shape_checks():
     with pytest.raises(ValueError):
-        matmul_mod(np.zeros((2, 3), dtype=np.uint64), np.zeros((4, 2), dtype=np.uint64))
-    empty = matmul_mod(np.zeros((2, 0), dtype=np.uint64), np.zeros((0, 3), dtype=np.uint64))
-    assert empty.tolist() == [[0, 0, 0], [0, 0, 0]]
+        matmul_mod(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((2, 2)))
+    # past NB products the float64 sums are no longer guaranteed exact
+    with pytest.raises(ValueError):
+        matmul_mod(np.zeros((2, NB + 1)), np.zeros((NB + 1, 2)), np.zeros((2, 2)))
+    empty = matmul_mod(np.zeros((2, 0)), np.zeros((0, 3)), np.full((2, 3), 5.0))
+    assert empty.tolist() == [[5.0] * 3] * 2
 
 
-def _planted_rank_matrix(rng, rows, cols, r):
-    left = rand_mod(rng, (rows, r))
-    right = rand_mod(rng, (r, cols))
-    return matmul_mod(left, right)
+def _kernel_rank(a, nb=NB):
+    """_rank on a column-major copy, tall side down, as rank_mod calls it."""
+    a = np.asarray(a, dtype=np.float64)
+    return _rank(np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T), nb)
 
 
 def test_rank_paths_agree_on_planted_rank():
     rng = np.random.default_rng(5)
-    for rows, cols, r in [(150, 100, 40), (100, 150, 99), (90, 90, 90), (70, 130, 1)]:
-        a = _planted_rank_matrix(rng, rows, cols, r)
-        assert _rank_naive(a) == r
-        assert _rank_blocked(a) == r
+    # tall, wide, square full rank, rank one, rank deficient across panels
+    for rows, cols, r in [(150, 100, 40), (100, 150, 99), (90, 90, 90),
+                          (70, 130, 1), (300, 260, 200), (140, 300, 139)]:
+        a = _planted(rng, rows, cols, r)
         assert rank_mod(a) == r
+        assert rank_mod(a.T) == r
+        if rows * cols <= 15000:
+            assert _rank_object(a) == r
+
+
+def test_rank_panel_widths_around_nb():
+    # widths nb - 1, nb and nb + 1, full rank and deficient, tall and wide
+    rng = np.random.default_rng(11)
+    for width in (NB - 1, NB, NB + 1):
+        for r in (width, width - 3):
+            a = _planted(rng, width + 20, width, r)
+            assert rank_mod(a) == r
+            assert rank_mod(a.T) == r
+    for nb in (7, 8, 9):
+        for r in (8, 5):
+            a = _planted(rng, 40, 8, r)
+            assert _kernel_rank(a, nb) == r == _rank_object(a)
 
 
 def test_rank_blocked_small_block_size():
-    # tiny nb forces many panels and the cross-panel updates
+    # a tiny nb forces many panels and the cross-panel updates
     rng = np.random.default_rng(6)
-    a = _planted_rank_matrix(rng, 120, 95, 33)
-    assert _rank_blocked(a, nb=7) == 33
+    a = _planted(rng, 120, 95, 33)
+    for nb in (1, 2, 7):
+        assert _kernel_rank(a, nb) == 33
+
+
+def test_rank_full_block_worst_case_magnitudes():
+    # every entry +-(P-1)/2, a full panel wide and more
+    rng = np.random.default_rng(12)
+    for shape in [(NB + 10, NB), (NB + 1, NB + 1)]:
+        a = H * rng.choice([-1.0, 1.0], size=shape)
+        assert rank_mod(a) == _rank_object(a)
+    dup = H * rng.choice([-1.0, 1.0], size=(NB, 40))
+    assert rank_mod(np.hstack([dup, -dup, dup])) == _rank_object(dup) == 40
 
 
 def test_rank_degenerate_patterns():
-    z = np.zeros((80, 90), dtype=np.uint64)
-    assert rank_mod(z) == 0
-    eye = np.eye(200, dtype=np.uint64)
-    assert rank_mod(eye) == 200
+    assert rank_mod(np.zeros((80, 90))) == 0
+    assert rank_mod(np.eye(200)) == 200
     rng = np.random.default_rng(7)
-    c = _planted_rank_matrix(rng, 150, 70, 70)
-    doubled = np.hstack([c, c])
-    assert rank_mod(doubled) == 70
-    stacked = np.vstack([c.T, c.T])
-    assert rank_mod(stacked) == 70
+    c = _planted(rng, 150, 70, 70)
+    assert rank_mod(np.hstack([c, c])) == 70
+    assert rank_mod(np.vstack([c.T, c.T])) == 70
+    # zero columns ahead of, between and after the pivots
+    z = np.zeros((150, 30))
+    assert rank_mod(np.hstack([z, c[:, :35], z, c[:, 35:], z])) == 70
+    assert rank_mod(np.vstack([z.T, c.T, z.T])) == 70
 
 
 def test_rank_degenerate_entry_distribution():
-    # lots of zeros and p-1 entries stress pivot skipping inside panels
+    # many zeros and extreme entries stress pivot search and row swaps
     rng = np.random.default_rng(8)
-    vals = np.array([0, 0, 0, 1, P - 1], dtype=np.uint64)
-    for trial in range(6):
-        a = vals[rng.integers(0, len(vals), size=(80, 80))]
-        assert _rank_blocked(a) == _rank_naive(a)
+    vals = np.array([0, 0, 0, 1, -1, H, -H], dtype=np.float64)
+    for _ in range(8):
+        shape = tuple(int(s) for s in rng.integers(1, 60, size=2))
+        a = vals[rng.integers(0, len(vals), size=shape)]
+        want = _rank_object(a)
+        assert rank_mod(a) == want
+        for nb in (1, 3):
+            assert _kernel_rank(a, nb) == want
 
 
 def test_rank_object_path_other_prime():
+    # the reference itself, on planted ranks over two primes
     rng = np.random.default_rng(9)
-    small = rng.integers(0, 1000, size=(20, 25)).astype(np.uint64)
-    assert rank_mod(small, p=OTHER_PRIME) == rank_mod(small)
-    left = rng.integers(0, OTHER_PRIME, size=(20, 8)).astype(object)
-    right = rng.integers(0, OTHER_PRIME, size=(8, 25)).astype(object)
-    planted = (np.dot(left, right) % OTHER_PRIME).astype(np.uint64)
-    assert _rank_object(planted, OTHER_PRIME) == 8
+    for p in (P, OTHER_PRIME):
+        left = rng.integers(0, 1000, size=(20, 8)).astype(object)
+        right = rng.integers(0, 1000, size=(8, 25)).astype(object)
+        assert _rank_object(np.dot(left, right) % p, p) == 8
+    # 2 * eye is singular over GF(2) only
+    assert _rank_object(2 * np.eye(5, dtype=int), 2) == 0
+    assert _rank_object(2 * np.eye(5, dtype=int), P) == 5
 
 
 def test_rank_mod_input_validation():
     with pytest.raises(ValueError):
-        rank_mod(np.zeros(5, dtype=np.uint64))
-    assert rank_mod(np.zeros((0, 4), dtype=np.uint64)) == 0
+        rank_mod(np.zeros(5))
+    assert rank_mod(np.zeros((0, 4))) == 0
+    with pytest.raises(ValueError):
+        rank_mod(np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError):
+        rank_mod(np.array([[2.0 ** 52, 1.0]]))
+    # integer input of any size is reduced exactly
+    assert rank_mod(np.array([[P, 2 * P], [1, 5]], dtype=np.int64)) == 1
+    big = np.array([[P * (1 << 70) + 1, 2], [3, 6]], dtype=object)
+    assert rank_mod(big) == 1
+    assert rank_mod(np.array([[1, 2], [3, 6 + P]], dtype=np.uint64)) == 1
 
 
 def test_rand_mod_bounds():
     rng = np.random.default_rng(10)
     x = rand_mod(rng, 10000)
-    assert x.dtype == np.uint64
-    assert int(x.max()) < P
-    with pytest.raises(ValueError):
-        rand_mod(rng, 3, p=1 << 64)
+    assert x.dtype == np.float64
+    assert (x == np.rint(x)).all()
+    assert -H <= x.min() < -0.9 * H and 0.9 * H < x.max() <= H

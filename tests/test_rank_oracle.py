@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qksat._modlin import P
 from qksat.hypergraph import Hypergraph, attach, random_hypergraph
 from qksat.rank_oracle import (
     ClauseVector,
@@ -12,6 +13,8 @@ from qksat.rank_oracle import (
     RankInstabilityError,
     clause_columns,
     constraint_matrix,
+    constraint_rows,
+    field_trials,
     generic_rank_field,
     generic_rank_float,
     min_rank_float,
@@ -135,6 +138,34 @@ def test_field_backend_deterministic():
     b = generic_rank_field(g, trials=3, seed=5)
     assert (a.rank, a.backend, a.confidence) == (b.rank, b.backend, b.confidence)
     assert a.confidence == 3.0
+
+
+def test_field_trials_is_the_least_count_under_2_to_minus_40():
+    for rows, n in [(0, 3), (1, 3), (8, 3), (9, 4), (576, 9), (2560, 10),
+                    (5632, 11), (10 ** 6, 13)]:
+        d = min(rows, 1 << n)
+        t = field_trials(rows, n)
+        assert t >= 1
+        assert d ** t << 40 <= P ** t
+        assert t == 1 or d ** (t - 1) << 40 > P ** (t - 1)
+    # P is just below 2^23, so 2^13 rows need five trials, not four
+    assert [field_trials(1, 3), field_trials(576, 9),
+            field_trials(1 << 13, 13)] == [2, 3, 5]
+    with pytest.raises(ValueError):
+        field_trials(P, 23)
+
+
+def test_field_failure_bound():
+    g = random_hypergraph(7, 9, 3, seed=11)
+    d = min(constraint_rows(g), 1 << g.n)
+    res = generic_rank_field(g, seed=5)
+    t = field_trials(constraint_rows(g), g.n)
+    assert res.failure_bound == d ** t / P ** t <= 2 ** -40
+    assert res.confidence == t
+    assert generic_rank_field(g, trials=1, seed=5).failure_bound == d / P
+    # no clauses: the rank is 2^n with no randomness at all
+    assert generic_rank_field(Hypergraph(3, [])).failure_bound == 0.0
+    assert min_rank_float(g).failure_bound is None
 
 
 def test_min_rank_float_deterministic():
