@@ -50,8 +50,10 @@ def _check_model(alpha: float, k: int = 3) -> None:
         raise ValueError(f"arity k must be >= 2, got {k}")
 
 
-def _verdict(value: float) -> str:
-    return "unsat-whp" if value < 0 else "inconclusive"
+def _verdict(upper: float) -> str:
+    """unsat-whp when the bound is negative even with its error estimate
+    (value + quad_error) added."""
+    return "unsat-whp" if upper < 0 else "inconclusive"
 
 
 def _even_panels(panels: int) -> int:
@@ -151,10 +153,10 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = 100,
         mass += float(a_full.sum())
         edge_mass += float(a_full @ ds)
     value = LN2 + total_full
+    quad_error = abs(total_full - total_half) / 15.0
     return BoundReport(
         method="sunflower", alpha=float(alpha), k=k, value=value,
-        verdict=_verdict(value),
-        quad_error=abs(total_full - total_half) / 15.0,
+        verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "d_max": int(d_max),
             "quadrature_points": panels,
@@ -216,10 +218,10 @@ def nosegay_bound(alpha: float, truncation: int = NOSEGAY_TRUNCATION,
     s_full = float(g @ _simpson_weights(panels + 1, h))
     s_half = float(g[::2] @ _simpson_weights(panels // 2 + 1, 2.0 * h))
     value = LN2 + s_full / 3.0
+    quad_error = abs(s_full - s_half) / 45.0
     return BoundReport(
         method="nosegay", alpha=float(alpha), k=3, value=value,
-        verdict=_verdict(value),
-        quad_error=abs(s_full - s_half) / 45.0,
+        verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "truncation": int(truncation),
             "quadrature_points": panels,
@@ -309,8 +311,8 @@ def threshold_root(method: str, k: int = 3, *, bracket=None,
                    quadrature_points: int | None = None,
                    precision: float = ROOT_PRECISION) -> float:
     """A density at most `precision` above the zero crossing of the selected
-    bound at which the bound was evaluated negative: the right end of the
-    final bisection bracket.
+    bound plus its quad_error, at which that sum was evaluated negative: the
+    right end of the final bisection bracket.
 
     The bracket must straddle the sign change: bound positive at the left
     end, negative at the right end. Without one, the right end is a density
@@ -322,7 +324,8 @@ def threshold_root(method: str, k: int = 3, *, bracket=None,
         bracket = (0.5, (1 << k) * solve_b() + 1.0 if right is None else right)
 
     def f(alpha: float) -> float:
-        return bound(method, alpha, k, d_max=d_max, truncation=truncation,
-                     quadrature_points=quadrature_points).value
+        report = bound(method, alpha, k, d_max=d_max, truncation=truncation,
+                       quadrature_points=quadrature_points)
+        return report.value + report.quad_error
 
     return bisect_bracket(f, float(bracket[0]), float(bracket[1]), precision)[1]

@@ -246,23 +246,20 @@ def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> 
 
 
 class Family(NamedTuple):
-    """One gadget family: its spec type, its closed form, the hypergraph a
-    spec names (only for families checked against the rank oracle) and a
-    spec's params column in a peel trace (only for families a peel yields)."""
+    """One gadget family: its spec type, its closed form and the hypergraph a
+    spec names (only for families checked against the rank oracle)."""
     spec: type
     rank: Callable[..., GadgetRank]
     graph: Callable[..., Hypergraph] | None = None
-    trace: Callable[..., str] | None = None
 
 
 # The functions look the closed forms and builders up when called, so a
 # rebound module attribute reaches every caller.
 FAMILIES = {
     "sunflower": Family(Sunflower, lambda s: sunflower_rank(s.d, s.k),
-                        lambda s: sunflower_graph(s.d, s.k), lambda s: str(s.d)),
+                        lambda s: sunflower_graph(s.d, s.k)),
     "nosegay3": Family(Nosegay3, lambda s: nosegay3_rank(s.a, s.b, s.c),
-                       lambda s: nosegay3_graph(s.a, s.b, s.c),
-                       lambda s: f"{s.a};{s.b};{s.c}"),
+                       lambda s: nosegay3_graph(s.a, s.b, s.c)),
     "nosegay-hang": Family(NosegayHang,
                            lambda s: nosegay_hang_rank(s.a, s.b, s.c),
                            lambda s: nosegay_hang_graph(s.a, s.b, s.c)),
@@ -283,15 +280,6 @@ def family_of(spec: GadgetSpec) -> str:
 def gadget_rank(spec: GadgetSpec) -> GadgetRank:
     """Exact rank, vertex count t, and log-weight for any gadget variant."""
     return FAMILIES[family_of(spec)].rank(spec)
-
-
-def trace_columns(spec: GadgetSpec) -> tuple[str, str]:
-    """The family and the params column of a peel step's gadget."""
-    name = family_of(spec)
-    params = FAMILIES[name].trace
-    if params is None:
-        raise TypeError(f"no trace column format for {spec!r}")
-    return name, params(spec)
 
 
 @lru_cache(maxsize=None)

@@ -103,8 +103,7 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
         if not bad.any():
             break
         draws[bad] = rng.integers(0, n, size=(int(bad.sum()), k))
-    edges = tuple(tuple(int(v) for v in row) for row in np.sort(draws, axis=1))
-    return Hypergraph(n, edges)
+    return Hypergraph(n, tuple(map(tuple, sorted_rows.tolist())))
 
 
 def components(g: Hypergraph) -> list[ComponentSummary]:

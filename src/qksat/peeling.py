@@ -6,43 +6,42 @@ step on top of the global ln 2. Structure violations (petals sharing an extra
 vertex, hanging edges touching two centers) keep the standard gadget formula
 and are counted as anomalies instead; they are rare on sparse random inputs,
 and their count bounds the slack of pretending the structure is clean.
+
+A trace's steps are one structured array with the columns
+`vertices_remaining`, `edges_remaining`, `params` (the gadget's `d` for a
+sunflower, its `a, b, c` for a nosegay) and `anomalies`.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import math
 from dataclasses import dataclass
-from math import inf
+from itertools import repeat
 
 import numpy as np
 
-from .gadgets import (LN2, GadgetSpec, Nosegay3, Sunflower, gadget_log_weight,
-                      trace_columns)
+from .gadgets import LN2, Nosegay3, Sunflower, gadget_log_weight
 from .hypergraph import Hypergraph
 from .rng import make_rng
 
-
-@dataclass(frozen=True)
-class PeelStep:
-    vertices_remaining: int
-    edges_remaining: int
-    gadget: GadgetSpec
-    anomalies: int
+# each algorithm's gadget family, and the gadget spec of one params row
+GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
+           "nosegay": ("nosegay3", lambda row, k: Nosegay3(*row))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeelTrace:
     algorithm: str
     n: int
     m: int
     k: int
     seed: int
-    steps: tuple[PeelStep, ...]
+    steps: np.ndarray
 
     @property
     def anomalies(self) -> int:
-        return sum(s.anomalies for s in self.steps)
+        return int(self.steps["anomalies"].sum())
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,17 @@ def _require_int_seed(seed) -> int:
     if isinstance(seed, (bool, float)) or not isinstance(seed, int):
         raise TypeError(f"peeling needs an integer seed for replay, got {seed!r}")
     return seed
+
+
+def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
+    """A trace's steps array from its four columns; params is 2-D."""
+    steps = np.empty(len(vertices), dtype=[
+        ("vertices_remaining", np.int64), ("edges_remaining", np.int64),
+        ("params", np.int64, (params.shape[1],)), ("anomalies", np.int64)])
+    for name, column in zip(steps.dtype.names,
+                            (vertices, edges, params, anomalies)):
+        steps[name] = column
+    return steps
 
 
 def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
@@ -72,99 +82,84 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     k = g.uniform_arity()
     if g.m > 0 and k is None:
         raise ValueError("sunflower peel requires uniform arity")
-    if k is None:
-        k = 2
-    rng = make_rng(seed)
-    order = rng.permutation(g.n)
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
+    k = k or 2
+    order = make_rng(seed).permutation(g.n)
 
-    if g.m:
-        edge_array = np.array(g.edges, dtype=np.int64)
-        consumed_at = pos[edge_array].min(axis=1)
-    else:
-        consumed_at = np.empty(0, dtype=np.int64)
+    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
+    consumed_at = np.argsort(order)[edges].min(axis=1)
     degree = np.bincount(consumed_at, minlength=g.n)
 
-    by_step: dict[int, list[int]] = {}
-    for eid, s in enumerate(consumed_at.tolist()):
-        by_step.setdefault(s, []).append(eid)
+    # a non-center vertex met by c petals of one step adds c(c-1)/2 pairs
+    at = np.repeat(consumed_at, k)
+    petal = edges.ravel() != order[at]
+    keys, seen = np.unique(at[petal] * g.n + edges.ravel()[petal],
+                           return_counts=True)
+    anomalies = np.bincount(keys // g.n, weights=seen * (seen - 1) // 2,
+                            minlength=g.n).astype(np.int64)
 
-    steps = []
-    remaining = g.m
-    for s in range(g.n):
-        d = int(degree[s])
-        remaining -= d
-        anomalies = 0
-        if d >= 2:
-            center = int(order[s])
-            shared = Counter(
-                v for eid in by_step[s] for v in g.edges[eid] if v != center
-            )
-            anomalies = sum(c * (c - 1) // 2 for c in shared.values())
-        steps.append(PeelStep(g.n - s - 1, remaining, Sunflower(d, k), anomalies))
-    return PeelTrace("sunflower", g.n, g.m, k, seed, tuple(steps))
+    steps = trace_steps(np.arange(g.n - 1, -1, -1), g.m - np.cumsum(degree),
+                        degree[:, None], anomalies)
+    return PeelTrace("sunflower", g.n, g.m, k, seed, steps)
 
 
 def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     """Peel a 3-uniform hypergraph into nosegays.
 
-    Each step picks a uniformly random remaining edge {u,v,w}, counts the
-    other remaining edges through each of u, v, w (an edge meeting two or
-    more of them counts once, at its lowest-position center, and flags an
-    anomaly), removes u, v, w and every counted edge, and records the
-    (a,b,c) gadget. Hanging-edge endpoints stay behind; once isolated they
-    are covered by the global 2^n factor and produce no step.
+    Each step takes the next remaining edge {u,v,w} of one uniform random
+    permutation of the edges: the edges past that position are in uniform
+    random order and include every remaining edge, so this is a uniform
+    draw among them. It counts the other remaining edges through each of
+    u, v, w (an edge meeting several counts once, at its lowest-position
+    center, and each further meeting is an anomaly), removes u, v, w and
+    every counted edge, and records the (a,b,c) gadget. Hanging-edge
+    endpoints stay behind; once isolated they are covered by the global
+    2^n factor and produce no step.
     """
     seed = _require_int_seed(seed)
     if g.arities() - {3}:
         raise ValueError("nosegay peel requires arity 3 throughout")
-    rng = make_rng(seed)
 
-    incidence: list[list[int]] = [[] for _ in range(g.n)]
-    for eid, e in enumerate(g.edges):
-        for v in e:
-            incidence[v].append(eid)
+    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, 3)
+    # CSR incidence: the edges through vertex x are incident[start[x]:start[x+1]]
+    incident = np.argsort(edges.ravel(), kind="stable") // 3
+    start = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges.ravel(), minlength=g.n), out=start[1:])
 
-    alive = [True] * g.m
-    pool = list(range(g.m))
-    slot = list(range(g.m))  # slot[eid] = index in pool while alive
+    cap = min(g.m, g.n // 3)
+    params = np.empty((cap, 3), dtype=np.int64)
+    anomalies = np.empty(cap, dtype=np.int64)
+    alive = np.ones(g.m, dtype=bool)
+    s = 0
+    for chosen in make_rng(seed).permutation(g.m).tolist():
+        if not alive[chosen]:
+            continue
+        alive[chosen] = False
+        spans = [incident[start[x]:start[x + 1]] for x in edges[chosen].tolist()]
+        met = np.concatenate(spans)
+        keep = alive[met]
+        center = np.repeat(np.arange(3), [len(sp) for sp in spans])[keep]
+        met = met[keep]
+        counted, first = np.unique(met, return_index=True)
+        alive[counted] = False
+        params[s] = np.bincount(center[first], minlength=3)
+        anomalies[s] = len(met) - len(counted)
+        s += 1
+    params = params[:s]
+    steps = trace_steps(g.n - 3 * np.arange(1, s + 1),
+                        g.m - np.cumsum(1 + params.sum(axis=1)), params,
+                        anomalies[:s])
+    return PeelTrace("nosegay", g.n, g.m, 3, seed, steps)
 
-    def drop(eid: int) -> None:
-        alive[eid] = False
-        i = slot[eid]
-        last = pool[-1]
-        pool[i] = last
-        slot[last] = i
-        pool.pop()
 
-    steps = []
-    vertices = g.n
-    while pool:
-        chosen = pool[int(rng.integers(len(pool)))]
-        centers = g.edges[chosen]
-        counts = [0, 0, 0]
-        counted: list[int] = []
-        counted_set = {chosen}
-        anomalies = 0
-        for ci, x in enumerate(centers):
-            for eid in incidence[x]:
-                if not alive[eid] or eid == chosen:
-                    continue
-                if eid in counted_set:
-                    # meets an earlier center too; already counted there
-                    anomalies += 1
-                    continue
-                counted_set.add(eid)
-                counted.append(eid)
-                counts[ci] += 1
-        drop(chosen)
-        for eid in counted:
-            drop(eid)
-        vertices -= 3
-        steps.append(PeelStep(vertices, len(pool),
-                              Nosegay3(counts[0], counts[1], counts[2]), anomalies))
-    return PeelTrace("nosegay", g.n, g.m, 3, seed, tuple(steps))
+def _distinct_gadgets(trace: PeelTrace):
+    """The trace's distinct params rows, the log-weight and step count of
+    each, and the row index of each step."""
+    rows, inverse, counts = np.unique(trace.steps["params"], axis=0,
+                                      return_inverse=True, return_counts=True)
+    spec = GADGETS[trace.algorithm][1]
+    rows = rows.tolist()
+    weights = [gadget_log_weight(spec(row, trace.k)) for row in rows]
+    return rows, weights, counts.tolist(), inverse.tolist()
 
 
 def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
@@ -173,25 +168,26 @@ def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
     A zero-rank gadget drives the value to -inf, certifying unsatisfiability
     of the sampled instance outright.
     """
-    tally = Counter(step.gadget for step in trace.steps)
-    total = 0.0
-    for spec, count in tally.items():
-        w = gadget_log_weight(spec)
-        if w == -inf:
-            return EmpiricalBound(-inf, len(trace.steps), trace.anomalies)
-        total += count * w
-    return EmpiricalBound(LN2 + total / trace.n, len(trace.steps), trace.anomalies)
+    _, weights, counts, _ = _distinct_gadgets(trace)
+    total = math.fsum(c * w for c, w in zip(counts, weights))
+    return EmpiricalBound(LN2 + total / trace.n, len(trace.steps),
+                          trace.anomalies)
 
 
 def write_trace_csv(trace: PeelTrace, path) -> None:
-    """One row per step: step index, remaining sizes, gadget, params,
-    log-weight, per-step anomaly count."""
+    """One row per step: step index, remaining sizes, gadget, params joined
+    by ';', log-weight, per-step anomaly count."""
+    rows, weights, _, inverse = _distinct_gadgets(trace)
+    params = [";".join(map(str, row)) for row in rows]
+    weights = [repr(w) for w in weights]
+    steps = trace.steps
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "vertices_remaining", "edges_remaining",
                          "gadget", "params", "log_weight", "anomaly"])
-        for i, step in enumerate(trace.steps):
-            tag, params = trace_columns(step.gadget)
-            writer.writerow([i, step.vertices_remaining, step.edges_remaining,
-                             tag, params, repr(gadget_log_weight(step.gadget)),
-                             step.anomalies])
+        writer.writerows(zip(
+            range(len(steps)), steps["vertices_remaining"].tolist(),
+            steps["edges_remaining"].tolist(),
+            repeat(GADGETS[trace.algorithm][0]),
+            [params[i] for i in inverse], [weights[i] for i in inverse],
+            steps["anomalies"].tolist()))

@@ -165,14 +165,12 @@ def field_trials(rows: int, n: int) -> int:
     return t
 
 
-def _assemble(g: Hypergraph, vectors, dtype) -> np.ndarray:
-    """Constraint matrix of g with vectors[i] spread over the rows of edge i,
-    laid out by clause_columns."""
-    n = g.n
-    a = np.zeros((constraint_rows(g), 1 << n), dtype=dtype)
+def _assemble(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
+    """Constraint matrix of g with vectors[i] spread over the rows of edge i
+    at the columns layout[i]."""
+    a = np.zeros((constraint_rows(g), 1 << g.n), dtype=dtype)
     r = 0
-    for e, v in zip(g.edges, vectors):
-        cols = clause_columns(e, n)
+    for cols, v in zip(layout, vectors):
         a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
         r += cols.shape[0]
     return a
@@ -180,8 +178,9 @@ def _assemble(g: Hypergraph, vectors, dtype) -> np.ndarray:
 
 def constraint_matrix(f: Formula) -> np.ndarray:
     """Dense complex constraint matrix; the kernel is the satisfying subspace."""
-    return _assemble(f.hypergraph, [np.conj(cv.amplitudes) for cv in f.clauses],
-                     np.complex128)
+    g = f.hypergraph
+    return _assemble(g, [clause_columns(e, g.n) for e in g.edges],
+                     [np.conj(cv.amplitudes) for cv in f.clauses], np.complex128)
 
 
 def generic_rank_float(f: Formula, tolerance: float = DEFAULT_TOLERANCE,
@@ -250,11 +249,13 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, np.random.Generator):
         raise TypeError("field backend needs an integer seed for replayable trials")
+    # the same clause layout serves every trial
+    layout = [clause_columns(e, n) for e in g.edges]
     ranks = []
     for t in range(trials):
         rng = child_rng(seed, t)
         vectors = [rand_mod(rng, 1 << len(e)) for e in g.edges]
-        ranks.append(rank_mod(_assemble(g, vectors, np.float64)))
+        ranks.append(rank_mod(_assemble(g, layout, vectors, np.float64)))
     best = max(ranks)
     d = min(rows, 1 << n)
     return RankResult((1 << n) - best, "field", float(ranks.count(best)),

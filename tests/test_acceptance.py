@@ -197,10 +197,7 @@ def test_criterion_5_peeling_matches_analytics(capsys):
     for seed in seeds:
         g = random_hypergraph(n, round(alpha_s * n), 3, child_rng(seed, 0))
         trace = sunflower_peel(g, seed)
-        counts = np.zeros(11)
-        for step in trace.steps:
-            if step.gadget.d <= 10:
-                counts[step.gadget.d] += 1
+        counts = np.bincount(trace.steps["params"][:, 0], minlength=11)[:11]
         hist_err = float(np.max(np.abs(counts / n - densities)))
         if hist_err > 0.01:
             problems.append(f"sunflower hist seed {seed}: {hist_err:.4f}")
@@ -215,9 +212,10 @@ def test_criterion_5_peeling_matches_analytics(capsys):
         g = random_hypergraph(n, round(alpha_n * n), 3, child_rng(seed, 0))
         trace = nosegay_peel(g, seed)
         sup = 0.0
-        for step in trace.steps:
-            nu = step.vertices_remaining / n
-            frac = step.edges_remaining / n
+        for vertices, edges in zip(trace.steps["vertices_remaining"].tolist(),
+                                   trace.steps["edges_remaining"].tolist()):
+            nu = vertices / n
+            frac = edges / n
             err = abs(frac - nosegay_ode(alpha_n, nu).mu) if nu >= nu0 else frac
             sup = max(sup, err)
         if sup > 0.01:

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from qksat.analysis import (
     BoundReport,
+    bound,
     general_k_bound,
     nosegay_bound,
     nosegay_ode,
@@ -257,6 +258,19 @@ def test_threshold_root_nosegay():
     root = threshold_root("nosegay", 3, truncation=30, quadrature_points=400)
     assert 3.55 < root <= 3.594
     assert nosegay_bound(root + 0.01, truncation=30).value < 0
+
+
+def test_verdict_and_root_count_quad_error():
+    # four panels: the value is negative, but not by more than its error
+    report = bound("sunflower", 3.894, quadrature_points=4)
+    assert report.value == pytest.approx(-1.47e-4, abs=1e-6)
+    assert report.quad_error == pytest.approx(1.64e-4, abs=1e-6)
+    assert report.verdict == "inconclusive"
+    root = threshold_root("sunflower", 3, bracket=(3.8, 4.0),
+                          quadrature_points=4)
+    at_root = bound("sunflower", root, quadrature_points=4)
+    assert at_root.value + at_root.quad_error < 0
+    assert at_root.verdict == "unsat-whp"
 
 
 def test_threshold_root_validation():

@@ -6,18 +6,29 @@ import math
 import numpy as np
 import pytest
 
-from qksat.gadgets import K2Component, Nosegay3, Sunflower, gadget_log_weight
+import qksat.peeling as peeling
+from qksat.gadgets import Nosegay3, Sunflower, gadget_log_weight
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import (
     EmpiricalBound,
-    PeelStep,
     PeelTrace,
     empirical_log_rank,
     nosegay_peel,
     sunflower_peel,
+    trace_steps,
     write_trace_csv,
 )
 from qksat.rng import make_rng
+
+
+def columns(trace):
+    """(vertices_remaining, edges_remaining, params tuple, anomalies) per
+    step, as Python ints."""
+    s = trace.steps
+    return list(zip(s["vertices_remaining"].tolist(),
+                    s["edges_remaining"].tolist(),
+                    map(tuple, s["params"].tolist()),
+                    s["anomalies"].tolist()))
 
 
 def reference_sunflower_peel(g, seed):
@@ -37,17 +48,59 @@ def reference_sunflower_peel(g, seed):
     return steps
 
 
+def reference_nosegay_peel(g, seed):
+    """Set-based re-derivation of the nosegay peel, walking the same edge
+    permutation."""
+    alive = set(range(g.m))
+    vertices = g.n
+    steps = []
+    for chosen in make_rng(seed).permutation(g.m).tolist():
+        if chosen not in alive:
+            continue
+        alive.discard(chosen)
+        counts = [0, 0, 0]
+        anomalies = 0
+        taken = set()
+        for ci, center in enumerate(g.edges[chosen]):
+            for e in sorted(alive):
+                if center in g.edges[e]:
+                    if e in taken:
+                        anomalies += 1
+                    else:
+                        taken.add(e)
+                        counts[ci] += 1
+        alive -= taken
+        vertices -= 3
+        steps.append((vertices, len(alive), tuple(counts), anomalies))
+    return steps
+
+
 @pytest.mark.parametrize("n,m,k", [(40, 60, 3), (30, 45, 2), (25, 50, 4)])
 def test_sunflower_peel_matches_reference(n, m, k):
     for seed in range(5):
         g = random_hypergraph(n, m, k, seed=1000 + seed)
         trace = sunflower_peel(g, seed)
-        got = [
-            (s.vertices_remaining, s.edges_remaining, s.gadget.d, s.anomalies)
-            for s in trace.steps
-        ]
+        got = [(v, e, d, a) for v, e, (d,), a in columns(trace)]
         assert got == reference_sunflower_peel(g, seed)
-        assert all(s.gadget.k == k for s in trace.steps)
+        assert trace.k == k
+
+
+@pytest.mark.parametrize("n,m", [(40, 60), (60, 170), (30, 100)])
+def test_nosegay_peel_matches_reference(n, m):
+    for seed in range(5):
+        g = random_hypergraph(n, m, 3, seed=3000 + seed)
+        trace = nosegay_peel(g, seed)
+        assert columns(trace) == reference_nosegay_peel(g, seed)
+
+
+def test_nosegay_first_pick_is_uniform():
+    # the middle edge of the chain is drawn first with probability 1/3, and
+    # only that draw consumes the chain in one step
+    g = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    runs = 3000
+    hits = sum(len(nosegay_peel(g, seed).steps) == 1 for seed in range(runs))
+    sd = math.sqrt(runs * (1 / 3) * (2 / 3))
+    assert abs(hits - runs / 3) < 5 * sd
 
 
 def test_sunflower_peel_metadata_and_conservation():
@@ -56,22 +109,26 @@ def test_sunflower_peel_metadata_and_conservation():
     assert (trace.algorithm, trace.n, trace.m, trace.k, trace.seed) == \
         ("sunflower", 50, 120, 3, 7)
     assert len(trace.steps) == g.n
-    assert sum(s.gadget.d for s in trace.steps) == g.m
-    assert trace.steps[-1].vertices_remaining == 0
-    assert trace.steps[-1].edges_remaining == 0
+    assert trace.steps["params"].sum() == g.m
+    assert trace.steps[-1]["vertices_remaining"] == 0
+    assert trace.steps[-1]["edges_remaining"] == 0
+    bound = empirical_log_rank(trace)
+    # plain Python numbers, so that json.dumps takes them
+    assert [type(x) for x in (bound.value, bound.step_count, bound.anomalies)] \
+        == [float, int, int]
 
 
 def test_sunflower_peel_deterministic():
     g = random_hypergraph(30, 60, 3, seed=4)
-    assert sunflower_peel(g, 11) == sunflower_peel(g, 11)
-    assert sunflower_peel(g, 11) != sunflower_peel(g, 12)
+    assert columns(sunflower_peel(g, 11)) == columns(sunflower_peel(g, 11))
+    assert columns(sunflower_peel(g, 11)) != columns(sunflower_peel(g, 12))
 
 
 def test_sunflower_peel_empty_graph():
     g = Hypergraph(5, [])
     trace = sunflower_peel(g, 0)
-    assert len(trace.steps) == 5
-    assert all(s.gadget == Sunflower(0, 2) for s in trace.steps)
+    assert columns(trace) == [(4 - s, 0, (0,), 0) for s in range(5)]
+    assert trace.k == 2
     assert empirical_log_rank(trace).value == pytest.approx(math.log(2))
 
 
@@ -92,7 +149,7 @@ def test_sunflower_sharing_pair_flags_anomaly():
     saw_joint = saw_split = False
     for seed in range(20):
         trace = sunflower_peel(g, seed)
-        degrees = sorted(s.gadget.d for s in trace.steps if s.gadget.d)
+        degrees = sorted(d for d in trace.steps["params"][:, 0].tolist() if d)
         if degrees == [2]:
             saw_joint = True
             assert trace.anomalies == 1
@@ -106,7 +163,7 @@ def test_sunflower_sharing_pair_flags_anomaly():
 def test_nosegay_peel_single_edge():
     g = Hypergraph(5, [(1, 2, 3)])
     trace = nosegay_peel(g, 9)
-    assert trace.steps == (PeelStep(2, 0, Nosegay3(0, 0, 0), 0),)
+    assert columns(trace) == [(2, 0, (0, 0, 0), 0)]
     assert trace.algorithm == "nosegay" and trace.k == 3
 
 
@@ -116,10 +173,7 @@ def test_nosegay_peel_consumes_sunflower_in_one_step():
     g = sunflower_graph(6, 3)
     for seed in range(6):
         trace = nosegay_peel(g, seed)
-        assert len(trace.steps) == 1
-        assert trace.steps[0].gadget == Nosegay3(5, 0, 0)
-        assert trace.steps[0].vertices_remaining == g.n - 3
-        assert trace.steps[0].anomalies == 0
+        assert columns(trace) == [(g.n - 3, 0, (5, 0, 0), 0)]
 
 
 def test_nosegay_peel_chain_branches():
@@ -127,12 +181,12 @@ def test_nosegay_peel_chain_branches():
     shapes = set()
     for seed in range(15):
         trace = nosegay_peel(g, seed)
-        gadgets = tuple(s.gadget for s in trace.steps)
+        gadgets = [tuple(p) for p in trace.steps["params"].tolist()]
         if len(gadgets) == 1:
-            assert gadgets[0] == Nosegay3(1, 0, 1)
+            assert gadgets[0] == (1, 0, 1)
         else:
-            assert gadgets[0] in (Nosegay3(0, 0, 1), Nosegay3(1, 0, 0))
-            assert gadgets[1] == Nosegay3(0, 0, 0)
+            assert gadgets[0] in ((0, 0, 1), (1, 0, 0))
+            assert gadgets[1] == (0, 0, 0)
         shapes.add(len(gadgets))
     assert shapes == {1, 2}
 
@@ -141,24 +195,22 @@ def test_nosegay_peel_double_hit_is_one_anomaly():
     g = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
     for seed in range(8):
         trace = nosegay_peel(g, seed)
-        assert len(trace.steps) == 1
-        assert trace.steps[0].gadget == Nosegay3(1, 0, 0)
-        assert trace.steps[0].anomalies == 1
+        assert columns(trace) == [(1, 0, (1, 0, 0), 1)]
 
 
 def test_nosegay_peel_invariants_random():
     for seed in range(5):
         g = random_hypergraph(60, 170, 3, seed=2000 + seed)
         trace = nosegay_peel(g, seed)
-        assert sum(1 + s.gadget.a + s.gadget.b + s.gadget.c
-                   for s in trace.steps) == g.m
-        rem = [s.edges_remaining for s in trace.steps]
+        steps = trace.steps
+        assert len(steps) + steps["params"].sum() == g.m
+        rem = steps["edges_remaining"].tolist()
         assert all(x > y for x, y in zip(rem, rem[1:]))
         assert rem[-1] == 0
-        for i, s in enumerate(trace.steps):
-            assert s.vertices_remaining == g.n - 3 * (i + 1)
+        for i, v in enumerate(steps["vertices_remaining"].tolist()):
+            assert v == g.n - 3 * (i + 1)
     g = random_hypergraph(60, 170, 3, seed=2100)
-    assert nosegay_peel(g, 5) == nosegay_peel(g, 5)
+    assert columns(nosegay_peel(g, 5)) == columns(nosegay_peel(g, 5))
 
 
 def test_nosegay_peel_requires_arity_three():
@@ -167,20 +219,23 @@ def test_nosegay_peel_requires_arity_three():
 
 
 def test_empirical_log_rank_manual_trace():
-    steps = (
-        PeelStep(2, 1, Sunflower(1, 3), 0),
-        PeelStep(1, 0, Sunflower(1, 3), 0),
-        PeelStep(0, 0, Sunflower(0, 3), 0),
-    )
+    steps = trace_steps([2, 1, 0], [1, 0, 0], np.array([[1], [1], [0]]),
+                        [0, 0, 0])
     trace = PeelTrace("sunflower", 3, 2, 3, 0, steps)
     got = empirical_log_rank(trace)
     assert got == EmpiricalBound(
         pytest.approx(math.log(2) + 2 * math.log(7 / 8) / 3), 3, 0)
 
 
-def test_empirical_log_rank_zero_rank_gadget():
-    steps = (PeelStep(0, 0, K2Component(2, 4), 2),)
-    trace = PeelTrace("k2", 2, 4, 2, 0, steps)
+def test_empirical_log_rank_zero_rank_gadget(monkeypatch):
+    # no sunflower or nosegay has rank 0, so stand one in for (0, 0, 0)
+    def weight(spec):
+        return -math.inf if spec == Nosegay3(0, 0, 0) else gadget_log_weight(spec)
+
+    monkeypatch.setattr(peeling, "gadget_log_weight", weight)
+    steps = trace_steps([4, 1], [1, 0], np.array([[0, 0, 0], [0, 0, 0]]),
+                        [2, 0])
+    trace = PeelTrace("nosegay", 7, 2, 3, 0, steps)
     got = empirical_log_rank(trace)
     assert got.value == -math.inf
     assert got.anomalies == 2
@@ -190,7 +245,8 @@ def test_empirical_matches_direct_sum():
     g = random_hypergraph(200, 700, 3, seed=42)
     trace = sunflower_peel(g, 1)
     want = math.log(2) + sum(
-        gadget_log_weight(s.gadget) for s in trace.steps) / g.n
+        gadget_log_weight(Sunflower(d, 3))
+        for d in trace.steps["params"][:, 0].tolist()) / g.n
     assert empirical_log_rank(trace).value == pytest.approx(want)
 
 
@@ -204,13 +260,9 @@ def test_trace_csv_format(tmp_path):
     assert rows[0] == ["step", "vertices_remaining", "edges_remaining",
                        "gadget", "params", "log_weight", "anomaly"]
     assert len(rows) == 1 + len(trace.steps)
-    for i, (row, step) in enumerate(zip(rows[1:], trace.steps)):
-        assert row[0] == str(i)
-        assert row[1] == str(step.vertices_remaining)
-        assert row[3] == "sunflower"
-        assert row[4] == str(step.gadget.d)
-        assert float(row[5]) == gadget_log_weight(step.gadget)
-        assert row[6] == str(step.anomalies)
+    for i, (row, (v, e, (d,), a)) in enumerate(zip(rows[1:], columns(trace))):
+        assert row == [str(i), str(v), str(e), "sunflower", str(d),
+                       repr(gadget_log_weight(Sunflower(d, 3))), str(a)]
 
 
 def test_trace_csv_nosegay_params(tmp_path):
@@ -220,13 +272,8 @@ def test_trace_csv_nosegay_params(tmp_path):
     write_trace_csv(trace, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    for row, step in zip(rows[1:], trace.steps):
+    assert len(rows) == 1 + len(trace.steps)
+    for row, (_, _, (a, b, c), _) in zip(rows[1:], columns(trace)):
         assert row[3] == "nosegay3"
-        assert row[4] == f"{step.gadget.a};{step.gadget.b};{step.gadget.c}"
-
-
-def test_trace_csv_rejects_unknown_gadget(tmp_path):
-    trace = PeelTrace("k2", 2, 4, 2, 0,
-                      (PeelStep(0, 0, K2Component(2, 4), 0),))
-    with pytest.raises(TypeError):
-        write_trace_csv(trace, tmp_path / "t.csv")
+        assert row[4] == f"{a};{b};{c}"
+        assert float(row[5]) == gadget_log_weight(Nosegay3(a, b, c))
