@@ -15,7 +15,7 @@ the reported value, and a negative truncated bound still certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log, log1p, sqrt
+from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class OdeState:
 
 
 def _check_model(alpha: float, k: int = 3) -> None:
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
 

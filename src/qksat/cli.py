@@ -17,8 +17,8 @@ from math import isfinite
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
 from .rank_oracle import (DEFAULT_CAP, DEFAULT_TOLERANCE, RankInstabilityError,
-                          constraint_rows, field_trials, generic_rank_field,
-                          min_rank_float)
+                          check_memory, constraint_rows, field_trials,
+                          generic_rank_field, min_rank_float)
 from ._modlin import P
 from .rng import child_rng
 
@@ -52,6 +52,13 @@ def _cmd_rank(args) -> tuple[int, dict]:
     payload.update(rank=result.rank, backend=result.backend,
                    confidence=_json_float(result.confidence))
     return 0, payload
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
 
 
 def _parse_dvec(text: str) -> tuple[int, ...]:
@@ -104,10 +111,18 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if failures == 0 else 1), payload
 
 
+# peak RSS of `peel --trace`, either gadget, at n = 1e5 and 1e6 and k = 2 to
+# 8: at most 150 B per vertex at alpha = 0, and at most 120 B per edge
+# endpoint (k per edge) on top of that
+PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 120
+
+
 def _cmd_peel(args) -> tuple[int, dict]:
     if args.gadget == "nosegay" and args.k != 3:
         raise ValueError("the nosegay peel needs --k 3")
     m = round(args.alpha * args.n)
+    check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k * m,
+                 "the peel")
     # graph comes from a child stream, the peel order from the master seed
     g = random_hypergraph(args.n, m, args.k, child_rng(args.seed, 0))
     if args.gadget == "sunflower":
@@ -234,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peel", help="peel a random hypergraph, report the bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--gadget", choices=("sunflower", "nosegay"), required=True)
     p.add_argument("--seed", type=int, required=True,
@@ -245,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="analytic per-qubit log-rank bound")
     p.add_argument("method",
                    choices=("sunflower", "nosegay", "general-k", "single-clause"))
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--dmax", type=int, default=None,
                    help="sunflower degree cutoff (default 100)")

@@ -345,6 +345,8 @@ def verification_cases(max_size: int):
     arity-2 multigraphs on 2 to 4 vertices with at most max_size edges, one
     per multiset of vertex pairs. Graphs above the oracle's qubit cap are
     skipped."""
+    if max_size < 0:
+        raise ValueError(f"max_size must be nonnegative, got {max_size}")
     specs = [Sunflower(d, k) for k in (3, 4) for d in range(max_size + 1)]
     for total in range(max_size + 1):
         for a, b, c in sorted_triples(total):

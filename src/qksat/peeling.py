@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -43,6 +44,18 @@ class PeelTrace:
     def anomalies(self) -> int:
         return int(self.steps["anomalies"].sum())
 
+    @cached_property
+    def gadgets(self):
+        """The distinct params rows, the log-weight and step count of each,
+        and the row index of each step."""
+        rows, inverse, counts = np.unique(self.steps["params"], axis=0,
+                                          return_inverse=True,
+                                          return_counts=True)
+        spec = GADGETS[self.algorithm][1]
+        rows = rows.tolist()
+        weights = [gadget_log_weight(spec(row, self.k)) for row in rows]
+        return rows, weights, counts.tolist(), inverse.tolist()
+
 
 @dataclass(frozen=True)
 class EmpiricalBound:
@@ -68,6 +81,13 @@ def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
     return steps
 
 
+def _consuming_step(step: np.ndarray, edges: np.ndarray):
+    """Each edge's least vertex step, and the mask of its vertices at it."""
+    at_vertex = step[edges]
+    at = at_vertex.min(axis=1)
+    return at, at_vertex == at[:, None]
+
+
 def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     """Peel a uniform-arity hypergraph into sunflowers.
 
@@ -86,16 +106,14 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     order = make_rng(seed).permutation(g.n)
 
     edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
-    consumed_at = np.argsort(order)[edges].min(axis=1)
+    consumed_at, center = _consuming_step(np.argsort(order), edges)
     degree = np.bincount(consumed_at, minlength=g.n)
 
     # a non-center vertex met by c petals of one step adds c(c-1)/2 pairs
-    at = np.repeat(consumed_at, k)
-    petal = edges.ravel() != order[at]
-    keys, seen = np.unique(at[petal] * g.n + edges.ravel()[petal],
+    keys, seen = np.unique((consumed_at[:, None] * g.n + edges)[~center],
                            return_counts=True)
     anomalies = np.bincount(keys // g.n, weights=seen * (seen - 1) // 2,
-                            minlength=g.n).astype(np.int64)
+                            minlength=g.n)
 
     steps = trace_steps(np.arange(g.n - 1, -1, -1), g.m - np.cumsum(degree),
                         degree[:, None], anomalies)
@@ -106,60 +124,41 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     """Peel a 3-uniform hypergraph into nosegays.
 
     Each step takes the next remaining edge {u,v,w} of one uniform random
-    permutation of the edges: the edges past that position are in uniform
-    random order and include every remaining edge, so this is a uniform
-    draw among them. It counts the other remaining edges through each of
-    u, v, w (an edge meeting several counts once, at its lowest-position
-    center, and each further meeting is an anomaly), removes u, v, w and
-    every counted edge, and records the (a,b,c) gadget. Hanging-edge
-    endpoints stay behind; once isolated they are covered by the global
-    2^n factor and produce no step.
+    permutation of the edges (a uniform draw among the remaining edges) and
+    consumes it with every remaining edge through u, v or w as an (a,b,c)
+    gadget; an edge meeting several centers counts at the lowest-position
+    one, each further meeting being an anomaly. Edges leave only with a
+    central edge, so the central edges are the permutation's greedy
+    vertex-disjoint packing, and every other edge is consumed at the least
+    step among its vertices. Hanging-edge endpoints left isolated are
+    covered by the global 2^n factor and produce no step.
     """
     seed = _require_int_seed(seed)
     if g.arities() - {3}:
         raise ValueError("nosegay peel requires arity 3 throughout")
 
-    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, 3)
-    # CSR incidence: the edges through vertex x are incident[start[x]:start[x+1]]
-    incident = np.argsort(edges.ravel(), kind="stable") // 3
-    start = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edges.ravel(), minlength=g.n), out=start[1:])
+    used = bytearray(g.n)
+    central = []
+    for i in make_rng(seed).permutation(g.m).tolist():
+        u, v, w = g.edges[i]
+        if not (used[u] or used[v] or used[w]):
+            used[u] = used[v] = used[w] = 1
+            central.append(i)
+    s = len(central)
 
-    cap = min(g.m, g.n // 3)
-    params = np.empty((cap, 3), dtype=np.int64)
-    anomalies = np.empty(cap, dtype=np.int64)
-    alive = np.ones(g.m, dtype=bool)
-    s = 0
-    for chosen in make_rng(seed).permutation(g.m).tolist():
-        if not alive[chosen]:
-            continue
-        alive[chosen] = False
-        spans = [incident[start[x]:start[x + 1]] for x in edges[chosen].tolist()]
-        met = np.concatenate(spans)
-        keep = alive[met]
-        center = np.repeat(np.arange(3), [len(sp) for sp in spans])[keep]
-        met = met[keep]
-        counted, first = np.unique(met, return_index=True)
-        alive[counted] = False
-        params[s] = np.bincount(center[first], minlength=3)
-        anomalies[s] = len(met) - len(counted)
-        s += 1
-    params = params[:s]
+    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, 3)
+    # 3 * step + position on its center for each vertex, 3s off the packing
+    key = np.full(g.n, 3 * s, dtype=np.int64)
+    key[edges[central]] = 3 * np.arange(s)[:, None] + np.arange(3)
+    hanging = np.delete(edges, central, axis=0)
+    at, meets = _consuming_step(key // 3, hanging)
+    params = np.bincount(key[hanging].min(axis=1),
+                         minlength=3 * s).reshape(s, 3)
+    anomalies = np.bincount(at, weights=meets.sum(axis=1) - 1, minlength=s)
     steps = trace_steps(g.n - 3 * np.arange(1, s + 1),
                         g.m - np.cumsum(1 + params.sum(axis=1)), params,
-                        anomalies[:s])
+                        anomalies)
     return PeelTrace("nosegay", g.n, g.m, 3, seed, steps)
-
-
-def _distinct_gadgets(trace: PeelTrace):
-    """The trace's distinct params rows, the log-weight and step count of
-    each, and the row index of each step."""
-    rows, inverse, counts = np.unique(trace.steps["params"], axis=0,
-                                      return_inverse=True, return_counts=True)
-    spec = GADGETS[trace.algorithm][1]
-    rows = rows.tolist()
-    weights = [gadget_log_weight(spec(row, trace.k)) for row in rows]
-    return rows, weights, counts.tolist(), inverse.tolist()
 
 
 def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
@@ -168,7 +167,7 @@ def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
     A zero-rank gadget drives the value to -inf, certifying unsatisfiability
     of the sampled instance outright.
     """
-    _, weights, counts, _ = _distinct_gadgets(trace)
+    _, weights, counts, _ = trace.gadgets
     total = math.fsum(c * w for c, w in zip(counts, weights))
     return EmpiricalBound(LN2 + total / trace.n, len(trace.steps),
                           trace.anomalies)
@@ -177,7 +176,7 @@ def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
 def write_trace_csv(trace: PeelTrace, path) -> None:
     """One row per step: step index, remaining sizes, gadget, params joined
     by ';', log-weight, per-step anomaly count."""
-    rows, weights, _, inverse = _distinct_gadgets(trace)
+    rows, weights, _, inverse = trace.gadgets
     params = [";".join(map(str, row)) for row in rows]
     weights = [repr(w) for w in weights]
     steps = trace.steps

@@ -141,7 +141,7 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the cap {cap}; pass a larger cap to force")
 
 
-def _check_memory(nbytes: int, what: str) -> None:
+def check_memory(nbytes: int, what: str) -> None:
     """Refuse a computation estimated to need more than physical memory."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
@@ -198,7 +198,7 @@ def generic_rank_float(f: Formula, tolerance: float = DEFAULT_TOLERANCE,
     if f.hypergraph.m == 0:
         return RankResult(1 << n, "float", float("inf"))
     # the complex matrix and the copy that LAPACK factors
-    _check_memory(2 * 16 * constraint_rows(f.hypergraph) << n, "the float rank")
+    check_memory(2 * 16 * constraint_rows(f.hypergraph) << n, "the float rank")
     sv = np.linalg.svd(constraint_matrix(f), compute_uv=False)
     cut = tolerance * sv[0]
     row_rank = int((sv > cut).sum())
@@ -242,7 +242,7 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     rows = constraint_rows(g)
     # the float64 matrix, the working copy that the elimination reduces and
     # the product of its first block update
-    _check_memory(3 * 8 * rows << n, "the field rank")
+    check_memory(3 * 8 * rows << n, "the field rank")
     if trials is None:
         trials = field_trials(rows, n)
     if trials < 1:

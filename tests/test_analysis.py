@@ -211,6 +211,13 @@ def test_nosegay_bound_validation():
         nosegay_bound(3.5, quadrature_points=50)
 
 
+def test_bounds_refuse_non_finite_alpha():
+    for alpha in (math.nan, math.inf):
+        for method in ("sunflower", "nosegay", "general_k"):
+            with pytest.raises(ValueError):
+                bound(method, alpha)
+
+
 def test_general_k_bound_formula():
     for alpha, k in [(3.894, 3), (8.0, 4), (2.0, 5)]:
         want = (math.log(2) + alpha * math.log1p(-(2.0 ** (1 - k)))

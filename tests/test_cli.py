@@ -127,6 +127,13 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         ("gadget", "sunflower", "--d", "-1"),
         ("gadget", "k2", "--vertices", "3", "--edges", "3", "--max-mult", "1"),
         ("rank", "--graph", str(graph), "--prime", "97"),
+        ("bound", "sunflower", "--alpha", "nan"),
+        ("bound", "nosegay", "--alpha", "inf"),
+        ("bound", "general-k", "--alpha", "inf"),
+        ("bound", "single-clause", "--alpha", "nan"),
+        ("peel", "--n", "10", "--alpha", "inf", "--gadget", "sunflower",
+         "--seed", "0"),
+        ("verify", "gadgets", "--max-size", "-1"),
     ]
     for argv in bad:
         code, out, _ = run_cli(capsys, *argv)
@@ -174,6 +181,17 @@ def test_oracles_refuse_matrices_beyond_memory(tmp_path, capsys, monkeypatch):
                                  "--mode", mode, "--force")
         assert code == 2, mode
         assert out == "" and "physical memory" in err
+
+
+def test_peel_refuses_graphs_beyond_memory(capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the peel allocated past its memory preflight")
+
+    monkeypatch.setattr(cli, "random_hypergraph", no_allocation)
+    code, out, err = run_cli(capsys, "peel", "--n", "1000000000", "--alpha",
+                             "3.894", "--gadget", "sunflower", "--seed", "0")
+    assert code == 2
+    assert out == "" and "physical memory" in err
 
 
 def test_peel_reports_and_reruns_identically(capsys):

@@ -85,7 +85,8 @@ def test_sunflower_peel_matches_reference(n, m, k):
         assert trace.k == k
 
 
-@pytest.mark.parametrize("n,m", [(40, 60), (60, 170), (30, 100)])
+@pytest.mark.parametrize("n,m", [(40, 60), (60, 170), (30, 100), (12, 60),
+                                 (9, 40)])
 def test_nosegay_peel_matches_reference(n, m):
     for seed in range(5):
         g = random_hypergraph(n, m, 3, seed=3000 + seed)
@@ -198,6 +199,12 @@ def test_nosegay_peel_double_hit_is_one_anomaly():
         assert columns(trace) == [(1, 0, (1, 0, 0), 1)]
 
 
+def test_nosegay_peel_triple_hit_counts_each_extra_meeting():
+    g = Hypergraph(3, [(0, 1, 2)] * 3)
+    for seed in range(6):
+        assert columns(nosegay_peel(g, seed)) == [(0, 0, (2, 0, 0), 4)]
+
+
 def test_nosegay_peel_invariants_random():
     for seed in range(5):
         g = random_hypergraph(60, 170, 3, seed=2000 + seed)
@@ -248,6 +255,21 @@ def test_empirical_matches_direct_sum():
         gadget_log_weight(Sunflower(d, 3))
         for d in trace.steps["params"][:, 0].tolist()) / g.n
     assert empirical_log_rank(trace).value == pytest.approx(want)
+
+
+def test_gadget_weights_computed_once_per_trace(tmp_path, monkeypatch):
+    calls = []
+
+    def weight(spec):
+        calls.append(spec)
+        return gadget_log_weight(spec)
+
+    monkeypatch.setattr(peeling, "gadget_log_weight", weight)
+    trace = nosegay_peel(random_hypergraph(60, 170, 3, seed=5), 1)
+    empirical_log_rank(trace)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    distinct = np.unique(trace.steps["params"], axis=0)
+    assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def test_trace_csv_format(tmp_path):
