@@ -21,8 +21,8 @@ import numpy as np
 
 LN2 = log(2.0)
 _CHUNK = 512
-# degree truncation of the nosegay bound and its threshold search
-NOSEGAY_TRUNCATION = 50
+# what the ln(1 - y) series of the nosegay bound may leave out per vector
+SERIES_TAIL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,16 @@ def sunflower_degree_densities(d_max: int, alpha: float, k: int = 3,
 
 
 def _auto_dmax(alpha: float, k: int) -> int:
+    """Both bounds' degree cutoff: 12 sd plus 20 above their top mean."""
     mean = k * alpha
     return int(ceil(mean + 12.0 * sqrt(mean))) + 20
 
 
-def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = 100,
+def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
                     quadrature_points: int = 4096) -> BoundReport:
     """ln 2 + sum_{d<=d_max} a_d (d ln(1 - 2^(1-k)) + ln(d/(2^k-2) + 1)).
 
-    d_max=None picks a cutoff far into the Poisson tail automatically. The
+    d_max=None takes _auto_dmax(alpha, k), far into the Poisson tail. The
     omitted terms are negative, so the value is an upper bound regardless.
     """
     _check_model(alpha, k)
@@ -166,67 +167,87 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = 100,
     )
 
 
-def nosegay_ode(alpha: float, nu: float) -> OdeState:
+def nosegay_ode(alpha: float, nu: float, k: int = 3) -> OdeState:
     """Closed-form trajectory of the nosegay peel: edges per original vertex.
 
-    mu(nu) = (nu/6)((6 alpha + 1) nu^2 - 1) solves d mu/d nu = 1/3 + 3 mu/nu
-    with mu(1) = alpha; it hits zero at nu0 = 1/sqrt(6 alpha + 1).
+    mu(nu) = nu(c nu^(k-1) - 1)/(k(k-1)), c = k(k-1) alpha + 1, solves
+    d mu/d nu = 1/k + k mu/nu with mu(1) = alpha; it hits zero at
+    nu0 = c^(-1/(k-1)).
     """
-    _check_model(alpha)
-    nu0 = 1.0 / sqrt(6.0 * alpha + 1.0)
+    _check_model(alpha, k)
+    c = k * (k - 1) * alpha + 1.0
+    nu0 = c ** (-1.0 / (k - 1))
     if not nu0 - 1e-12 <= nu <= 1.0 + 1e-12:
         raise ValueError(f"nu={nu} outside [{nu0}, 1]")
-    mu = nu * ((6.0 * alpha + 1.0) * nu * nu - 1.0) / 6.0
+    mu = nu * (c * nu ** (k - 1) - 1.0) / (k * (k - 1))
     return OdeState(float(nu), float(mu), float(nu0))
 
 
-def _nosegay_weight_table(truncation: int) -> np.ndarray:
-    """ln(R_(a,b,c)) - (3 + 2(a+b+c)) ln 2 for all indices <= truncation."""
-    ds = np.arange(truncation + 1, dtype=np.float64)
-    s = ds[:, None, None] + ds[None, :, None] + ds[None, None, :]
-    wide = ((ds + 6)[:, None, None] * (ds + 6)[None, :, None]
-            * (ds + 6)[None, None, :])
-    narrow = ((ds + 3)[:, None, None] * (ds + 3)[None, :, None]
-              * (ds + 3)[None, None, :])
-    return (s - 3) * log(3.0) + np.log(wide - narrow) - (3 + 2 * s) * LN2
+def _nosegay_vertex_terms(k: int, ds: np.ndarray):
+    """h(d) and x(d) such that the k-uniform nosegay log-weight is
+    sum_i h(d_i) - k ln 2 + ln(1 - prod_i x(d_i)); M = 2^(k-1) - 1."""
+    m = float((1 << (k - 1)) - 1)
+    h = (ds - 1) * log(m) + np.log(ds + 2.0 * m) - (k - 1) * ds * LN2
+    return h, (ds + m) / (ds + 2.0 * m)
 
 
-def nosegay_bound(alpha: float, truncation: int = NOSEGAY_TRUNCATION,
-                  quadrature_points: int = 1000) -> BoundReport:
-    """ln 2 + (1/3) integral over nu of E[ln(R_(a,b,c)/2^t)], a, b, c Poisson.
-
-    The three degrees are independent Poisson with mean 3 mu/nu; indices
-    above `truncation` are dropped, which only raises the value since every
-    log-weight is negative.
+def _nosegay_expectation(lam: np.ndarray, k: int, truncation: int):
+    """E[nosegay log-weight; all d_i <= T] and P(d <= T) for d_i i.i.d.
+    Poisson of each mean in lam, as k E[h] P^(k-1) - k ln 2 P^k
+    - sum_{j<=J} E[x^j]^k / j from ln(1-y) = -sum_j y^j/j. J is the least
+    with tail y^(J+1)/((J+1)(1-y)) <= SERIES_TAIL at y = x(T)^k, the largest
+    y kept. Every log-weight and series term is negative, so both cuts only
+    raise the value.
     """
-    _check_model(alpha)
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    ds = np.arange(truncation + 1)
+    pmf = _poisson_block(log_lam, lam, ds, _log_factorials(truncation)).T
+    h, x = _nosegay_vertex_terms(k, ds)
+    y, terms = x[-1] ** k, 1
+    while y ** (terms + 1) / ((terms + 1) * (1.0 - y)) > SERIES_TAIL:
+        terms += 1
+    js = np.arange(1, terms + 1)
+    mass = pmf.sum(axis=1)
+    return (k * (pmf @ h) * mass ** (k - 1) - k * LN2 * mass ** k
+            - (pmf @ x[:, None] ** js) ** k @ (1.0 / js)), mass
+
+
+def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
+                  quadrature_points: int = 1000) -> BoundReport:
+    """ln 2 + (1/k) integral over nu of E[ln(N(d)/2^t)], the d_i i.i.d.
+    Poisson of mean k mu/nu along nosegay_ode.
+
+    Vectors with some d_i above `truncation` are dropped, at most
+    max_poisson_tail = 1 - P(d <= T)^k of the mass; truncation=None takes
+    _auto_dmax(alpha, k), as sunflower_bound does.
+    """
+    _check_model(alpha, k)
+    if truncation is None:
+        truncation = _auto_dmax(alpha, k)
     if truncation < 10:
         raise ValueError(f"truncation must be >= 10, got {truncation}")
     if quadrature_points < 100:
         raise ValueError(f"need >= 100 quadrature points, got {quadrature_points}")
     panels = _even_panels(quadrature_points)
-    nu0 = 1.0 / sqrt(6.0 * alpha + 1.0)
+    c = k * (k - 1) * alpha + 1.0
+    nu0 = c ** (-1.0 / (k - 1))
     nus = np.linspace(nu0, 1.0, panels + 1)
-    lam = np.maximum(((6.0 * alpha + 1.0) * nus * nus - 1.0) / 2.0, 0.0)
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    ds = np.arange(truncation + 1)
-    pmf = _poisson_block(log_lam, lam, ds, _log_factorials(truncation)).T
-    table = _nosegay_weight_table(truncation)
-    g = np.einsum("na,nb,nc,abc->n", pmf, pmf, pmf, table, optimize=True)
-    h = (1.0 - nu0) / panels
-    s_full = float(g @ _simpson_weights(panels + 1, h))
-    s_half = float(g[::2] @ _simpson_weights(panels // 2 + 1, 2.0 * h))
-    value = LN2 + s_full / 3.0
-    quad_error = abs(s_full - s_half) / 45.0
+    lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
+    g, mass = _nosegay_expectation(lam, k, truncation)
+    step = (1.0 - nu0) / panels
+    s_full = float(g @ _simpson_weights(panels + 1, step))
+    s_half = float(g[::2] @ _simpson_weights(panels // 2 + 1, 2.0 * step))
+    value = LN2 + s_full / k
+    quad_error = abs(s_full - s_half) / (15.0 * k)
     return BoundReport(
-        method="nosegay", alpha=float(alpha), k=3, value=value,
+        method="nosegay", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "truncation": int(truncation),
             "quadrature_points": panels,
             "nu0": nu0,
-            "max_poisson_tail": float((1.0 - pmf.sum(axis=1) ** 3).max()),
+            "max_poisson_tail": float((1.0 - mass ** k).max()),
         },
     )
 
@@ -279,8 +300,8 @@ def single_clause_threshold(k: int) -> float:
     return LN2 / -log1p(-(2.0 ** (-k)))
 
 
-def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = 100,
-          truncation: int = NOSEGAY_TRUNCATION,
+def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = None,
+          truncation: int | None = None,
           quadrature_points: int | None = None) -> BoundReport:
     """The "sunflower", "nosegay" or "general_k" bound at density alpha.
 
@@ -292,9 +313,7 @@ def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = 100,
     if method == "sunflower":
         return sunflower_bound(alpha, k, d_max, **points)
     if method == "nosegay":
-        if k != 3:
-            raise ValueError("the nosegay bound is defined for k = 3 only")
-        return nosegay_bound(alpha, truncation, **points)
+        return nosegay_bound(alpha, k, truncation, **points)
     if method == "general_k":
         return general_k_bound(alpha, k)
     raise ValueError(f"unknown method {method!r}")
@@ -307,7 +326,7 @@ _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 
 def threshold_root(method: str, k: int = 3, *, bracket=None,
                    d_max: int | None = None,
-                   truncation: int = NOSEGAY_TRUNCATION,
+                   truncation: int | None = None,
                    quadrature_points: int | None = None,
                    precision: float = ROOT_PRECISION) -> float:
     """A density at most `precision` above the zero crossing of the selected
@@ -317,7 +336,7 @@ def threshold_root(method: str, k: int = 3, *, bracket=None,
     The bracket must straddle the sign change: bound positive at the left
     end, negative at the right end. Without one, the right end is a density
     known to certify; elsewhere 2^k b + 1 lies above the general-k root,
-    which no sunflower root exceeds.
+    which no sunflower or nosegay root exceeds.
     """
     if bracket is None:
         right = _NEGATIVE_AT.get((method, k))

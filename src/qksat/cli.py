@@ -118,8 +118,6 @@ PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 120
 
 
 def _cmd_peel(args) -> tuple[int, dict]:
-    if args.gadget == "nosegay" and args.k != 3:
-        raise ValueError("the nosegay peel needs --k 3")
     m = round(args.alpha * args.n)
     check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k * m,
                  "the peel")
@@ -153,14 +151,14 @@ _METHOD_OPTION = {"sunflower": ("dmax", "d_max"),
 
 
 def _method_options(args) -> dict:
-    """The given options of args.method as analysis keywords; an option the
-    method never reads is an argument error."""
+    """The option args.method reads, as its analysis keyword; None (not
+    given) derives it from alpha and k. An option the method never reads is
+    an argument error."""
     reads, keyword = _METHOD_OPTION.get(args.method, (None, None))
     for name in ("dmax", "trunc"):
         if getattr(args, name) is not None and name != reads:
             raise ValueError(f"{args.command} {args.method} does not read --{name}")
-    value = getattr(args, reads) if reads else None
-    return {} if value is None else {keyword: value}
+    return {keyword: getattr(args, reads)} if reads else {}
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
@@ -170,6 +168,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
         payload = {"command": "bound", "method": "single_clause", "k": args.k,
                    "threshold": threshold}
         if args.alpha is not None:
+            analysis._check_model(args.alpha, args.k)
             payload["alpha"] = args.alpha
             payload["verdict"] = ("unsat-whp" if args.alpha > threshold
                                   else "inconclusive")
@@ -183,11 +182,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
 
 def _cmd_threshold(args) -> tuple[int, dict]:
     method = args.method.replace("-", "_")
-    # each method's defaults, echoed in params
-    params = {"sunflower": {"d_max": None},
-              "nosegay": {"truncation": analysis.NOSEGAY_TRUNCATION},
-              "general_k": {}}[method]
-    params.update(_method_options(args))
+    params = _method_options(args)
     root = analysis.threshold_root(method, args.k, **params)
     return 0, {
         "command": "threshold",
@@ -257,27 +252,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write a per-step CSV here")
     p.set_defaults(handler=_cmd_peel)
 
-    p = sub.add_parser("bound", help="analytic per-qubit log-rank bound")
-    p.add_argument("method",
-                   choices=("sunflower", "nosegay", "general-k", "single-clause"))
-    p.add_argument("--alpha", type=_finite_float, default=None)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=None,
-                   help="sunflower degree cutoff (default 100)")
-    p.add_argument("--trunc", type=int, default=None,
-                   help=f"nosegay degree truncation (default "
-                        f"{analysis.NOSEGAY_TRUNCATION})")
-    p.set_defaults(handler=_cmd_bound)
+    bound = sub.add_parser("bound", help="analytic per-qubit log-rank bound")
+    bound.add_argument(
+        "method", choices=("sunflower", "nosegay", "general-k", "single-clause"))
+    bound.add_argument("--alpha", type=_finite_float, default=None)
+    bound.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("threshold", help="root of a bound, by bisection")
-    p.add_argument("method", choices=("sunflower", "nosegay", "general-k"))
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=None,
-                   help="sunflower degree cutoff (default: automatic)")
-    p.add_argument("--trunc", type=int, default=None,
-                   help=f"nosegay degree truncation (default "
-                        f"{analysis.NOSEGAY_TRUNCATION})")
-    p.set_defaults(handler=_cmd_threshold)
+    root = sub.add_parser("threshold", help="root of a bound, by bisection")
+    root.add_argument("method", choices=("sunflower", "nosegay", "general-k"))
+    root.set_defaults(handler=_cmd_threshold)
+    for p in (bound, root):
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--dmax", type=int, default=None,
+                       help="sunflower degree cutoff (default: derived from "
+                            "alpha and k)")
+        p.add_argument("--trunc", type=int, default=None,
+                       help="nosegay degree truncation (default: the same "
+                            "derived cutoff)")
     return parser
 
 

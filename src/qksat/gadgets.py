@@ -23,16 +23,13 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, inf, log
+from math import inf, log, prod
 from typing import Callable, NamedTuple, Union
 
-import numpy as np
-
-from .hypergraph import DisjointSets, Hypergraph, components
+from .hypergraph import Hypergraph, components
 from .rank_oracle import DEFAULT_CAP
 
 LN2 = log(2.0)
-STOQUASTIC_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -118,25 +115,6 @@ def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
     return _as_rank(rank, 3 + a + b + c)
 
 
-def nosegay3_via_binomial(a: int, b: int, c: int) -> GadgetRank:
-    """The 3-uniform nosegay rank as a binomial sum over hanging-edge ranks.
-
-    R_(a,b,c) = sum over p,q,r of 2^(a+b+c-p-q-r) C(a,p) C(b,q) C(c,r) R_[p,q,r].
-    Independent route to the same integer as nosegay3_rank.
-    """
-    _check_counts(a=a, b=b, c=c)
-    total = 0
-    for p in range(a + 1):
-        for q in range(b + 1):
-            for r in range(c + 1):
-                hang = nosegay_hang_rank(p, q, r).rank
-                total += (
-                    (1 << (a + b + c - p - q - r))
-                    * comb(a, p) * comb(b, q) * comb(c, r) * hang
-                )
-    return _as_rank(total, 3 + 2 * (a + b + c))
-
-
 def nosegay_k_rank(dvec, k: int) -> GadgetRank:
     """N(d) = prod M^(d_i - 1) [prod (d_i + 2M) - prod (d_i + M)], M = 2^(k-1) - 1.
 
@@ -150,14 +128,8 @@ def nosegay_k_rank(dvec, k: int) -> GadgetRank:
         raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
     _check_counts(**{f"d{i}": d for i, d in enumerate(dvec)})
     m = (1 << (k - 1)) - 1
-    prod_wide = 1
-    prod_narrow = 1
-    scale = Fraction(1)
-    for d in dvec:
-        prod_wide *= d + 2 * m
-        prod_narrow *= d + m
-        scale *= Fraction(m) ** (d - 1)
-    value = scale * (prod_wide - prod_narrow)
+    value = Fraction(m) ** (sum(dvec) - k) * (prod(d + 2 * m for d in dvec)
+                                              - prod(d + m for d in dvec))
     if value.denominator != 1:
         raise AssertionError(f"nosegay rank {dvec} is not integral: {value}")
     return _as_rank(value.numerator, k + sum(dvec) * (k - 1))
@@ -191,58 +163,6 @@ def k2_rank(g: Hypergraph) -> int:
         if total == 0:
             return 0
     return total
-
-
-def _hang_edges(a: int, b: int, c: int) -> list[tuple[int, int]]:
-    edges = []
-    nxt = 3
-    for center, count in ((0, a), (1, b), (2, c)):
-        for _ in range(count):
-            edges.append((center, nxt))
-            nxt += 1
-    return edges
-
-
-def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> int:
-    """Rank of the canonical hanging-edge nosegay, counted combinatorially.
-
-    mode="states": adorn the center with |000> - |111> and every hanging edge
-    with a singlet |01> - |10|; the satisfying dimension is the number of
-    connected components of the graph on the 2^n basis states whose edges
-    join states mixed by some projector. mode="cube": count the diagonals
-    parallel to (1,1,1) in the integer box [0,a+1] x [0,b+1] x [0,c+1], an
-    independent reduction of the same count.
-    """
-    _check_counts(a=a, b=b, c=c)
-    if mode == "cube":
-        reps = set()
-        for x in range(a + 2):
-            for y in range(b + 2):
-                for z in range(c + 2):
-                    drop = min(x, y, z)
-                    reps.add((x - drop, y - drop, z - drop))
-        return len(reps)
-    if mode != "states":
-        raise ValueError(f"mode must be 'states' or 'cube', got {mode!r}")
-    n = 3 + a + b + c
-    if n > STOQUASTIC_CAP:
-        raise ValueError(f"n={n} exceeds the stoquastic cap {STOQUASTIC_CAP}")
-    states = np.arange(1 << n, dtype=np.int64)
-    pairs = []
-    # center: states agreeing off qubits {0,1,2} and reading 000 there link to 111
-    low = states[(states & 7) == 0]
-    pairs.append((low, low | 7))
-    # each hanging edge (u,v): 01 links to 10, other qubits fixed
-    for u, v in _hang_edges(a, b, c):
-        mask = (1 << u) | (1 << v)
-        sel = states[(states & (1 << u) == 0) & (states & (1 << v) != 0)]
-        pairs.append((sel, sel ^ mask))
-    dsu = DisjointSets(1 << n)
-    merges = 0
-    for us, vs in pairs:
-        for u, v in zip(us.tolist(), vs.tolist()):
-            merges += dsu.union(u, v)
-    return (1 << n) - merges
 
 
 class Family(NamedTuple):
@@ -325,7 +245,8 @@ def nosegay3_graph(a: int, b: int, c: int) -> Hypergraph:
 def nosegay_hang_graph(a: int, b: int, c: int) -> Hypergraph:
     """Central 3-edge with arity-2 hanging edges; mixed-arity hypergraph."""
     _check_counts(a=a, b=b, c=c)
-    edges = [(0, 1, 2)] + _hang_edges(a, b, c)
+    centers = [0] * a + [1] * b + [2] * c
+    edges = [(0, 1, 2)] + [(u, 3 + j) for j, u in enumerate(centers)]
     return Hypergraph(3 + a + b + c, tuple(edges))
 
 

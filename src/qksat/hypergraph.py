@@ -124,30 +124,6 @@ def components(g: Hypergraph) -> list[ComponentSummary]:
             for r, count in vertex_count.items()]
 
 
-def attach(g: Hypergraph, h: Hypergraph, embedding) -> Hypergraph:
-    """g plus a copy of h whose vertices are mapped into g through `embedding`.
-
-    `embedding` maps each vertex of h (0..h.n-1) to a distinct vertex of g;
-    it may be a dict or a sequence indexed by h's vertices. The result keeps
-    g's vertex count; h's edges are appended after g's.
-    """
-    if isinstance(embedding, dict):
-        missing = [v for v in range(h.n) if v not in embedding]
-        if missing:
-            raise ValueError(f"embedding missing h vertices {missing}")
-        image = [embedding[v] for v in range(h.n)]
-    else:
-        image = [int(x) for x in embedding]
-        if len(image) != h.n:
-            raise ValueError(f"embedding covers {len(image)} vertices, h has {h.n}")
-    if len(set(image)) != len(image):
-        raise ValueError("embedding must be injective")
-    if image and (min(image) < 0 or max(image) >= g.n):
-        raise ValueError(f"embedding image out of range for g.n={g.n}")
-    new_edges = [tuple(sorted(image[v] for v in e)) for e in h.edges]
-    return Hypergraph(g.n, g.edges + tuple(new_edges))
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the text format: line one `n m`, then m lines of vertex indices."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -163,17 +139,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(n, tuple(edges))
 
 
-def format_hypergraph(g: Hypergraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_hypergraph(path) -> Hypergraph:
     with open(path, encoding="utf-8") as fh:
         return parse_hypergraph(fh.read())
-
-
-def write_hypergraph(g: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hypergraph(g))

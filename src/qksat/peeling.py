@@ -9,7 +9,7 @@ and their count bounds the slack of pretending the structure is clean.
 
 A trace's steps are one structured array with the columns
 `vertices_remaining`, `edges_remaining`, `params` (the gadget's `d` for a
-sunflower, its `a, b, c` for a nosegay) and `anomalies`.
+sunflower, its `d_1, ..., d_k` for a nosegay) and `anomalies`.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .gadgets import LN2, Nosegay3, Sunflower, gadget_log_weight
+from .gadgets import LN2, NosegayK, Sunflower, gadget_log_weight
 from .hypergraph import Hypergraph
 from .rng import make_rng
 
 # each algorithm's gadget family, and the gadget spec of one params row
 GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
-           "nosegay": ("nosegay3", lambda row, k: Nosegay3(*row))}
+           "nosegay": ("nosegay-k", lambda row, k: NosegayK(tuple(row), k))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +70,13 @@ def _require_int_seed(seed) -> int:
     return seed
 
 
+def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
+    k = g.uniform_arity()
+    if g.m > 0 and k is None:
+        raise ValueError(f"{algorithm} peel requires uniform arity")
+    return k or 2
+
+
 def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
     """A trace's steps array from its four columns; params is 2-D."""
     steps = np.empty(len(vertices), dtype=[
@@ -99,10 +106,7 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     petal pairs sharing a vertex besides the center.
     """
     seed = _require_int_seed(seed)
-    k = g.uniform_arity()
-    if g.m > 0 and k is None:
-        raise ValueError("sunflower peel requires uniform arity")
-    k = k or 2
+    k = _uniform_arity(g, "sunflower")
     order = make_rng(seed).permutation(g.n)
 
     edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
@@ -121,44 +125,43 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
 
 
 def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
-    """Peel a 3-uniform hypergraph into nosegays.
+    """Peel a k-uniform hypergraph into nosegays.
 
-    Each step takes the next remaining edge {u,v,w} of one uniform random
+    Each step takes the next remaining edge of one uniform random
     permutation of the edges (a uniform draw among the remaining edges) and
-    consumes it with every remaining edge through u, v or w as an (a,b,c)
-    gadget; an edge meeting several centers counts at the lowest-position
-    one, each further meeting being an anomaly. Edges leave only with a
-    central edge, so the central edges are the permutation's greedy
-    vertex-disjoint packing, and every other edge is consumed at the least
-    step among its vertices. Hanging-edge endpoints left isolated are
+    consumes it with every remaining edge through one of its k vertices as a
+    (d_1, ..., d_k) gadget; an edge meeting several centers counts at the
+    lowest-position one, each further meeting being an anomaly. Edges leave
+    only with a central edge, so the central edges are the permutation's
+    greedy vertex-disjoint packing, and every other edge is consumed at the
+    least step among its vertices. Hanging-edge endpoints left isolated are
     covered by the global 2^n factor and produce no step.
     """
     seed = _require_int_seed(seed)
-    if g.arities() - {3}:
-        raise ValueError("nosegay peel requires arity 3 throughout")
+    k = _uniform_arity(g, "nosegay")
 
-    used = bytearray(g.n)
+    used = set()
     central = []
     for i in make_rng(seed).permutation(g.m).tolist():
-        u, v, w = g.edges[i]
-        if not (used[u] or used[v] or used[w]):
-            used[u] = used[v] = used[w] = 1
+        edge = g.edges[i]
+        if used.isdisjoint(edge):
+            used.update(edge)
             central.append(i)
     s = len(central)
 
-    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, 3)
-    # 3 * step + position on its center for each vertex, 3s off the packing
-    key = np.full(g.n, 3 * s, dtype=np.int64)
-    key[edges[central]] = 3 * np.arange(s)[:, None] + np.arange(3)
+    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
+    # k * step + position on its center for each vertex, k s off the packing
+    key = np.full(g.n, k * s, dtype=np.int64)
+    key[edges[central]] = k * np.arange(s)[:, None] + np.arange(k)
     hanging = np.delete(edges, central, axis=0)
-    at, meets = _consuming_step(key // 3, hanging)
+    at, meets = _consuming_step(key // k, hanging)
     params = np.bincount(key[hanging].min(axis=1),
-                         minlength=3 * s).reshape(s, 3)
+                         minlength=k * s).reshape(s, k)
     anomalies = np.bincount(at, weights=meets.sum(axis=1) - 1, minlength=s)
-    steps = trace_steps(g.n - 3 * np.arange(1, s + 1),
+    steps = trace_steps(g.n - k * np.arange(1, s + 1),
                         g.m - np.cumsum(1 + params.sum(axis=1)), params,
                         anomalies)
-    return PeelTrace("nosegay", g.n, g.m, 3, seed, steps)
+    return PeelTrace("nosegay", g.n, g.m, k, seed, steps)
 
 
 def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:

@@ -1,0 +1,107 @@
+"""Independent reference routes and graph utilities that only the tests use."""
+
+from math import comb
+
+import numpy as np
+
+from qksat.gadgets import nosegay_hang_graph, nosegay_hang_rank
+from qksat.hypergraph import DisjointSets, Hypergraph
+
+STOQUASTIC_CAP = 22
+
+
+def nosegay3_via_binomial(a: int, b: int, c: int) -> int:
+    """The 3-uniform nosegay rank as a binomial sum over hanging-edge ranks.
+
+    R_(a,b,c) = sum over p,q,r of 2^(a+b+c-p-q-r) C(a,p) C(b,q) C(c,r) R_[p,q,r].
+    Independent route to the same integer as nosegay3_rank.
+    """
+    total = 0
+    for p in range(a + 1):
+        for q in range(b + 1):
+            for r in range(c + 1):
+                hang = nosegay_hang_rank(p, q, r).rank
+                total += (
+                    (1 << (a + b + c - p - q - r))
+                    * comb(a, p) * comb(b, q) * comb(c, r) * hang
+                )
+    return total
+
+
+def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> int:
+    """Rank of the canonical hanging-edge nosegay, counted combinatorially.
+
+    mode="states": adorn the center with |000> - |111> and every hanging edge
+    with a singlet |01> - |10|; the satisfying dimension is the number of
+    connected components of the graph on the 2^n basis states whose edges
+    join states mixed by some projector. mode="cube": count the diagonals
+    parallel to (1,1,1) in the integer box [0,a+1] x [0,b+1] x [0,c+1], an
+    independent reduction of the same count.
+    """
+    if min(a, b, c) < 0:
+        raise ValueError(f"counts must be nonnegative, got {(a, b, c)}")
+    if mode == "cube":
+        reps = set()
+        for x in range(a + 2):
+            for y in range(b + 2):
+                for z in range(c + 2):
+                    drop = min(x, y, z)
+                    reps.add((x - drop, y - drop, z - drop))
+        return len(reps)
+    if mode != "states":
+        raise ValueError(f"mode must be 'states' or 'cube', got {mode!r}")
+    n = 3 + a + b + c
+    if n > STOQUASTIC_CAP:
+        raise ValueError(f"n={n} exceeds the stoquastic cap {STOQUASTIC_CAP}")
+    states = np.arange(1 << n, dtype=np.int64)
+    pairs = []
+    # center: states agreeing off qubits {0,1,2} and reading 000 there link to 111
+    low = states[(states & 7) == 0]
+    pairs.append((low, low | 7))
+    # each hanging edge (u,v), u its center: 01 links to 10, other qubits fixed
+    for u, v in nosegay_hang_graph(a, b, c).edges[1:]:
+        mask = (1 << u) | (1 << v)
+        sel = states[(states & (1 << u) == 0) & (states & (1 << v) != 0)]
+        pairs.append((sel, sel ^ mask))
+    dsu = DisjointSets(1 << n)
+    merges = 0
+    for us, vs in pairs:
+        for u, v in zip(us.tolist(), vs.tolist()):
+            merges += dsu.union(u, v)
+    return (1 << n) - merges
+
+
+def attach(g: Hypergraph, h: Hypergraph, embedding) -> Hypergraph:
+    """g plus a copy of h whose vertices are mapped into g through `embedding`.
+
+    `embedding` maps each vertex of h (0..h.n-1) to a distinct vertex of g;
+    it may be a dict or a sequence indexed by h's vertices. The result keeps
+    g's vertex count; h's edges are appended after g's.
+    """
+    if isinstance(embedding, dict):
+        missing = [v for v in range(h.n) if v not in embedding]
+        if missing:
+            raise ValueError(f"embedding missing h vertices {missing}")
+        image = [embedding[v] for v in range(h.n)]
+    else:
+        image = [int(x) for x in embedding]
+        if len(image) != h.n:
+            raise ValueError(f"embedding covers {len(image)} vertices, h has {h.n}")
+    if len(set(image)) != len(image):
+        raise ValueError("embedding must be injective")
+    if image and (min(image) < 0 or max(image) >= g.n):
+        raise ValueError(f"embedding image out of range for g.n={g.n}")
+    new_edges = [tuple(sorted(image[v] for v in e)) for e in h.edges]
+    return Hypergraph(g.n, g.edges + tuple(new_edges))
+
+
+def format_hypergraph(g: Hypergraph) -> str:
+    """The text format that parse_hypergraph reads."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(" ".join(str(v) for v in e) for e in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def write_hypergraph(g: Hypergraph, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_hypergraph(g))

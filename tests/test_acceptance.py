@@ -28,15 +28,13 @@ from qksat.analysis import (
 from qksat.gadgets import (
     k2_rank,
     nosegay3_rank,
-    nosegay3_via_binomial,
     nosegay_hang_rank,
     nosegay_k_rank,
     sorted_triples,
-    stoquastic_component_count,
     sunflower_rank,
     verification_cases,
 )
-from qksat.hypergraph import Hypergraph, attach, random_hypergraph
+from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import empirical_log_rank, nosegay_peel, sunflower_peel
 from qksat.rank_oracle import (
     RankInstabilityError,
@@ -44,6 +42,7 @@ from qksat.rank_oracle import (
     min_rank_float,
 )
 from qksat.rng import child_rng, make_rng
+from support import attach, nosegay3_via_binomial, stoquastic_component_count
 
 
 def _report(capsys, num, description, ok, detail=""):
@@ -129,7 +128,7 @@ def test_criterion_2_gadget_formulas_match_oracle(capsys):
 def test_criterion_3_cross_formula_identities(capsys):
     bad = []
     for a, b, c in itertools.product(range(7), repeat=3):
-        if nosegay3_via_binomial(a, b, c).rank != nosegay3_rank(a, b, c).rank:
+        if nosegay3_via_binomial(a, b, c) != nosegay3_rank(a, b, c).rank:
             bad.append(f"binomial ({a},{b},{c})")
         if nosegay_k_rank((a, b, c), 3).rank != nosegay3_rank(a, b, c).rank:
             bad.append(f"karity ({a},{b},{c})")
@@ -185,6 +184,33 @@ def test_criterion_4_rank_product_bound(capsys):
             + (f"; first={violations[0]}" if violations else ""))
 
 
+def _nosegay_peel_problems(n, alpha, k, seeds):
+    """Peel a k-uniform graph per seed, as `qksat peel --gadget nosegay`
+    does; each trajectory must stay within 0.01 of nosegay_ode and each
+    value within 0.01 of nosegay_bound."""
+    problems = []
+    target = nosegay_bound(alpha, k).value
+    nu0 = nosegay_ode(alpha, 1.0, k).nu0
+    for seed in seeds:
+        g = random_hypergraph(n, round(alpha * n), k, child_rng(seed, 0))
+        trace = nosegay_peel(g, seed)
+        sup = 0.0
+        for vertices, edges in zip(trace.steps["vertices_remaining"].tolist(),
+                                   trace.steps["edges_remaining"].tolist()):
+            nu = vertices / n
+            frac = edges / n
+            err = abs(frac - nosegay_ode(alpha, nu, k).mu) if nu >= nu0 else frac
+            sup = max(sup, err)
+        if sup > 0.01:
+            problems.append(f"nosegay k={k} alpha={alpha} trajectory seed "
+                            f"{seed}: {sup:.4f}")
+        emp = empirical_log_rank(trace).value
+        if abs(emp - target) > 0.01:
+            problems.append(f"nosegay k={k} alpha={alpha} value seed {seed}: "
+                            f"{emp:.5f}")
+    return problems
+
+
 def test_criterion_5_peeling_matches_analytics(capsys):
     t0 = time.monotonic()
     n = 100_000
@@ -205,29 +231,28 @@ def test_criterion_5_peeling_matches_analytics(capsys):
         if abs(emp - target_s) > 0.01:
             problems.append(f"sunflower value seed {seed}: {emp:.5f}")
 
-    alpha_n = 3.594
-    target_n = nosegay_bound(alpha_n).value
-    nu0 = nosegay_ode(alpha_n, 1.0).nu0
-    for seed in seeds:
-        g = random_hypergraph(n, round(alpha_n * n), 3, child_rng(seed, 0))
-        trace = nosegay_peel(g, seed)
-        sup = 0.0
-        for vertices, edges in zip(trace.steps["vertices_remaining"].tolist(),
-                                   trace.steps["edges_remaining"].tolist()):
-            nu = vertices / n
-            frac = edges / n
-            err = abs(frac - nosegay_ode(alpha_n, nu).mu) if nu >= nu0 else frac
-            sup = max(sup, err)
-        if sup > 0.01:
-            problems.append(f"nosegay trajectory seed {seed}: {sup:.4f}")
-        emp = empirical_log_rank(trace).value
-        if abs(emp - target_n) > 0.01:
-            problems.append(f"nosegay value seed {seed}: {emp:.5f}")
+    problems += _nosegay_peel_problems(n, 3.594, 3, seeds)
 
     elapsed = time.monotonic() - t0
     ok = not problems and elapsed < 300.0
     _report(capsys, 5, "peeling concentrates on the analytic limits",
             ok, f"n={n}, 5 seeds per algorithm, {elapsed:.0f}s"
+            + (f"; problems={problems[:3]}" if problems else ""))
+
+
+def test_criterion_5_nosegay_peel_at_k4_matches_analytics(capsys):
+    t0 = time.monotonic()
+    # Each early step consumes about k^2 alpha edges, so at n = 1e5 the
+    # trajectory's sampling noise has sd about 0.006 near nu = 0.9 and its
+    # sup over one run reaches 0.012; doubling n keeps 0.01 a safe margin.
+    n = 200_000
+    problems = []
+    for alpha in (7.0, 8.0):
+        problems += _nosegay_peel_problems(n, alpha, 4, range(3))
+    elapsed = time.monotonic() - t0
+    _report(capsys, 5, "the 4-uniform nosegay peel concentrates on its "
+            "analytic limits", not problems,
+            f"n={n}, alpha 7.0 and 8.0, 3 seeds each, {elapsed:.0f}s"
             + (f"; problems={problems[:3]}" if problems else ""))
 
 

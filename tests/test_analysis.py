@@ -1,5 +1,6 @@
 """Tests for degree densities, analytic bounds, and threshold roots."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from qksat.analysis import (
     sunflower_degree_densities,
     threshold_root,
 )
-from qksat.gadgets import Nosegay3, gadget_log_weight
+from qksat.gadgets import NosegayK, gadget_log_weight, nosegay_k_rank
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3,
@@ -130,16 +131,19 @@ def test_sunflower_truncation_is_one_sided():
 
 def test_nosegay_ode_closed_form():
     alpha = 3.594
-    state = nosegay_ode(alpha, 1.0)
-    assert state.mu == pytest.approx(alpha, abs=1e-12)
-    assert state.nu0 == pytest.approx(1.0 / math.sqrt(6 * alpha + 1), abs=1e-15)
-    assert nosegay_ode(alpha, state.nu0).mu == pytest.approx(0.0, abs=1e-12)
-    # d mu / d nu = 1/3 + 3 mu / nu along the trajectory
-    for nu in [0.5, 0.7, 0.95]:
-        h = 1e-6
-        dmu = (nosegay_ode(alpha, nu + h).mu - nosegay_ode(alpha, nu - h).mu) / (2 * h)
-        mu = nosegay_ode(alpha, nu).mu
-        assert dmu == pytest.approx(1.0 / 3.0 + 3.0 * mu / nu, rel=1e-6)
+    assert nosegay_ode(alpha, 1.0).nu0 == pytest.approx(
+        1.0 / math.sqrt(6 * alpha + 1), abs=1e-15)
+    for k, a in [(3, 3.594), (4, 7.6), (6, 31.0)]:
+        state = nosegay_ode(a, 1.0, k)
+        assert state.mu == pytest.approx(a, abs=1e-12)
+        assert nosegay_ode(a, state.nu0, k).mu == pytest.approx(0.0, abs=1e-12)
+        # d mu / d nu = 1/k + k mu / nu along the trajectory
+        for nu in [0.5, 0.7, 0.95]:
+            h = 1e-6
+            dmu = (nosegay_ode(a, nu + h, k).mu
+                   - nosegay_ode(a, nu - h, k).mu) / (2 * h)
+            mu = nosegay_ode(a, nu, k).mu
+            assert dmu == pytest.approx(1.0 / k + k * mu / nu, rel=1e-6)
     with pytest.raises(ValueError):
         nosegay_ode(alpha, 0.1)
     with pytest.raises(ValueError):
@@ -148,33 +152,32 @@ def test_nosegay_ode_closed_form():
         nosegay_ode(0.0, 1.0)
 
 
-def test_nosegay_weight_table_matches_gadgets():
-    from qksat.analysis import _nosegay_weight_table
+def test_separable_nosegay_weight_matches_rank():
+    from qksat.analysis import _nosegay_vertex_terms
 
-    table = _nosegay_weight_table(12)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b, c = (int(x) for x in rng.integers(0, 13, size=3))
-        assert table[a, b, c] == pytest.approx(
-            gadget_log_weight(Nosegay3(a, b, c)), rel=1e-12)
+    for k, top in [(3, 20), (4, 8)]:
+        h, x = _nosegay_vertex_terms(k, np.arange(top + 1))
+        for dvec in itertools.product(range(top + 1), repeat=k):
+            separable = (sum(h[d] for d in dvec) - k * math.log(2)
+                         + math.log1p(-math.prod(x[d] for d in dvec)))
+            assert separable == pytest.approx(
+                nosegay_k_rank(dvec, k).log_weight, abs=1e-12), dvec
 
 
 def test_nosegay_expectation_matches_brute_force():
-    # independent triple-sum of Poisson-weighted gadget log-weights
-    from qksat.analysis import _nosegay_weight_table
+    # independent k-fold sum of Poisson-weighted gadget log-weights
+    from qksat.analysis import _nosegay_expectation
 
-    lam, trunc = 2.0, 20
-    pmf = np.array([math.exp(-lam) * lam ** d / math.factorial(d)
-                    for d in range(trunc + 1)])
-    brute = sum(
-        pmf[a] * pmf[b] * pmf[c] * gadget_log_weight(Nosegay3(a, b, c))
-        for a in range(trunc + 1)
-        for b in range(trunc + 1)
-        for c in range(trunc + 1)
-    )
-    table = _nosegay_weight_table(trunc)
-    fast = float(np.einsum("a,b,c,abc->", pmf, pmf, pmf, table))
-    assert fast == pytest.approx(brute, rel=1e-12)
+    lam = 2.0
+    for k, trunc in [(3, 20), (4, 10)]:
+        pmf = [math.exp(-lam) * lam ** d / math.factorial(d)
+               for d in range(trunc + 1)]
+        brute = sum(
+            math.prod(pmf[d] for d in dvec) * gadget_log_weight(NosegayK(dvec, k))
+            for dvec in itertools.product(range(trunc + 1), repeat=k))
+        fast, mass = _nosegay_expectation(np.array([lam]), k, trunc)
+        assert float(fast[0]) == pytest.approx(brute, rel=1e-12)
+        assert float(mass[0]) == pytest.approx(sum(pmf), rel=1e-15)
 
 
 def test_nosegay_bound_headline():
@@ -284,7 +287,7 @@ def test_threshold_root_validation():
     with pytest.raises(ValueError):
         threshold_root("bogus")
     with pytest.raises(ValueError):
-        threshold_root("nosegay", 4)
+        threshold_root("nosegay", 1)
     with pytest.raises(ValueError):
         threshold_root("sunflower", 3, bracket=(4.0, 5.0))
 

@@ -9,8 +9,9 @@ import pytest
 import qksat.cli as cli
 import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P
-from qksat.hypergraph import Hypergraph, write_hypergraph
+from qksat.hypergraph import Hypergraph
 from qksat.rank_oracle import RankInstabilityError
+from support import write_hypergraph
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +31,8 @@ def test_bound_nosegay_example(capsys):
     assert payload["method"] == "nosegay"
     assert payload["value"] == pytest.approx(-1.601e-4, abs=2e-5)
     assert payload["verdict"] == "unsat-whp"
-    assert payload["params"]["truncation"] == 50
+    # the derived cutoff _auto_dmax(3.594, 3)
+    assert payload["params"]["truncation"] == 71
 
 
 def test_bound_sunflower_headline(capsys):
@@ -119,9 +121,7 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         ("frobnicate",),
         ("peel", "--n", "10", "--alpha", "1.0", "--gadget", "sunflower"),
         ("bound", "sunflower"),
-        ("bound", "nosegay", "--alpha", "3.0", "--k", "4"),
-        ("peel", "--n", "12", "--alpha", "1.0", "--k", "4",
-         "--gadget", "nosegay", "--seed", "1"),
+        ("bound", "nosegay", "--alpha", "3.0", "--k", "1"),
         ("rank", "--graph", str(tmp_path / "missing.hg")),
         ("gadget", "nosegay-k", "--dvec", "1,x"),
         ("gadget", "sunflower", "--d", "-1"),
@@ -131,6 +131,8 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         ("bound", "nosegay", "--alpha", "inf"),
         ("bound", "general-k", "--alpha", "inf"),
         ("bound", "single-clause", "--alpha", "nan"),
+        ("bound", "single-clause", "--alpha", "-1"),
+        ("bound", "single-clause", "--alpha", "0"),
         ("peel", "--n", "10", "--alpha", "inf", "--gadget", "sunflower",
          "--seed", "0"),
         ("verify", "gadgets", "--max-size", "-1"),
@@ -165,7 +167,40 @@ def test_options_a_method_never_reads_exit_two(capsys):
                        "--trunc", "20")
     assert nosegay["params"]["truncation"] == 20
     sunflower = run_json(capsys, "bound", "sunflower", "--alpha", "3.9")
-    assert sunflower["params"]["d_max"] == 100
+    # the derived cutoff _auto_dmax(3.9, 3)
+    assert sunflower["params"]["d_max"] == 73
+
+
+def test_bounds_certify_at_their_roots_for_larger_k(capsys):
+    # nosegay roots of a separate prototype of the separable sum, rounded to
+    # at most 5e-4; each lies below the sunflower root at the same k
+    nosegay_roots = {4: 7.6126, 5: 15.5385, 6: 31.1827, 7: 62.0996, 8: 123.264}
+    options = (("sunflower", "d_max"), ("nosegay", "truncation"))
+    for k, want in nosegay_roots.items():
+        roots = {}
+        for method, option in options:
+            root = run_json(capsys, "threshold", method, "--k", str(k))
+            assert root["params"] == {option: None}
+            roots[method] = root["root"]
+            at_root = run_json(capsys, "bound", method, "--alpha",
+                               repr(root["root"]), "--k", str(k))
+            assert at_root["verdict"] == "unsat-whp", (k, method)
+        assert roots["nosegay"] == pytest.approx(want, abs=5e-4), k
+        assert roots["nosegay"] < roots["sunflower"], k
+
+
+def test_peel_nosegay_any_k(tmp_path, capsys):
+    trace = tmp_path / "steps.csv"
+    payload = run_json(capsys, "peel", "--n", "400", "--alpha", "7.0",
+                       "--k", "4", "--gadget", "nosegay", "--seed", "3",
+                       "--trace", str(trace))
+    assert payload["k"] == 4 and payload["algorithm"] == "nosegay"
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == payload["step_count"] > 0
+    assert {row["gadget"] for row in rows} == {"nosegay-k"}
+    assert all(len(row["params"].split(";")) == 4 for row in rows)
+    assert rows[-1]["vertices_remaining"] == str(400 - 4 * len(rows))
 
 
 def test_oracles_refuse_matrices_beyond_memory(tmp_path, capsys, monkeypatch):

@@ -20,17 +20,16 @@ from qksat.gadgets import (
     k2_rank,
     nosegay3_graph,
     nosegay3_rank,
-    nosegay3_via_binomial,
     nosegay_hang_graph,
     nosegay_hang_rank,
     nosegay_k_graph,
     nosegay_k_rank,
-    stoquastic_component_count,
     sunflower_graph,
     sunflower_rank,
 )
 from qksat.hypergraph import Hypergraph
 from qksat.rank_oracle import generic_rank_field
+from support import nosegay3_via_binomial, stoquastic_component_count
 
 
 def test_sunflower_values():
@@ -86,7 +85,7 @@ def test_nosegay_hang_values():
 
 def test_binomial_expansion_matches_closed_form():
     for a, b, c in itertools.product(range(5), repeat=3):
-        assert nosegay3_via_binomial(a, b, c).rank == nosegay3_rank(a, b, c).rank
+        assert nosegay3_via_binomial(a, b, c) == nosegay3_rank(a, b, c).rank
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,6 +153,18 @@ def test_k2_rank_matches_field_oracle():
     ]
     for g in cases:
         assert k2_rank(g) == generic_rank_field(g, seed=1).rank
+
+
+def test_nosegay_k4_rank_matches_oracle():
+    # every class of hanging counts with d_1 + ... + d_4 <= 2 (n <= 10)
+    classes = {tuple(sorted(d, reverse=True))
+               for d in itertools.product(range(3), repeat=4) if sum(d) <= 2}
+    assert len(classes) == 4
+    for dvec in sorted(classes):
+        g = nosegay_k_graph(dvec, 4)
+        assert g.n <= 10
+        assert generic_rank_field(g, seed=0).rank == \
+            nosegay_k_rank(dvec, 4).rank, dvec
 
 
 def test_stoquastic_modes_agree_with_closed_form():

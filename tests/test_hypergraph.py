@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qksat.hypergraph import (
     ComponentSummary,
     Hypergraph,
-    attach,
     components,
-    format_hypergraph,
     parse_hypergraph,
     random_hypergraph,
     read_hypergraph,
-    write_hypergraph,
 )
+from support import attach, format_hypergraph, write_hypergraph
 
 
 def test_edge_normalization():

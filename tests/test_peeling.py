@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qksat.peeling as peeling
-from qksat.gadgets import Nosegay3, Sunflower, gadget_log_weight
+from qksat.gadgets import Nosegay3, NosegayK, Sunflower, gadget_log_weight
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import (
     EmpiricalBound,
@@ -58,7 +58,7 @@ def reference_nosegay_peel(g, seed):
         if chosen not in alive:
             continue
         alive.discard(chosen)
-        counts = [0, 0, 0]
+        counts = [0] * len(g.edges[chosen])
         anomalies = 0
         taken = set()
         for ci, center in enumerate(g.edges[chosen]):
@@ -70,7 +70,7 @@ def reference_nosegay_peel(g, seed):
                         taken.add(e)
                         counts[ci] += 1
         alive -= taken
-        vertices -= 3
+        vertices -= len(g.edges[chosen])
         steps.append((vertices, len(alive), tuple(counts), anomalies))
     return steps
 
@@ -92,6 +92,16 @@ def test_nosegay_peel_matches_reference(n, m):
         g = random_hypergraph(n, m, 3, seed=3000 + seed)
         trace = nosegay_peel(g, seed)
         assert columns(trace) == reference_nosegay_peel(g, seed)
+
+
+@pytest.mark.parametrize("n,m,k", [(40, 30, 4), (60, 80, 4), (30, 50, 5),
+                                   (20, 30, 2)])
+def test_nosegay_peel_matches_reference_any_arity(n, m, k):
+    for seed in range(5):
+        g = random_hypergraph(n, m, k, seed=4000 + seed)
+        trace = nosegay_peel(g, seed)
+        assert columns(trace) == reference_nosegay_peel(g, seed)
+        assert trace.k == k
 
 
 def test_nosegay_first_pick_is_uniform():
@@ -220,9 +230,9 @@ def test_nosegay_peel_invariants_random():
     assert columns(nosegay_peel(g, 5)) == columns(nosegay_peel(g, 5))
 
 
-def test_nosegay_peel_requires_arity_three():
+def test_nosegay_peel_requires_uniform_arity():
     with pytest.raises(ValueError):
-        nosegay_peel(Hypergraph(4, [(0, 1)]), 0)
+        nosegay_peel(Hypergraph(4, [(0, 1), (1, 2, 3)]), 0)
 
 
 def test_empirical_log_rank_manual_trace():
@@ -237,7 +247,8 @@ def test_empirical_log_rank_manual_trace():
 def test_empirical_log_rank_zero_rank_gadget(monkeypatch):
     # no sunflower or nosegay has rank 0, so stand one in for (0, 0, 0)
     def weight(spec):
-        return -math.inf if spec == Nosegay3(0, 0, 0) else gadget_log_weight(spec)
+        return (-math.inf if spec == NosegayK((0, 0, 0), 3)
+                else gadget_log_weight(spec))
 
     monkeypatch.setattr(peeling, "gadget_log_weight", weight)
     steps = trace_steps([4, 1], [1, 0], np.array([[0, 0, 0], [0, 0, 0]]),
@@ -296,6 +307,6 @@ def test_trace_csv_nosegay_params(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + len(trace.steps)
     for row, (_, _, (a, b, c), _) in zip(rows[1:], columns(trace)):
-        assert row[3] == "nosegay3"
+        assert row[3] == "nosegay-k"
         assert row[4] == f"{a};{b};{c}"
         assert float(row[5]) == gadget_log_weight(Nosegay3(a, b, c))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qksat._modlin import P
-from qksat.hypergraph import Hypergraph, attach, random_hypergraph
+from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
     ClauseVector,
     Formula,
@@ -22,6 +22,7 @@ from qksat.rank_oracle import (
     sample_clause_vector,
 )
 from qksat.rng import make_rng
+from support import attach
 
 
 def test_clause_columns_convention():
