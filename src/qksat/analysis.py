@@ -2,14 +2,18 @@
 
 The per-qubit log-rank bounds all have the shape ln 2 + (expected gadget
 log-weight per vertex); a negative value certifies that random formulas at
-that clause density are unsatisfiable with high probability. Quadratures run
-in log space so that Poisson-like terms survive large degrees, and composite
-Simpson rules carry a Richardson error estimate (|S_N - S_{N/2}| / 15) that
-is reported, never silently trusted.
+that clause density are unsatisfiable with high probability. The sunflower and
+nosegay bounds integrate an expectation under i.i.d. Poisson degrees along
+their peel's trajectory with one integrator, _poisson_integral. It builds the
+pmf in log space, so that terms survive large degrees, in blocks of at most
+_BLOCK_CELLS entries; its Simpson rule carries a Richardson error estimate
+(|S_N - S_{N/2}| / 15) that is reported, never silently trusted.
 
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises
-the reported value, and a negative truncated bound still certifies.
+the reported value, and a negative truncated bound still certifies. The
+nosegay bound reports the Poisson mass it drops (max_poisson_tail) and
+refuses a truncation whose series table cannot fit in memory.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
+from .rank_oracle import check_memory
+
 LN2 = log(2.0)
-_CHUNK = 512
+# pmf entries per block of the Poisson integrator: about 8 MB of float64
+_BLOCK_CELLS = 1 << 20
 # what the ln(1 - y) series of the nosegay bound may leave out per vector
 SERIES_TAIL = 1e-17
 
@@ -70,50 +77,49 @@ def _simpson_weights(points: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _log_factorials(dmax: int) -> np.ndarray:
-    """ln(d!) for d = 0..dmax by exact summation of logs."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dmax + 1)))))
-
-
-def _poisson_block(log_lam: np.ndarray, lam: np.ndarray, ds: np.ndarray,
-                   lgam: np.ndarray) -> np.ndarray:
-    """exp(d ln lam - lam - ln d!) rows d, columns lam; lam = 0 handled."""
+def _poisson_pmf(lam: np.ndarray, d_max: int) -> np.ndarray:
+    """exp(d ln lam - lam - ln d!): rows are the means lam, columns are
+    d = 0..d_max; a zero mean gives the point mass at 0."""
+    ds = np.arange(d_max + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ds[1:]))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.exp(ds[:, None] * log_lam[None, :] - lam[None, :] - lgam[:, None])
-    zero = lam == 0.0
-    if zero.any():
-        # a zero mean concentrates on d = 0
-        f[:, zero] = 0.0
-        if ds[0] == 0:
-            f[0, zero] = 1.0
-    return np.nan_to_num(f, nan=0.0)
+        pmf = ds * np.log(lam)[:, None] - lam[:, None] - log_fact
+        np.exp(pmf, out=pmf)
+    pmf[lam == 0.0] = ds == 0
+    return pmf
 
 
-def _density_matrix(alpha: float, k: int, ds: np.ndarray,
-                    panels: int) -> np.ndarray:
-    """Integrand values of a_d on the t grid, one row per degree in ds."""
-    t = np.linspace(0.0, 1.0, panels + 1)
-    lam = k * alpha * t ** (k - 1)
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    lgam = _log_factorials(int(ds[-1]))[ds]
-    return _poisson_block(log_lam, lam, ds, lgam)
+def _poisson_integral(lam: np.ndarray, lo: float, hi: float, d_max: int,
+                      expectation):
+    """Composite Simpson integral over [lo, hi] of expectation(pmf), pmf
+    being _poisson_pmf(lam, d_max) on a grid of 4m + 1 equally spaced
+    points, and its Richardson error estimate |S_N - S_{N/2}| / 15. Both
+    sums build up, Kahan-compensated, over blocks of at most _BLOCK_CELLS
+    pmf entries (or one grid row), so memory does not grow with the grid."""
+    panels = len(lam) - 1
+    weights = np.zeros((2, panels + 1))
+    weights[0] = _simpson_weights(panels + 1, (hi - lo) / panels)
+    weights[1, ::2] = _simpson_weights(panels // 2 + 1, 2.0 * (hi - lo) / panels)
+    rows = max(1, _BLOCK_CELLS // (d_max + 1))
+    sums = carry = 0.0
+    for start in range(0, panels + 1, rows):
+        f = expectation(_poisson_pmf(lam[start:start + rows], d_max))
+        part = weights[:, start:start + rows] @ f - carry
+        sums, carry = sums + part, ((sums + part) - sums) - part
+    return sums[0], abs(sums[0] - sums[1]) / 15.0
 
 
 def sunflower_degree_densities(d_max: int, alpha: float, k: int = 3,
                                quadrature_points: int = 4096) -> np.ndarray:
     """a_d for d = 0..d_max: the limiting fraction of peeling steps whose
-    sunflower has degree d. Composite Simpson on [0,1] in log space."""
+    sunflower has degree d, the integral over peel time t in [0, 1] of the
+    Poisson pmf of mean k alpha t^(k-1)."""
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     _check_model(alpha, k)
-    panels = _even_panels(quadrature_points)
-    w = _simpson_weights(panels + 1, 1.0 / panels)
-    out = np.empty(d_max + 1)
-    for start in range(0, d_max + 1, _CHUNK):
-        ds = np.arange(start, min(start + _CHUNK, d_max + 1))
-        out[ds] = _density_matrix(alpha, k, ds, panels) @ w
-    return out
+    t = np.linspace(0.0, 1.0, _even_panels(quadrature_points) + 1)
+    return _poisson_integral(k * alpha * t ** (k - 1), 0.0, 1.0, d_max,
+                             lambda pmf: pmf)[0]
 
 
 def _auto_dmax(alpha: float, k: int) -> int:
@@ -135,34 +141,22 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     panels = _even_panels(quadrature_points)
-    w_full = _simpson_weights(panels + 1, 1.0 / panels)
-    w_half = _simpson_weights(panels // 2 + 1, 2.0 / panels)
-    log_shrink = log1p(-(2.0 ** (1 - k)))
-    denom = float((1 << k) - 2)
-    total_full = 0.0
-    total_half = 0.0
-    mass = 0.0
-    edge_mass = 0.0
-    for start in range(0, d_max + 1, _CHUNK):
-        ds = np.arange(start, min(start + _CHUNK, d_max + 1))
-        f = _density_matrix(alpha, k, ds, panels)
-        a_full = f @ w_full
-        a_half = f[:, ::2] @ w_half
-        weights = ds * log_shrink + np.log(ds / denom + 1.0)
-        total_full += float(a_full @ weights)
-        total_half += float(a_half @ weights)
-        mass += float(a_full.sum())
-        edge_mass += float(a_full @ ds)
-    value = LN2 + total_full
-    quad_error = abs(total_full - total_half) / 15.0
+    ds = np.arange(d_max + 1)
+    table = np.stack([ds * log1p(-(2.0 ** (1 - k)))
+                      + np.log(ds / float((1 << k) - 2) + 1.0),
+                      np.ones(d_max + 1), ds], axis=1)
+    (total, mass, edge_mass), errors = _poisson_integral(
+        k * alpha * np.linspace(0.0, 1.0, panels + 1) ** (k - 1), 0.0, 1.0,
+        d_max, lambda pmf: pmf @ table)
+    value, quad_error = LN2 + float(total), float(errors[0])
     return BoundReport(
         method="sunflower", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "d_max": int(d_max),
             "quadrature_points": panels,
-            "density_mass": mass,
-            "density_edge_mass": edge_mass,
+            "density_mass": float(mass),
+            "density_edge_mass": float(edge_mass),
         },
     )
 
@@ -191,26 +185,29 @@ def _nosegay_vertex_terms(k: int, ds: np.ndarray):
     return h, (ds + m) / (ds + 2.0 * m)
 
 
-def _nosegay_expectation(lam: np.ndarray, k: int, truncation: int):
-    """E[nosegay log-weight; all d_i <= T] and P(d <= T) for d_i i.i.d.
-    Poisson of each mean in lam, as k E[h] P^(k-1) - k ln 2 P^k
-    - sum_{j<=J} E[x^j]^k / j from ln(1-y) = -sum_j y^j/j. J is the least
-    with tail y^(J+1)/((J+1)(1-y)) <= SERIES_TAIL at y = x(T)^k, the largest
-    y kept. Every log-weight and series term is negative, so both cuts only
-    raise the value.
-    """
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    ds = np.arange(truncation + 1)
-    pmf = _poisson_block(log_lam, lam, ds, _log_factorials(truncation)).T
-    h, x = _nosegay_vertex_terms(k, ds)
+def _nosegay_expectation(k: int, truncation: int):
+    """pmf -> E[nosegay log-weight; all d_i <= T], the d_i i.i.d. by each
+    pmf row: k E[h] P^(k-1) - k ln 2 P^k - sum_{j<=J} E[x^j]^k / j, P the
+    kept mass, from ln(1-y) = -sum_j y^j/j. J is the least with tail
+    y^(J+1)/((J+1)(1-y)) <= SERIES_TAIL at y = x(T)^k, the largest y kept;
+    all terms are negative, so both cuts only raise the value. The (T+1) x J
+    table of x^j is refused unbuilt if J's bound ln(SERIES_TAIL (1-y)) / ln y
+    says it cannot fit in memory."""
+    h, x = _nosegay_vertex_terms(k, np.arange(truncation + 1))
     y, terms = x[-1] ** k, 1
+    terms_max = ceil(log(SERIES_TAIL * (1.0 - y)) / log(y))
+    check_memory(8 * (truncation + 1) * terms_max, "the nosegay series table")
     while y ** (terms + 1) / ((terms + 1) * (1.0 - y)) > SERIES_TAIL:
         terms += 1
     js = np.arange(1, terms + 1)
-    mass = pmf.sum(axis=1)
-    return (k * (pmf @ h) * mass ** (k - 1) - k * LN2 * mass ** k
-            - (pmf @ x[:, None] ** js) ** k @ (1.0 / js)), mass
+    powers, inverses = x[:, None] ** js, 1.0 / js
+
+    def expectation(pmf: np.ndarray) -> np.ndarray:
+        mass = pmf.sum(axis=1)
+        return (k * (pmf @ h) * mass ** (k - 1) - k * LN2 * mass ** k
+                - (pmf @ powers) ** k @ inverses)
+
+    return expectation
 
 
 def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
@@ -218,9 +215,10 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
     """ln 2 + (1/k) integral over nu of E[ln(N(d)/2^t)], the d_i i.i.d.
     Poisson of mean k mu/nu along nosegay_ode.
 
-    Vectors with some d_i above `truncation` are dropped, at most
-    max_poisson_tail = 1 - P(d <= T)^k of the mass; truncation=None takes
-    _auto_dmax(alpha, k), as sunflower_bound does.
+    Vectors with some d_i above `truncation` are dropped; truncation=None
+    takes _auto_dmax(alpha, k), as sunflower_bound does. max_poisson_tail
+    is the dropped mass 1 - P(d <= T)^k at nu = 1, where the mean (k alpha)
+    and with it the tail are largest, summed from the upper tail itself.
     """
     _check_model(alpha, k)
     if truncation is None:
@@ -229,17 +227,17 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
         raise ValueError(f"truncation must be >= 10, got {truncation}")
     if quadrature_points < 100:
         raise ValueError(f"need >= 100 quadrature points, got {quadrature_points}")
+    expectation = _nosegay_expectation(k, truncation)
     panels = _even_panels(quadrature_points)
     c = k * (k - 1) * alpha + 1.0
     nu0 = c ** (-1.0 / (k - 1))
     nus = np.linspace(nu0, 1.0, panels + 1)
     lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
-    g, mass = _nosegay_expectation(lam, k, truncation)
-    step = (1.0 - nu0) / panels
-    s_full = float(g @ _simpson_weights(panels + 1, step))
-    s_half = float(g[::2] @ _simpson_weights(panels // 2 + 1, 2.0 * step))
-    value = LN2 + s_full / k
-    quad_error = abs(s_full - s_half) / (15.0 * k)
+    integral, error = _poisson_integral(lam, nu0, 1.0, truncation, expectation)
+    value, quad_error = LN2 + float(integral) / k, float(error) / k
+    # past max(T, 2 lam[-1]) each pmf term is at most half the one before
+    pmf = _poisson_pmf(lam[-1:], max(truncation, ceil(2 * lam[-1])) + 60)
+    tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
     return BoundReport(
         method="nosegay", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
@@ -247,7 +245,8 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
             "truncation": int(truncation),
             "quadrature_points": panels,
             "nu0": nu0,
-            "max_poisson_tail": float((1.0 - mass ** k).max()),
+            # 1 - (1 - tail)^k, accurate at both ends
+            "max_poisson_tail": tail * sum((1.0 - tail) ** i for i in range(k)),
         },
     )
 

@@ -175,9 +175,60 @@ def test_nosegay_expectation_matches_brute_force():
         brute = sum(
             math.prod(pmf[d] for d in dvec) * gadget_log_weight(NosegayK(dvec, k))
             for dvec in itertools.product(range(trunc + 1), repeat=k))
-        fast, mass = _nosegay_expectation(np.array([lam]), k, trunc)
+        fast = _nosegay_expectation(k, trunc)(np.array([pmf]))
         assert float(fast[0]) == pytest.approx(brute, rel=1e-12)
-        assert float(mass[0]) == pytest.approx(sum(pmf), rel=1e-15)
+
+
+def test_poisson_pmf_matches_closed_form():
+    from qksat.analysis import _poisson_pmf
+
+    lams = np.array([0.0, 0.3, 2.0, 10.782, 150.0])
+    got = _poisson_pmf(lams, 400)
+    for lam, row in zip(lams, got):
+        want = [math.exp(d * math.log(lam) - lam - math.lgamma(d + 1))
+                if lam else float(d == 0) for d in range(401)]
+        # ln d! is a running sum of logs, whose rounding near d = 400 is
+        # about 1e-11 relative
+        np.testing.assert_allclose(row, want, rtol=1e-10, atol=0.0)
+
+
+def test_max_poisson_tail_is_the_dropped_mass():
+    # 1 - P(d <= T)^k at the top mean k alpha, from the upper tail itself
+    from scipy.stats import poisson
+
+    def dropped(alpha, k, trunc):
+        return -math.expm1(k * math.log1p(-poisson.sf(trunc, k * alpha)))
+
+    for trunc, rough in [(10, 0.885), (25, 1.796e-4), (71, 2.70e-34)]:
+        got = nosegay_bound(3.594, 3, trunc).params["max_poisson_tail"]
+        assert got == pytest.approx(dropped(3.594, 3, trunc), rel=1e-9)
+        assert got == pytest.approx(rough, rel=1e-3)
+    for alpha, k in [(1.0, 2), (123.264, 8)]:
+        report = nosegay_bound(alpha, k)
+        assert report.params["max_poisson_tail"] == pytest.approx(
+            dropped(alpha, k, report.params["truncation"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_integrator_blocks_do_not_change_results(monkeypatch, rows):
+    # one grid row per block, or 7-row blocks that split 4097, 1005 and
+    # 4097 grid points unevenly, against the default single block
+    import qksat.analysis as analysis
+
+    def run():
+        sun = sunflower_bound(3.894, 3, d_max=100)
+        nose = nosegay_bound(3.594, truncation=50, quadrature_points=1004)
+        dens = sunflower_degree_densities(60, 3.894)
+        return [sun.value, sun.quad_error, nose.value, nose.quad_error], dens
+
+    default, default_dens = run()
+    # the pmf widths d_max + 1 of the three calls: each cap gives one of them
+    # exactly `rows` rows per block
+    for width in (101, 51, 61):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * width)
+        got, dens = run()
+        assert got == pytest.approx(default, rel=0, abs=1e-15), width
+        np.testing.assert_allclose(dens, default_dens, rtol=0, atol=1e-15)
 
 
 def test_nosegay_bound_headline():

@@ -35,6 +35,19 @@ def test_bound_nosegay_example(capsys):
     assert payload["params"]["truncation"] == 71
 
 
+def test_bound_nosegay_refuses_oversized_series_table(capsys, monkeypatch):
+    import qksat.analysis as analysis
+
+    def unreachable(*args):
+        raise AssertionError("the pmf was built before the refusal")
+
+    monkeypatch.setattr(analysis, "_poisson_pmf", unreachable)
+    code, out, err = run_cli(capsys, "bound", "nosegay", "--alpha", "0.6",
+                             "--k", "2", "--trunc", "100000")
+    assert code == 2 and out == ""
+    assert "nosegay series table" in err
+
+
 def test_bound_sunflower_headline(capsys):
     payload = run_json(capsys, "bound", "sunflower", "--alpha", "3.894",
                        "--dmax", "100")
