@@ -12,8 +12,8 @@ _BLOCK_CELLS entries; its Simpson rule carries a Richardson error estimate
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises
 the reported value, and a negative truncated bound still certifies. The
-nosegay bound reports the Poisson mass it drops (max_poisson_tail) and
-refuses a truncation whose series table cannot fit in memory.
+nosegay bound reports the Poisson mass it drops (max_poisson_tail). Both
+refuse a cutoff whose tables cannot fit in memory before building them.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ class BoundReport:
     verdict: str
     quad_error: float = 0.0
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class OdeState:
-    nu: float
-    mu: float
-    nu0: float
 
 
 def _check_model(alpha: float, k: int = 3) -> None:
@@ -140,6 +133,8 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
         d_max = _auto_dmax(alpha, k)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
+    # the table, one pmf row and their temporaries: 65 B per degree measured
+    check_memory(80 * (d_max + 1), "the sunflower degree table")
     panels = _even_panels(quadrature_points)
     ds = np.arange(d_max + 1)
     table = np.stack([ds * log1p(-(2.0 ** (1 - k)))
@@ -161,20 +156,17 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
     )
 
 
-def nosegay_ode(alpha: float, nu: float, k: int = 3) -> OdeState:
-    """Closed-form trajectory of the nosegay peel: edges per original vertex.
+def nosegay_ode(alpha: float, k: int = 3) -> tuple[float, float]:
+    """c and nu0 of the nosegay peel's closed-form trajectory.
 
-    mu(nu) = nu(c nu^(k-1) - 1)/(k(k-1)), c = k(k-1) alpha + 1, solves
-    d mu/d nu = 1/k + k mu/nu with mu(1) = alpha; it hits zero at
-    nu0 = c^(-1/(k-1)).
+    Its edges per original vertex, mu(nu) = nu(c nu^(k-1) - 1)/(k(k-1))
+    with c = k(k-1) alpha + 1, solve d mu/d nu = 1/k + k mu/nu with
+    mu(1) = alpha and hit zero at nu0 = c^(-1/(k-1)); each vertex degree
+    is then Poisson of mean k mu/nu = (c nu^(k-1) - 1)/(k-1).
     """
     _check_model(alpha, k)
     c = k * (k - 1) * alpha + 1.0
-    nu0 = c ** (-1.0 / (k - 1))
-    if not nu0 - 1e-12 <= nu <= 1.0 + 1e-12:
-        raise ValueError(f"nu={nu} outside [{nu0}, 1]")
-    mu = nu * (c * nu ** (k - 1) - 1.0) / (k * (k - 1))
-    return OdeState(float(nu), float(mu), float(nu0))
+    return c, c ** (-1.0 / (k - 1))
 
 
 def _nosegay_vertex_terms(k: int, ds: np.ndarray):
@@ -193,10 +185,10 @@ def _nosegay_expectation(k: int, truncation: int):
     all terms are negative, so both cuts only raise the value. The (T+1) x J
     table of x^j is refused unbuilt if J's bound ln(SERIES_TAIL (1-y)) / ln y
     says it cannot fit in memory."""
-    h, x = _nosegay_vertex_terms(k, np.arange(truncation + 1))
-    y, terms = x[-1] ** k, 1
+    y, terms = _nosegay_vertex_terms(k, np.array([truncation]))[1][0] ** k, 1
     terms_max = ceil(log(SERIES_TAIL * (1.0 - y)) / log(y))
     check_memory(8 * (truncation + 1) * terms_max, "the nosegay series table")
+    h, x = _nosegay_vertex_terms(k, np.arange(truncation + 1))
     while y ** (terms + 1) / ((terms + 1) * (1.0 - y)) > SERIES_TAIL:
         terms += 1
     js = np.arange(1, terms + 1)
@@ -229,8 +221,7 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
         raise ValueError(f"need >= 100 quadrature points, got {quadrature_points}")
     expectation = _nosegay_expectation(k, truncation)
     panels = _even_panels(quadrature_points)
-    c = k * (k - 1) * alpha + 1.0
-    nu0 = c ** (-1.0 / (k - 1))
+    c, nu0 = nosegay_ode(alpha, k)
     nus = np.linspace(nu0, 1.0, panels + 1)
     lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
     integral, error = _poisson_integral(lam, nu0, 1.0, truncation, expectation)

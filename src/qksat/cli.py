@@ -111,10 +111,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if failures == 0 else 1), payload
 
 
-# peak RSS of `peel --trace`, either gadget, at n = 1e5 and 1e6 and k = 2 to
-# 8: at most 150 B per vertex at alpha = 0, and at most 120 B per edge
-# endpoint (k per edge) on top of that
-PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 120
+# peak RSS of `peel --trace` above the interpreter's own 37 MB, either gadget,
+# n = 1e5 and 1e6, k = 2, 3 and 8: at most 115 B per vertex at alpha = 0, and
+# at most 56 B per edge endpoint (k per edge) beyond 120 B per vertex
+PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
 
 
 def _cmd_peel(args) -> tuple[int, dict]:

@@ -26,6 +26,8 @@ from itertools import combinations, combinations_with_replacement
 from math import inf, log, prod
 from typing import Callable, NamedTuple, Union
 
+import numpy as np
+
 from .hypergraph import Hypergraph, components
 from .rank_oracle import DEFAULT_CAP
 
@@ -208,17 +210,19 @@ def gadget_log_weight(spec: GadgetSpec) -> float:
     return gadget_rank(spec).log_weight
 
 
+def _hanging(centers: np.ndarray, k: int, first: int) -> np.ndarray:
+    """One k-edge per entry of centers: the center, then k - 1 fresh
+    vertices numbered on from `first`."""
+    fresh = first + np.arange(len(centers) * (k - 1)).reshape(-1, k - 1)
+    return np.column_stack([centers, fresh])
+
+
 def sunflower_graph(d: int, k: int) -> Hypergraph:
     """d petals of arity k around center 0; vertex count matches t."""
     _check_counts(d=d)
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
-    edges = []
-    nxt = 1
-    for _ in range(d):
-        edges.append(tuple([0] + list(range(nxt, nxt + k - 1))))
-        nxt += k - 1
-    return Hypergraph(1 + d * (k - 1), tuple(edges))
+    return Hypergraph(1 + d * (k - 1), _hanging(np.zeros(d, np.int64), k, 1))
 
 
 def nosegay_k_graph(dvec, k: int) -> Hypergraph:
@@ -229,13 +233,8 @@ def nosegay_k_graph(dvec, k: int) -> Hypergraph:
     if len(dvec) != k:
         raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
     _check_counts(**{f"d{i}": d for i, d in enumerate(dvec)})
-    edges = [tuple(range(k))]
-    nxt = k
-    for center, count in enumerate(dvec):
-        for _ in range(count):
-            edges.append(tuple([center] + list(range(nxt, nxt + k - 1))))
-            nxt += k - 1
-    return Hypergraph(nxt, tuple(edges))
+    hanging = _hanging(np.repeat(np.arange(k), dvec), k, k)
+    return Hypergraph(k + sum(dvec) * (k - 1), np.vstack([np.arange(k), hanging]))
 
 
 def nosegay3_graph(a: int, b: int, c: int) -> Hypergraph:
@@ -245,9 +244,8 @@ def nosegay3_graph(a: int, b: int, c: int) -> Hypergraph:
 def nosegay_hang_graph(a: int, b: int, c: int) -> Hypergraph:
     """Central 3-edge with arity-2 hanging edges; mixed-arity hypergraph."""
     _check_counts(a=a, b=b, c=c)
-    centers = [0] * a + [1] * b + [2] * c
-    edges = [(0, 1, 2)] + [(u, 3 + j) for j, u in enumerate(centers)]
-    return Hypergraph(3 + a + b + c, tuple(edges))
+    hanging = _hanging(np.repeat(np.arange(3), (a, b, c)), 2, 3)
+    return Hypergraph(3 + a + b + c, [(0, 1, 2), *hanging.tolist()])
 
 
 def sorted_triples(total: int):

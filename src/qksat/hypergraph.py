@@ -1,50 +1,74 @@
 """Hypergraph/multigraph data model, random generation, and component analysis.
 
-Edges are stored as sorted tuples of distinct vertex indices; repeated edges
-are kept with multiplicity because each one carries its own clause. Arities
-may be mixed within one hypergraph.
+A hypergraph keeps all its edges in one int64 array, `vertices`, with
+`offsets`: edge i is vertices[offsets[i]:offsets[i + 1]], its vertices
+distinct and ascending. Repeated edges are kept with multiplicity because
+each one carries its own clause, and arities may be mixed within one
+hypergraph.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .rng import make_rng
 
-Edge = tuple[int, ...]
 
-
-@dataclass(frozen=True)
 class Hypergraph:
-    """n vertices (indices 0..n-1) and an ordered multiset of edges."""
+    """n vertices (indices 0..n-1) and an ordered multiset of edges, given as
+    an (m, k) integer array or a sequence of vertex sequences, each edge's
+    vertices in any order. An int64 array with ascending rows is kept as is."""
 
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        normalized = []
-        for e in self.edges:
-            t = tuple(sorted(int(v) for v in e))
-            if len(t) < 2:
-                raise ValueError(f"edge {e!r} has arity {len(t)}; arity >= 2 required")
-            if len(set(t)) != len(t):
-                raise ValueError(f"edge {e!r} repeats a vertex (self-loops not supported)")
-            if t[0] < 0 or t[-1] >= self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
-            normalized.append(t)
-        object.__setattr__(self, "edges", tuple(normalized))
+    def __init__(self, n: int, edges):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.dtype.kind not in "iu":
+                raise ValueError(f"an edge array must hold (m, k) integers, "
+                                 f"got {edges.dtype} of shape {edges.shape}")
+            edges = edges.astype(np.int64, copy=False)
+            if (np.diff(edges, axis=1) <= 0).any():
+                edges = np.sort(edges, axis=1)
+            offsets = np.arange(len(edges) + 1) * edges.shape[1]
+        else:
+            if any(t is bool or not issubclass(t, (int, np.integer))
+                   for t in {type(v) for e in edges for v in e}):
+                raise ValueError("vertices must be integers, not bool or float")
+            rows = [sorted(e) for e in edges]
+            offsets = np.cumsum([0, *map(len, rows)])
+            edges = [v for row in rows for v in row]
+        try:
+            vertices = np.asarray(edges, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise ValueError("a vertex lies outside int64") from None
+        arity, step = np.diff(offsets), np.diff(vertices)
+        if (arity < 2).any():
+            i = np.argmax(arity < 2)
+            raise ValueError(f"edge {i} has arity {arity[i]}; arity >= 2 required")
+        step[offsets[1:-1] - 1] = 1     # pairs that straddle two edges
+        if (step <= 0).any():
+            raise ValueError(f"an edge repeats vertex {vertices[np.argmax(step <= 0)]}"
+                             f" (self-loops not supported)")
+        if vertices.size and not 0 <= vertices.min() <= vertices.max() < n:
+            raise ValueError(f"vertices {vertices.min()}..{vertices.max()} out of "
+                             f"range for n={n}")
+        self.n, self.vertices, self.offsets = n, vertices, offsets
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.offsets) - 1
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as ascending tuples, for small-graph callers."""
+        vertices, offsets = self.vertices.tolist(), self.offsets.tolist()
+        return tuple(tuple(vertices[a:b]) for a, b in zip(offsets, offsets[1:]))
 
     def arities(self) -> set[int]:
-        return {len(e) for e in self.edges}
+        return set(np.unique(np.diff(self.offsets)).tolist())
 
     def uniform_arity(self) -> int | None:
         """The common arity if all edges share one, else None. Empty -> None."""
@@ -56,31 +80,6 @@ class Hypergraph:
 class ComponentSummary:
     vertex_count: int
     edge_count: int
-
-
-class DisjointSets:
-    """Array-backed union-find with path halving and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
@@ -103,7 +102,7 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
         if not bad.any():
             break
         draws[bad] = rng.integers(0, n, size=(int(bad.sum()), k))
-    return Hypergraph(n, tuple(map(tuple, sorted_rows.tolist())))
+    return Hypergraph(n, sorted_rows)
 
 
 def components(g: Hypergraph) -> list[ComponentSummary]:
@@ -114,14 +113,20 @@ def components(g: Hypergraph) -> list[ComponentSummary]:
     """
     if g.arities() - {2}:
         raise ValueError("components requires all edges to have arity 2")
-    dsu = DisjointSets(g.n)
-    for u, v in g.edges:
-        dsu.union(u, v)
-    # counted in vertex order, so roots come first-seen by smallest vertex
-    vertex_count = Counter(dsu.find(v) for v in range(g.n))
-    edge_count = Counter(dsu.find(u) for u, _ in g.edges)
-    return [ComponentSummary(count, edge_count[r])
-            for r, count in vertex_count.items()]
+    u, v = g.vertices.reshape(g.m, 2).T
+    root = np.arange(g.n)
+    while True:     # until every vertex holds its component's least vertex
+        low = root.copy()
+        np.minimum.at(low, u, root[v])
+        np.minimum.at(low, v, root[u])
+        low = low[low]
+        if (low == root).all():
+            break
+        root = low
+    vertex_count = np.bincount(root, minlength=g.n)
+    edge_count = np.bincount(root[u], minlength=g.n)
+    return [ComponentSummary(int(vertex_count[r]), int(edge_count[r]))
+            for r in np.flatnonzero(vertex_count)]
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -136,7 +141,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, file has {len(lines) - 1}")
     edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-    return Hypergraph(n, tuple(edges))
+    return Hypergraph(n, edges)
 
 
 def read_hypergraph(path) -> Hypergraph:

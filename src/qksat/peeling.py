@@ -29,6 +29,8 @@ from .rng import make_rng
 # each algorithm's gadget family, and the gadget spec of one params row
 GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
            "nosegay": ("nosegay-k", lambda row, k: NosegayK(tuple(row), k))}
+# edges per block of the nosegay packing loop
+_PACK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +110,7 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     seed = _require_int_seed(seed)
     k = _uniform_arity(g, "sunflower")
     order = make_rng(seed).permutation(g.n)
-
-    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
+    edges = g.vertices.reshape(g.m, k)
     consumed_at, center = _consuming_step(np.argsort(order), edges)
     degree = np.bincount(consumed_at, minlength=g.n)
 
@@ -139,17 +140,18 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     """
     seed = _require_int_seed(seed)
     k = _uniform_arity(g, "nosegay")
+    edges = g.vertices.reshape(g.m, k)
 
-    used = set()
-    central = []
-    for i in make_rng(seed).permutation(g.m).tolist():
-        edge = g.edges[i]
-        if used.isdisjoint(edge):
-            used.update(edge)
-            central.append(i)
+    used, central = set(), []
+    order = make_rng(seed).permutation(g.m)
+    # edges as Python lists, a block at a time to bound their memory
+    for block in np.split(order, np.arange(_PACK_BLOCK, g.m, _PACK_BLOCK)):
+        for i, edge in zip(block.tolist(), edges[block].tolist()):
+            if used.isdisjoint(edge):
+                used.update(edge)
+                central.append(i)
     s = len(central)
 
-    edges = np.array(g.edges, dtype=np.int64).reshape(g.m, k)
     # k * step + position on its center for each vertex, k s off the packing
     key = np.full(g.n, k * s, dtype=np.int64)
     key[edges[central]] = k * np.arange(s)[:, None] + np.arange(k)

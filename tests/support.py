@@ -3,9 +3,12 @@
 from math import comb
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from qksat.analysis import nosegay_ode
 from qksat.gadgets import nosegay_hang_graph, nosegay_hang_rank
-from qksat.hypergraph import DisjointSets, Hypergraph
+from qksat.hypergraph import Hypergraph
 
 STOQUASTIC_CAP = 22
 
@@ -26,6 +29,13 @@ def nosegay3_via_binomial(a: int, b: int, c: int) -> int:
                     * comb(a, p) * comb(b, q) * comb(c, r) * hang
                 )
     return total
+
+
+def nosegay_mu(alpha: float, nu: float, k: int = 3) -> float:
+    """Edges per original vertex at nu on the nosegay peel's trajectory,
+    nu(c nu^(k-1) - 1)/(k(k-1)), c from nosegay_ode."""
+    c, _ = nosegay_ode(alpha, k)
+    return nu * (c * nu ** (k - 1) - 1.0) / (k * (k - 1))
 
 
 def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> int:
@@ -63,12 +73,9 @@ def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> 
         mask = (1 << u) | (1 << v)
         sel = states[(states & (1 << u) == 0) & (states & (1 << v) != 0)]
         pairs.append((sel, sel ^ mask))
-    dsu = DisjointSets(1 << n)
-    merges = 0
-    for us, vs in pairs:
-        for u, v in zip(us.tolist(), vs.tolist()):
-            merges += dsu.union(u, v)
-    return (1 << n) - merges
+    us, vs = (np.concatenate(side) for side in zip(*pairs))
+    links = coo_matrix((np.ones(len(us)), (us, vs)), shape=(1 << n, 1 << n))
+    return connected_components(links, directed=False)[0]
 
 
 def attach(g: Hypergraph, h: Hypergraph, embedding) -> Hypergraph:

@@ -42,7 +42,8 @@ from qksat.rank_oracle import (
     min_rank_float,
 )
 from qksat.rng import child_rng, make_rng
-from support import attach, nosegay3_via_binomial, stoquastic_component_count
+from support import (attach, nosegay3_via_binomial, nosegay_mu,
+                     stoquastic_component_count)
 
 
 def _report(capsys, num, description, ok, detail=""):
@@ -190,7 +191,7 @@ def _nosegay_peel_problems(n, alpha, k, seeds):
     value within 0.01 of nosegay_bound."""
     problems = []
     target = nosegay_bound(alpha, k).value
-    nu0 = nosegay_ode(alpha, 1.0, k).nu0
+    nu0 = nosegay_ode(alpha, k)[1]
     for seed in seeds:
         g = random_hypergraph(n, round(alpha * n), k, child_rng(seed, 0))
         trace = nosegay_peel(g, seed)
@@ -199,7 +200,7 @@ def _nosegay_peel_problems(n, alpha, k, seeds):
                                    trace.steps["edges_remaining"].tolist()):
             nu = vertices / n
             frac = edges / n
-            err = abs(frac - nosegay_ode(alpha, nu, k).mu) if nu >= nu0 else frac
+            err = abs(frac - nosegay_mu(alpha, nu, k)) if nu >= nu0 else frac
             sup = max(sup, err)
         if sup > 0.01:
             problems.append(f"nosegay k={k} alpha={alpha} trajectory seed "

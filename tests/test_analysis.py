@@ -20,6 +20,7 @@ from qksat.analysis import (
     threshold_root,
 )
 from qksat.gadgets import NosegayK, gadget_log_weight, nosegay_k_rank
+from support import nosegay_mu
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3,
@@ -131,25 +132,26 @@ def test_sunflower_truncation_is_one_sided():
 
 def test_nosegay_ode_closed_form():
     alpha = 3.594
-    assert nosegay_ode(alpha, 1.0).nu0 == pytest.approx(
-        1.0 / math.sqrt(6 * alpha + 1), abs=1e-15)
+    c, nu0 = nosegay_ode(alpha)
+    assert c == 6 * alpha + 1
+    assert nu0 == pytest.approx(1.0 / math.sqrt(6 * alpha + 1), abs=1e-15)
     for k, a in [(3, 3.594), (4, 7.6), (6, 31.0)]:
-        state = nosegay_ode(a, 1.0, k)
-        assert state.mu == pytest.approx(a, abs=1e-12)
-        assert nosegay_ode(a, state.nu0, k).mu == pytest.approx(0.0, abs=1e-12)
-        # d mu / d nu = 1/k + k mu / nu along the trajectory
+        c, nu0 = nosegay_ode(a, k)
+        assert nosegay_mu(a, 1.0, k) == pytest.approx(a, abs=1e-12)
+        assert nosegay_mu(a, nu0, k) == pytest.approx(0.0, abs=1e-12)
+        # d mu / d nu = 1/k + k mu / nu along the trajectory, with the
+        # Poisson mean k mu / nu that nosegay_bound integrates
         for nu in [0.5, 0.7, 0.95]:
             h = 1e-6
-            dmu = (nosegay_ode(a, nu + h, k).mu
-                   - nosegay_ode(a, nu - h, k).mu) / (2 * h)
-            mu = nosegay_ode(a, nu, k).mu
+            dmu = (nosegay_mu(a, nu + h, k) - nosegay_mu(a, nu - h, k)) / (2 * h)
+            mu = nosegay_mu(a, nu, k)
             assert dmu == pytest.approx(1.0 / k + k * mu / nu, rel=1e-6)
+            assert k * mu / nu == pytest.approx(
+                (c * nu ** (k - 1) - 1) / (k - 1), rel=1e-12)
     with pytest.raises(ValueError):
-        nosegay_ode(alpha, 0.1)
+        nosegay_ode(0.0)
     with pytest.raises(ValueError):
-        nosegay_ode(alpha, 1.1)
-    with pytest.raises(ValueError):
-        nosegay_ode(0.0, 1.0)
+        nosegay_ode(alpha, 1)
 
 
 def test_separable_nosegay_weight_matches_rank():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -46,6 +47,36 @@ def test_bound_nosegay_refuses_oversized_series_table(capsys, monkeypatch):
                              "--k", "2", "--trunc", "100000")
     assert code == 2 and out == ""
     assert "nosegay series table" in err
+
+
+def test_bound_nosegay_refuses_before_building_its_tables(capsys, monkeypatch):
+    import qksat.analysis as analysis
+
+    terms = analysis._nosegay_vertex_terms
+
+    def one_degree_only(k, ds):
+        assert ds.size == 1, "a (T+1)-sized table was built before the refusal"
+        return terms(k, ds)
+
+    monkeypatch.setattr(analysis, "_nosegay_vertex_terms", one_degree_only)
+    code, out, err = run_cli(capsys, "bound", "nosegay", "--alpha", "0.6",
+                             "--k", "2", "--trunc", "100000")
+    assert code == 2 and out == ""
+    assert "nosegay series table" in err
+
+
+def test_bound_sunflower_refuses_oversized_cutoff(capsys, monkeypatch):
+    import qksat.analysis as analysis
+
+    def unreachable(*args):
+        raise AssertionError("the pmf was built before the refusal")
+
+    monkeypatch.setattr(analysis, "_poisson_pmf", unreachable)
+    # 10^12 degrees: terabytes of table and pmf row
+    code, out, err = run_cli(capsys, "bound", "sunflower", "--alpha", "3.894",
+                             "--dmax", str(10 ** 12))
+    assert code == 2 and out == ""
+    assert "sunflower degree table" in err
 
 
 def test_bound_sunflower_headline(capsys):
@@ -269,6 +300,19 @@ def test_peel_trace_file(tmp_path, capsys):
     assert rows[0] == ["step", "vertices_remaining", "edges_remaining",
                        "gadget", "params", "log_weight", "anomaly"]
     assert len(rows) == 1 + payload["step_count"]
+
+
+@pytest.mark.parametrize("gadget, alpha, k, digest", [
+    ("sunflower", "3.894", "3", "46cbd4626e2cdba6"),
+    ("nosegay", "3.594", "3", "531beecfc083ba42"),
+    ("nosegay", "7.6", "4", "9f19714cdb6b8148"),
+])
+def test_peel_trace_golden(tmp_path, capsys, gadget, alpha, k, digest):
+    # pinned samples: any change to the graph or the peel for a seed fails here
+    trace = tmp_path / "steps.csv"
+    run_json(capsys, "peel", "--n", "2000", "--alpha", alpha, "--k", k,
+             "--gadget", gadget, "--seed", "0", "--trace", str(trace))
+    assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == digest
 
 
 def check_verify_sweep(capsys, max_size, case_count):

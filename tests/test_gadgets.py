@@ -222,6 +222,33 @@ def test_graph_builders_shape():
     assert gk.n == 3 + 3 * 2 and gk.m == 4
 
 
+def loop_hanging_edges(centers, k, first):
+    """Reference: one k-edge per center, center first, then k - 1 fresh
+    vertices numbered on from `first`, built one edge at a time."""
+    edges = []
+    for center in centers:
+        edges.append(tuple([center] + list(range(first, first + k - 1))))
+        first += k - 1
+    return edges, first
+
+
+def test_graph_builders_match_loop_reference():
+    for k in (2, 3, 4, 5):
+        for d in range(5):
+            edges, n = loop_hanging_edges([0] * d, k, 1)
+            g = sunflower_graph(d, k)
+            assert (g.n, g.edges) == (n, tuple(edges))
+        for dvec in itertools.product(range(3), repeat=k):
+            centers = [i for i, count in enumerate(dvec) for _ in range(count)]
+            edges, n = loop_hanging_edges(centers, k, k)
+            g = nosegay_k_graph(dvec, k)
+            assert (g.n, g.edges) == (n, (tuple(range(k)), *edges))
+    for a, b, c in itertools.product(range(3), repeat=3):
+        edges, n = loop_hanging_edges([0] * a + [1] * b + [2] * c, 2, 3)
+        g = nosegay_hang_graph(a, b, c)
+        assert (g.n, g.edges) == (n, ((0, 1, 2), *edges))
+
+
 def test_builders_match_closed_forms_small():
     for d, k in [(0, 3), (1, 3), (2, 3), (1, 4)]:
         g = sunflower_graph(d, k)

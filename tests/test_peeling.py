@@ -104,6 +104,15 @@ def test_nosegay_peel_matches_reference_any_arity(n, m, k):
         assert trace.k == k
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_nosegay_packing_blocks_do_not_change_results(monkeypatch, block):
+    monkeypatch.setattr(peeling, "_PACK_BLOCK", block)
+    for seed in range(3):
+        for n, m in [(60, 170), (90, 20)]:
+            g = random_hypergraph(n, m, 3, seed=3000 + seed)
+            assert columns(nosegay_peel(g, seed)) == reference_nosegay_peel(g, seed)
+
+
 def test_nosegay_first_pick_is_uniform():
     # the middle edge of the chain is drawn first with probability 1/3, and
     # only that draw consumes the chain in one step
