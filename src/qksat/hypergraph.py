@@ -95,14 +95,13 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
     rng = make_rng(seed)
-    draws = rng.integers(0, n, size=(m, k))
-    while True:
-        sorted_rows = np.sort(draws, axis=1)
-        bad = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
-        if not bad.any():
-            break
-        draws[bad] = rng.integers(0, n, size=(int(bad.sum()), k))
-    return Hypergraph(n, sorted_rows)
+    edges = np.sort(rng.integers(0, n, size=(m, k)), axis=1)
+    bad = np.flatnonzero((np.diff(edges, axis=1) == 0).any(axis=1))
+    while bad.size:     # only the redrawn rows are sorted and checked again
+        redrawn = np.sort(rng.integers(0, n, size=(bad.size, k)), axis=1)
+        edges[bad] = redrawn
+        bad = bad[(np.diff(redrawn, axis=1) == 0).any(axis=1)]
+    return Hypergraph(n, edges)
 
 
 def components(g: Hypergraph) -> list[ComponentSummary]:

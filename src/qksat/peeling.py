@@ -24,7 +24,7 @@ import numpy as np
 
 from .gadgets import LN2, NosegayK, Sunflower, gadget_log_weight
 from .hypergraph import Hypergraph
-from .rng import make_rng
+from .rng import make_rng, require_int_seed
 
 # each algorithm's gadget family, and the gadget spec of one params row
 GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
@@ -66,12 +66,6 @@ class EmpiricalBound:
     anomalies: int
 
 
-def _require_int_seed(seed) -> int:
-    if isinstance(seed, (bool, float)) or not isinstance(seed, int):
-        raise TypeError(f"peeling needs an integer seed for replay, got {seed!r}")
-    return seed
-
-
 def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
     k = g.uniform_arity()
     if g.m > 0 and k is None:
@@ -107,7 +101,7 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     degree-0 vertices included. A step's anomaly count is the number of
     petal pairs sharing a vertex besides the center.
     """
-    seed = _require_int_seed(seed)
+    seed = require_int_seed(seed)
     k = _uniform_arity(g, "sunflower")
     order = make_rng(seed).permutation(g.n)
     edges = g.vertices.reshape(g.m, k)
@@ -138,7 +132,7 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     least step among its vertices. Hanging-edge endpoints left isolated are
     covered by the global 2^n factor and produce no step.
     """
-    seed = _require_int_seed(seed)
+    seed = require_int_seed(seed)
     k = _uniform_arity(g, "nosegay")
     edges = g.vertices.reshape(g.m, k)
 

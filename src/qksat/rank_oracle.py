@@ -2,13 +2,17 @@
 
 The satisfying subspace of a formula is the kernel of a structured constraint
 matrix: each clause of arity k contributes 2^(n-k) rows, one per assignment of
-the other qubits, whose nonzeros are the clause vector's amplitudes spread
-over the matching global basis states. The generic rank 2^n - rowrank is the
-minimum over clause vectors, attained with probability 1, so sampling the
-vectors at random and maximizing the row rank observed gives the generic
-value. Two independent backends realize this: floating point via singular
-values, and exact elimination over GF(P), P = 8388593 (see `_modlin`), with
-uniform field entries standing in for generic amplitudes.
+the other qubits, whose nonzeros are the clause's 2^k entries spread over the
+matching global basis states. The generic rank 2^n - rowrank is the minimum
+over clause vectors, attained with probability 1, so adorning the clauses at
+random and keeping the best row rank of a few trials gives the generic value.
+Both backends run one trial loop, `_trial_ranks`, through one builder,
+`constraint_matrix`; only the entries and the rank kernel differ:
+
+- float: a clause's entries conjugate a vector uniform on the unit sphere
+  of C^(2^k) (real normals, then imaginary, normalized); singular values
+  above a tolerance cut count the rows;
+- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`).
 
 Field trials fail only one way: a trial can find a row rank below the
 generic row rank R over GF(P), never above it. Each constraint entry is one
@@ -36,7 +40,7 @@ import numpy as np
 
 from ._modlin import P, rand_mod, rank_mod
 from .hypergraph import Hypergraph
-from .rng import child_rng, make_rng
+from .rng import child_rng, require_int_seed
 
 DEFAULT_CAP = 13
 DEFAULT_TOLERANCE = 1e-9
@@ -56,38 +60,6 @@ class RankInstabilityError(RuntimeError):
         self.confidence = confidence
 
 
-@dataclass(frozen=True, eq=False)
-class ClauseVector:
-    arity: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.arity,):
-            raise ValueError(f"expected {1 << self.arity} amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"clause vector norm {norm!r} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, eq=False)
-class Formula:
-    hypergraph: Hypergraph
-    clauses: tuple[ClauseVector, ...]
-
-    def __post_init__(self):
-        if len(self.clauses) != self.hypergraph.m:
-            raise ValueError(
-                f"{len(self.clauses)} clauses for {self.hypergraph.m} edges"
-            )
-        for e, cv in zip(self.hypergraph.edges, self.clauses):
-            if cv.arity != len(e):
-                raise ValueError(f"clause arity {cv.arity} != edge arity {len(e)}")
-
-
 @dataclass(frozen=True)
 class RankResult:
     """rank = dim of the satisfying subspace; confidence is backend-specific:
@@ -98,22 +70,6 @@ class RankResult:
     backend: str
     confidence: float
     failure_bound: float | None = None
-
-
-def sample_clause_vector(k: int, seed) -> ClauseVector:
-    """Uniform on the unit sphere in 2^k complex dimensions."""
-    if k < 1:
-        raise ValueError(f"arity must be >= 1, got {k}")
-    rng = make_rng(seed)
-    z = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    return ClauseVector(k, z / np.linalg.norm(z))
-
-
-def random_formula(g: Hypergraph, seed) -> Formula:
-    """One uniformly sampled clause vector per edge."""
-    rng = make_rng(seed)
-    clauses = tuple(sample_clause_vector(len(e), rng) for e in g.edges)
-    return Formula(g, clauses)
 
 
 def clause_columns(edge, n: int) -> np.ndarray:
@@ -165,9 +121,10 @@ def field_trials(rows: int, n: int) -> int:
     return t
 
 
-def _assemble(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
+def constraint_matrix(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
     """Constraint matrix of g with vectors[i] spread over the rows of edge i
-    at the columns layout[i]."""
+    at the columns layout[i] = clause_columns(edge i); its kernel is the
+    satisfying subspace."""
     a = np.zeros((constraint_rows(g), 1 << g.n), dtype=dtype)
     r = 0
     for cols, v in zip(layout, vectors):
@@ -176,54 +133,61 @@ def _assemble(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
     return a
 
 
-def constraint_matrix(f: Formula) -> np.ndarray:
-    """Dense complex constraint matrix; the kernel is the satisfying subspace."""
-    g = f.hypergraph
-    return _assemble(g, [clause_columns(e, g.n) for e in g.edges],
-                     [np.conj(cv.amplitudes) for cv in f.clauses], np.complex128)
+def _trial_ranks(g: Hypergraph, trials: int, seed, draw, dtype, rank) -> list:
+    """rank(constraint matrix) of each of `trials` independent adornments;
+    trial t draws each clause's entries, in edge order, as
+    draw(child_rng(seed, t), 2^k). One matrix is alive at a time."""
+    seed = require_int_seed(seed)
+    # the same clause layout serves every trial
+    layout = [clause_columns(e, g.n) for e in g.edges]
+    ranks = []
+    for t in range(trials):
+        rng = child_rng(seed, t)
+        vectors = [draw(rng, 1 << len(e)) for e in g.edges]
+        ranks.append(rank(constraint_matrix(g, layout, vectors, dtype)))
+    return ranks
 
 
-def generic_rank_float(f: Formula, tolerance: float = DEFAULT_TOLERANCE,
-                       cap: int = DEFAULT_CAP) -> RankResult:
-    """Satisfying-subspace dimension from singular values of one sample.
+def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Row entries of a clause adorned with a vector uniform on the unit
+    sphere of C^size: the conjugate of that vector."""
+    z = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return np.conj(z / np.linalg.norm(z))
 
-    Singular values below tolerance * max count as zero. Degenerate samples
-    can only shrink the row rank, i.e. overestimate this dimension; take the
-    minimum over a few independent samples to land on the generic value.
+
+def generic_rank_float(a: np.ndarray,
+                       tolerance: float = DEFAULT_TOLERANCE) -> RankResult:
+    """Satisfying-subspace dimension of one complex constraint matrix.
+
+    Singular values below tolerance * max count as zero; confidence is the
+    ratio of the singular values on either side of that cut.
     """
-    n = f.hypergraph.n
-    _check_cap(n, cap)
-    if not 0.0 < tolerance < 1e-3:
-        raise ValueError(f"tolerance must lie in (0, 1e-3), got {tolerance}")
-    if f.hypergraph.m == 0:
-        return RankResult(1 << n, "float", float("inf"))
-    # the complex matrix and the copy that LAPACK factors
-    check_memory(2 * 16 * constraint_rows(f.hypergraph) << n, "the float rank")
-    sv = np.linalg.svd(constraint_matrix(f), compute_uv=False)
-    cut = tolerance * sv[0]
-    row_rank = int((sv > cut).sum())
-    if 0 < row_rank < sv.size and sv[row_rank] > 0:
-        confidence = float(sv[row_rank - 1] / sv[row_rank])
-    else:
-        confidence = float("inf")
+    if a.shape[0] == 0:
+        return RankResult(a.shape[1], "float", float("inf"))
+    sv = np.linalg.svd(a, compute_uv=False)
+    row_rank = int((sv > tolerance * sv[0]).sum())
+    gap = 0 < row_rank < sv.size and sv[row_rank] > 0
+    confidence = float(sv[row_rank - 1] / sv[row_rank]) if gap else float("inf")
     if confidence < CONFIDENCE_FLOOR:
         raise RankInstabilityError(confidence)
-    return RankResult((1 << n) - row_rank, "float", confidence)
+    return RankResult(a.shape[1] - row_rank, "float", confidence)
 
 
 def min_rank_float(g: Hypergraph, samples: int = 3,
                    tolerance: float = DEFAULT_TOLERANCE, seed=0,
                    cap: int = DEFAULT_CAP) -> RankResult:
-    """Minimum of generic_rank_float over independently adorned samples."""
+    """Least generic_rank_float over independently adorned samples; a
+    degenerate sample can only overstate the dimension."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    best: RankResult | None = None
-    for t in range(samples):
-        res = generic_rank_float(random_formula(g, child_rng(seed, t)),
-                                 tolerance, cap)
-        if best is None or res.rank < best.rank:
-            best = res
-    return best
+    _check_cap(g.n, cap)
+    if not 0.0 < tolerance < 1e-3:
+        raise ValueError(f"tolerance must lie in (0, 1e-3), got {tolerance}")
+    # the complex matrix and the copy that LAPACK factors
+    check_memory(2 * 16 * constraint_rows(g) << g.n, "the float rank")
+    results = _trial_ranks(g, samples, seed, _unit_vector, np.complex128,
+                           lambda a: generic_rank_float(a, tolerance))
+    return min(results, key=lambda res: res.rank)
 
 
 def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
@@ -247,15 +211,7 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
         trials = field_trials(rows, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if isinstance(seed, np.random.Generator):
-        raise TypeError("field backend needs an integer seed for replayable trials")
-    # the same clause layout serves every trial
-    layout = [clause_columns(e, n) for e in g.edges]
-    ranks = []
-    for t in range(trials):
-        rng = child_rng(seed, t)
-        vectors = [rand_mod(rng, 1 << len(e)) for e in g.edges]
-        ranks.append(rank_mod(_assemble(g, layout, vectors, np.float64)))
+    ranks = _trial_ranks(g, trials, seed, rand_mod, np.float64, rank_mod)
     best = max(ranks)
     d = min(rows, 1 << n)
     return RankResult((1 << n) - best, "field", float(ranks.count(best)),

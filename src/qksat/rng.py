@@ -26,3 +26,10 @@ def child_rng(seed: int, stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def require_int_seed(seed) -> int:
+    """The seed itself, if it is a plain int: runs seeded by it replay."""
+    if isinstance(seed, (bool, float)) or not isinstance(seed, int):
+        raise TypeError(f"replay needs an integer seed, got {seed!r}")
+    return seed

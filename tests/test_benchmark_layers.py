@@ -1,20 +1,57 @@
-"""The benchmark's span wrappers still find every name they wrap."""
+"""The benchmark's span wrappers still find every name they wrap, and a traced
+oracle pass still calls the wrapped names."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from qksat.hypergraph import Hypergraph
+from support import write_hypergraph
+
 ROOT = Path(__file__).resolve().parents[1]
 
+# installs the wrappers, runs both rank modes and a small verify with spans
+# on, and prints the span names and the per-layer metrics on the last line
+TRACED_PASS = """
+import contextlib, io, json, sys
+import layers, spans
+from qksat import cli
+tracer = spans.Tracer()
+layers.install(tracer)
+tracer.enabled = True
+for op, argv in enumerate([
+        ["rank", "--graph", sys.argv[1], "--mode", "field"],
+        ["rank", "--graph", sys.argv[1], "--mode", "float"],
+        ["verify", "gadgets", "--max-size", "1"]]):
+    tracer.op = op
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+tracer.enabled = False
+metrics = layers.layer_metrics(tracer, [{0, 1, 2}])
+print(json.dumps({"names": sorted({s.name for s in tracer.spans}),
+                  "metrics": metrics}))
+"""
 
-def test_benchmark_layers_install():
+
+def test_benchmark_layers_install(tmp_path):
     # perfbench/layers.py wraps qksat functions by name, so renaming or
-    # deleting one of them would otherwise only break `run.py --trace 1`
+    # deleting one of them, or a wrapper that fails on a traced call, would
+    # otherwise only break `run.py --trace 1`
+    graph = tmp_path / "g.hg"
+    write_hypergraph(Hypergraph(5, [(0, 1, 2), (1, 3, 4), (0, 2, 4)]), graph)
     path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import layers, spans; layers.install(spans.Tracer())"],
+        [sys.executable, "-c", TRACED_PASS, str(graph)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("rank_oracle.constraint_matrix",
+                 "rank_oracle.generic_rank_float", "modlin.rank_mod"):
+        assert name in traced["names"], name
+    metrics = traced["metrics"]
+    assert metrics["modlin.rank_mod.calls"] > 0
+    assert metrics["rank_oracle.generic_rank_field.calls"] > 0
+    assert metrics["rank_oracle.constraint_matrix.busy_s"] > 0

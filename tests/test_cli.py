@@ -143,6 +143,20 @@ def test_rank_modes(tmp_path, capsys):
     assert fl["trials"] == 3 and fl["tolerance"] == 1e-9
 
 
+def test_rank_field_refuses_tolerance(tmp_path, capsys):
+    # --tolerance is the float cutoff; field mode would ignore it
+    path = tmp_path / "triangle.hg"
+    write_hypergraph(Hypergraph(3, [(0, 1, 2)]), path)
+    for value in ("0.5", "1e-9"):
+        code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                 "--mode", "field", "--tolerance", value)
+        assert code == 2 and out == ""
+        assert "--tolerance" in err
+    fl = run_json(capsys, "rank", "--graph", str(path), "--mode", "float",
+                  "--tolerance", "1e-6")
+    assert fl["tolerance"] == 1e-6 and fl["rank"] == 7
+
+
 def test_rank_instability_exits_one(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.hg"
     write_hypergraph(Hypergraph(2, [(0, 1)]), path)
@@ -251,7 +265,7 @@ def test_oracles_refuse_matrices_beyond_memory(tmp_path, capsys, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the oracle allocated past its memory preflight")
 
-    monkeypatch.setattr(rank_oracle, "_assemble", no_allocation)
+    monkeypatch.setattr(rank_oracle, "constraint_matrix", no_allocation)
     path = tmp_path / "wide.hg"
     # 2^20 columns and 2^18 rows: terabytes in either backend
     write_hypergraph(Hypergraph(20, [(0, 1), (2, 3)]), path)

@@ -115,6 +115,8 @@ def test_random_hypergraph_deterministic():
     ((1000, 3594, 3, 0), "012cd502d05fe78b"),
     ((500, 2000, 4, 7), "23fbd00c32213c9b"),
     ((200, 300, 2, 3), "8fea9f5417c73208"),
+    # 8 of 10 vertices: most draws repeat one, so many rejection rounds
+    ((10, 50, 8, 0), "91df3dc26bb5de1e"),
 ])
 def test_random_hypergraph_golden(args, digest):
     # pinned draws: any change to the sample for a given seed fails here

@@ -8,9 +8,8 @@ import pytest
 from qksat._modlin import P
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
-    ClauseVector,
-    Formula,
     RankInstabilityError,
+    _unit_vector,
     clause_columns,
     constraint_matrix,
     constraint_rows,
@@ -18,8 +17,6 @@ from qksat.rank_oracle import (
     generic_rank_field,
     generic_rank_float,
     min_rank_float,
-    random_formula,
-    sample_clause_vector,
 )
 from qksat.rng import make_rng
 from support import attach
@@ -42,14 +39,12 @@ def test_clause_columns_partition():
 
 
 def test_sample_clause_vector_sphere():
-    v = sample_clause_vector(3, seed=1)
-    assert v.arity == 3
-    assert v.amplitudes.shape == (8,)
-    assert abs(np.linalg.norm(v.amplitudes) - 1.0) < 1e-12
-    assert sample_clause_vector(2, 5).amplitudes.tolist() == \
-        sample_clause_vector(2, 5).amplitudes.tolist()
-    with pytest.raises(ValueError):
-        sample_clause_vector(0, seed=1)
+    # a clause's float entries conjugate a unit vector, drawn replayably
+    v = _unit_vector(make_rng(1), 8)
+    assert v.shape == (8,) and v.dtype == np.complex128
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert _unit_vector(make_rng(5), 4).tolist() == \
+        _unit_vector(make_rng(5), 4).tolist()
 
 
 def test_sample_clause_vector_is_uniform_in_component_mass():
@@ -58,56 +53,36 @@ def test_sample_clause_vector_is_uniform_in_component_mass():
     rng = make_rng(123)
     total = 0.0
     for _ in range(reps):
-        total += abs(sample_clause_vector(k, rng).amplitudes[0]) ** 2
+        total += abs(_unit_vector(rng, 1 << k)[0]) ** 2
     assert abs(total / reps - 0.25) < 0.01
 
 
-def test_clause_vector_validation():
-    with pytest.raises(ValueError):
-        ClauseVector(2, np.ones(3, dtype=complex))
-    with pytest.raises(ValueError):
-        ClauseVector(2, np.full(4, 0.5 + 0.1j))
-    with pytest.raises(ValueError):
-        ClauseVector(0, np.ones(1, dtype=complex))
-
-
-def test_formula_validation():
-    g = Hypergraph(3, [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        Formula(g, ())
-    with pytest.raises(ValueError):
-        Formula(g, (sample_clause_vector(2, 0),))
-
-
-def test_constraint_matrix_single_full_clause():
-    g = Hypergraph(2, [(0, 1)])
-    cv = sample_clause_vector(2, seed=9)
-    a = constraint_matrix(Formula(g, (cv,)))
-    assert a.shape == (1, 4)
-    assert np.allclose(a[0], np.conj(cv.amplitudes))
-
-
 def test_constraint_matrix_row_layout():
-    g = Hypergraph(3, [(0, 2)])
-    cv = sample_clause_vector(2, seed=4)
-    a = constraint_matrix(Formula(g, (cv,)))
-    assert a.shape == (2, 8)
-    want = np.zeros((2, 8), dtype=complex)
-    want[0, [0, 1, 4, 5]] = np.conj(cv.amplitudes)
-    want[1, [2, 3, 6, 7]] = np.conj(cv.amplitudes)
-    assert np.allclose(a, want)
+    # one clause spread over 2^(n-k) rows at its clause_columns; a clause on
+    # every qubit is a single row
+    for n, edge, rows in [(3, (0, 2), [[0, 1, 4, 5], [2, 3, 6, 7]]),
+                          (2, (0, 1), [[0, 1, 2, 3]])]:
+        v = _unit_vector(make_rng(4), 4)
+        a = constraint_matrix(Hypergraph(n, [edge]), [clause_columns(edge, n)],
+                              [v], np.complex128)
+        want = np.zeros((len(rows), 1 << n), dtype=complex)
+        for r, cols in enumerate(rows):
+            want[r, cols] = v
+        assert np.array_equal(a, want)
 
 
 def test_empty_formula_rank():
     g = Hypergraph(3, [])
-    res = generic_rank_float(Formula(g, ()))
+    res = generic_rank_float(np.zeros((0, 8), dtype=complex))
+    assert res.rank == 8 and res.confidence == float("inf")
+    res = min_rank_float(g)
     assert res.rank == 8 and res.confidence == float("inf")
     assert generic_rank_field(g).rank == 8
 
 
 def test_single_clause_ranks():
     g3 = Hypergraph(3, [(0, 1, 2)])
-    assert generic_rank_float(random_formula(g3, 0)).rank == 7
+    assert min_rank_float(g3, samples=1).rank == 7
     assert generic_rank_field(g3).rank == 7
     g2 = Hypergraph(2, [(0, 1)])
     assert min_rank_float(g2).rank == 3
@@ -216,33 +191,51 @@ def test_product_bound_quick():
         assert r_j * (1 << n_h) <= r_g * r_h
 
 
-def _planted_gap_formula():
-    # three clauses on one edge, nearly parallel: singular values are 1-row
-    # scale sqrt(3) plus planted small values 4e-4 and 8e-5
-    e0 = np.zeros(4)
-    e0[0] = 1.0
-    rows = []
-    for axis, eps in [(1, 4e-4), (2, 8e-5)]:
-        v = np.zeros(4)
-        v[0] = math.sqrt(1.0 - eps * eps)
-        v[axis] = eps
-        rows.append(v)
-    g = Hypergraph(2, [(0, 1)] * 3)
-    clauses = tuple(ClauseVector(2, v.astype(complex)) for v in [e0, *rows])
-    return Formula(g, clauses)
+def _planted_gap_matrix():
+    # three unit clause rows on one edge of two qubits, nearly parallel:
+    # singular values are the 1-row scale sqrt(3) plus planted small values
+    # 4e-4 and 8e-5
+    a = np.zeros((3, 4), dtype=complex)
+    a[0, 0] = 1.0
+    for row, (axis, eps) in enumerate([(1, 4e-4), (2, 8e-5)], start=1):
+        a[row, 0] = math.sqrt(1.0 - eps * eps)
+        a[row, axis] = eps
+    return a
 
 
 def test_instability_raises_between_planted_scales():
-    f = _planted_gap_formula()
     with pytest.raises(RankInstabilityError) as info:
-        generic_rank_float(f, tolerance=1e-4)
+        generic_rank_float(_planted_gap_matrix(), tolerance=1e-4)
     assert 1.0 < info.value.confidence < 10.0
 
 
 def test_tolerance_picks_the_scale():
-    f = _planted_gap_formula()
-    assert generic_rank_float(f, tolerance=1e-6).rank == 1
-    assert generic_rank_float(f, tolerance=9e-4).rank == 3
+    a = _planted_gap_matrix()
+    assert generic_rank_float(a, tolerance=1e-6).rank == 1
+    assert generic_rank_float(a, tolerance=9e-4).rank == 3
+
+
+# (n, m, k, graph seed, oracle seed) -> (rank, repr(confidence)) of
+# min_rank_float: pins the float adornment draws bit for bit
+FLOAT_GOLDEN = [
+    ((4, 2, 2, 400, 0), (9, "4160986521367539.5")),
+    ((5, 5, 3, 401, 1), (12, "inf")),
+    ((6, 8, 2, 402, 2), (0, "inf")),
+    ((7, 4, 3, 403, 3), (64, "inf")),
+    ((8, 7, 2, 404, 4), (9, "118812833818706.4")),
+    ((9, 3, 3, 405, 5), (320, "inf")),
+    ((4, 6, 2, 406, 6), (0, "inf")),
+    ((5, 2, 3, 407, 7), (24, "inf")),
+    ((6, 5, 2, 408, 8), (4, "457394653386411.6")),
+    ((7, 8, 3, 409, 9), (4, "46075160083889.32")),
+]
+
+
+@pytest.mark.parametrize("args, want", FLOAT_GOLDEN)
+def test_min_rank_float_golden(args, want):
+    n, m, k, graph_seed, seed = args
+    res = min_rank_float(random_hypergraph(n, m, k, seed=graph_seed), seed=seed)
+    assert (res.rank, repr(res.confidence)) == want
 
 
 def test_cap_and_parameter_validation():
@@ -250,10 +243,22 @@ def test_cap_and_parameter_validation():
     with pytest.raises(ValueError):
         generic_rank_field(big)
     with pytest.raises(ValueError):
-        generic_rank_float(random_formula(Hypergraph(2, [(0, 1)]), 0), tolerance=1e-3)
+        min_rank_float(big)
+    g = Hypergraph(2, [(0, 1)])
+    for tolerance in (0.0, 1e-3, 0.5):
+        with pytest.raises(ValueError):
+            min_rank_float(g, tolerance=tolerance)
     with pytest.raises(ValueError):
-        generic_rank_field(Hypergraph(2, [(0, 1)]), trials=0)
-    with pytest.raises(TypeError):
-        generic_rank_field(Hypergraph(2, [(0, 1)]), seed=make_rng(0))
+        generic_rank_field(g, trials=0)
     with pytest.raises(ValueError):
-        min_rank_float(Hypergraph(2, [(0, 1)]), samples=0)
+        min_rank_float(g, samples=0)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, make_rng(0)])
+def test_oracles_refuse_non_integer_seeds(seed):
+    # 2.7 would run seed 2 and True seed 1; a Generator cannot be replayed
+    g = Hypergraph(2, [(0, 1)])
+    with pytest.raises(TypeError, match="integer seed"):
+        generic_rank_field(g, seed=seed)
+    with pytest.raises(TypeError, match="integer seed"):
+        min_rank_float(g, seed=seed)
