@@ -57,18 +57,24 @@ def test_sample_clause_vector_is_uniform_in_component_mass():
     assert abs(total / reps - 0.25) < 0.01
 
 
+def test_constraint_matrix_single_full_clause():
+    # a clause on every qubit is a single row holding its entries
+    g = Hypergraph(2, [(0, 1)])
+    v = _unit_vector(make_rng(9), 4)
+    a = constraint_matrix(g, [clause_columns((0, 1), 2)], [v], np.complex128)
+    assert a.shape == (1, 4)
+    assert np.array_equal(a[0], v)
+
+
 def test_constraint_matrix_row_layout():
-    # one clause spread over 2^(n-k) rows at its clause_columns; a clause on
-    # every qubit is a single row
-    for n, edge, rows in [(3, (0, 2), [[0, 1, 4, 5], [2, 3, 6, 7]]),
-                          (2, (0, 1), [[0, 1, 2, 3]])]:
-        v = _unit_vector(make_rng(4), 4)
-        a = constraint_matrix(Hypergraph(n, [edge]), [clause_columns(edge, n)],
-                              [v], np.complex128)
-        want = np.zeros((len(rows), 1 << n), dtype=complex)
-        for r, cols in enumerate(rows):
-            want[r, cols] = v
-        assert np.array_equal(a, want)
+    # one clause spread over 2^(n-k) rows at its clause_columns
+    g = Hypergraph(3, [(0, 2)])
+    v = _unit_vector(make_rng(4), 4)
+    a = constraint_matrix(g, [clause_columns((0, 2), 3)], [v], np.complex128)
+    want = np.zeros((2, 8), dtype=complex)
+    want[0, [0, 1, 4, 5]] = v
+    want[1, [2, 3, 6, 7]] = v
+    assert np.array_equal(a, want)
 
 
 def test_empty_formula_rank():
