@@ -117,7 +117,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 # peak RSS of `peel --trace` above the interpreter's own 37 MB, either gadget,
 # n = 1e5 and 1e6, k = 2, 3 and 8: at most 115 B per vertex at alpha = 0, and
-# at most 56 B per edge endpoint (k per edge) beyond 120 B per vertex
+# at most 43 B per edge endpoint (k per edge) beyond 120 B per vertex
 PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
 
 

@@ -9,6 +9,7 @@ hypergraph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,11 +71,6 @@ class Hypergraph:
     def arities(self) -> set[int]:
         return set(np.unique(np.diff(self.offsets)).tolist())
 
-    def uniform_arity(self) -> int | None:
-        """The common arity if all edges share one, else None. Empty -> None."""
-        ks = self.arities()
-        return next(iter(ks)) if len(ks) == 1 else None
-
 
 @dataclass(frozen=True)
 class ComponentSummary:
@@ -86,7 +82,8 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     """m edges drawn uniformly with replacement from the k-subsets of [0, n).
 
     Each edge is k distinct vertices obtained by rejection: any draw with a
-    repeated vertex is redrawn whole. Deterministic given the seed.
+    repeated vertex is redrawn whole, and k is refused where a draw has
+    distinct vertices with probability p < 2^-12. Deterministic given the seed.
     """
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
@@ -94,6 +91,9 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
+    if (p := math.prod(1 - i / n for i in range(k))) < 2 ** -12:
+        raise ValueError(f"k={k} of n={n} vertices are all distinct with "
+                         f"probability p={p:.3g} < 2^-12: too rare to draw by rejection")
     rng = make_rng(seed)
     edges = np.sort(rng.integers(0, n, size=(m, k)), axis=1)
     bad = np.flatnonzero((np.diff(edges, axis=1) == 0).any(axis=1))

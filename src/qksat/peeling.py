@@ -29,8 +29,6 @@ from .rng import make_rng, require_int_seed
 # each algorithm's gadget family, and the gadget spec of one params row
 GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
            "nosegay": ("nosegay-k", lambda row, k: NosegayK(tuple(row), k))}
-# edges per block of the nosegay packing loop
-_PACK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +65,9 @@ class EmpiricalBound:
 
 
 def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
-    k = g.uniform_arity()
-    if g.m > 0 and k is None:
+    if len(ks := g.arities() or {2}) > 1:
         raise ValueError(f"{algorithm} peel requires uniform arity")
-    return k or 2
+    return ks.pop()
 
 
 def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
@@ -126,24 +123,29 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     permutation of the edges (a uniform draw among the remaining edges) and
     consumes it with every remaining edge through one of its k vertices as a
     (d_1, ..., d_k) gadget; an edge meeting several centers counts at the
-    lowest-position one, each further meeting being an anomaly. Edges leave
-    only with a central edge, so the central edges are the permutation's
-    greedy vertex-disjoint packing, and every other edge is consumed at the
-    least step among its vertices. Hanging-edge endpoints left isolated are
-    covered by the global 2^n factor and produce no step.
+    lowest-position one, each further meeting being an anomaly. Hanging-edge
+    endpoints left isolated are covered by the global 2^n factor and
+    produce no step. Edges leave only with a central edge, so every other
+    edge is consumed at the least step among its vertices, and the central
+    edges are the permutation's greedy vertex-disjoint packing, taken in
+    rounds that give the same edges (Blelloch, Fineman and Shun, SPAA 2012;
+    few rounds: Fischer and Noever, SODA 2018): an alive edge enters when
+    it holds the least rank at each of its vertices, then every alive edge
+    touching an entered one leaves.
     """
     seed = require_int_seed(seed)
     k = _uniform_arity(g, "nosegay")
     edges = g.vertices.reshape(g.m, k)
-
-    used, central = set(), []
     order = make_rng(seed).permutation(g.m)
-    # edges as Python lists, a block at a time to bound their memory
-    for block in np.split(order, np.arange(_PACK_BLOCK, g.m, _PACK_BLOCK)):
-        for i, edge in zip(block.tolist(), edges[block].tolist()):
-            if used.isdisjoint(edge):
-                used.update(edge)
-                central.append(i)
+    rank, alive = np.argsort(order), np.arange(g.m)
+    packed, used = np.zeros(g.m, dtype=bool), np.zeros(g.n, dtype=bool)
+    while alive.size:
+        rows, first = edges[alive], np.full(g.n, g.m)
+        np.minimum.at(first, rows, rank[alive, None])
+        enter = alive[first[rows].min(axis=1) == rank[alive]]
+        packed[enter], used[edges[enter]] = True, True
+        alive = alive[~used[rows].any(axis=1)]
+    central = order[packed[order]]
     s = len(central)
 
     # k * step + position on its center for each vertex, k s off the packing

@@ -1,5 +1,5 @@
-"""The benchmark's span wrappers still find every name they wrap, and a traced
-oracle pass still calls the wrapped names."""
+"""The benchmark's span wrappers still find every name they wrap, and traced
+oracle and peel passes still call the wrapped names."""
 
 import json
 import os
@@ -12,8 +12,9 @@ from support import write_hypergraph
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# installs the wrappers, runs both rank modes and a small verify with spans
-# on, and prints the span names and the per-layer metrics on the last line
+# installs the wrappers, runs both rank modes, a small verify and a traced
+# peel per gadget with spans on, and prints the span names and the per-layer
+# metrics on the last line
 TRACED_PASS = """
 import contextlib, io, json, sys
 import layers, spans
@@ -21,15 +22,18 @@ from qksat import cli
 tracer = spans.Tracer()
 layers.install(tracer)
 tracer.enabled = True
-for op, argv in enumerate([
-        ["rank", "--graph", sys.argv[1], "--mode", "field"],
+runs = [["rank", "--graph", sys.argv[1], "--mode", "field"],
         ["rank", "--graph", sys.argv[1], "--mode", "float"],
-        ["verify", "gadgets", "--max-size", "1"]]):
+        ["verify", "gadgets", "--max-size", "1"]]
+runs += [["peel", "--n", "300", "--alpha", "3.0", "--gadget", gadget,
+          "--seed", "0", "--trace", sys.argv[2]]
+         for gadget in ("sunflower", "nosegay")]
+for op, argv in enumerate(runs):
     tracer.op = op
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 tracer.enabled = False
-metrics = layers.layer_metrics(tracer, [{0, 1, 2}])
+metrics = layers.layer_metrics(tracer, [set(range(len(runs)))])
 print(json.dumps({"names": sorted({s.name for s in tracer.spans}),
                   "metrics": metrics}))
 """
@@ -43,15 +47,19 @@ def test_benchmark_layers_install(tmp_path):
     write_hypergraph(Hypergraph(5, [(0, 1, 2), (1, 3, 4), (0, 2, 4)]), graph)
     path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_PASS, str(graph)],
+        [sys.executable, "-c", TRACED_PASS, str(graph),
+         str(tmp_path / "steps.csv")],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(proc.stdout.splitlines()[-1])
     for name in ("rank_oracle.constraint_matrix",
-                 "rank_oracle.generic_rank_float", "modlin.rank_mod"):
+                 "rank_oracle.generic_rank_float", "modlin.rank_mod",
+                 "hypergraph.random_hypergraph", "peeling.sunflower_peel",
+                 "peeling.nosegay_peel", "peeling.write_trace_csv"):
         assert name in traced["names"], name
     metrics = traced["metrics"]
     assert metrics["modlin.rank_mod.calls"] > 0
     assert metrics["rank_oracle.generic_rank_field.calls"] > 0
     assert metrics["rank_oracle.constraint_matrix.busy_s"] > 0
+    assert metrics["peeling.steps"] > 0

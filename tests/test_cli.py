@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +291,20 @@ def test_peel_refuses_graphs_beyond_memory(capsys, monkeypatch):
     assert out == "" and "physical memory" in err
 
 
+def test_peel_refuses_draws_that_cannot_finish():
+    # 30 distinct vertices of 30 come up with p = 1.3e-12 per draw, so the
+    # rejection draw would never finish; a subprocess turns a hang into a
+    # timeout failure
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qksat.cli", "peel", "--n", "30", "--k", "30",
+         "--alpha", "0.1", "--gadget", "sunflower", "--seed", "0"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "p=1.29e-12 < 2^-12" in proc.stderr
+
+
 def test_peel_reports_and_reruns_identically(capsys):
     argv = ("peel", "--n", "300", "--alpha", "3.2", "--k", "3",
             "--gadget", "nosegay", "--seed", "5")
@@ -316,15 +334,21 @@ def test_peel_trace_file(tmp_path, capsys):
     assert len(rows) == 1 + payload["step_count"]
 
 
-@pytest.mark.parametrize("gadget, alpha, k, digest", [
-    ("sunflower", "3.894", "3", "46cbd4626e2cdba6"),
-    ("nosegay", "3.594", "3", "531beecfc083ba42"),
-    ("nosegay", "7.6", "4", "9f19714cdb6b8148"),
-])
-def test_peel_trace_golden(tmp_path, capsys, gadget, alpha, k, digest):
+GOLDEN_TRACES = [
+    ("2000", "sunflower", "3.894", "3", "46cbd4626e2cdba6"),
+    ("2000", "nosegay", "3.594", "3", "531beecfc083ba42"),
+    ("2000", "nosegay", "7.6", "4", "9f19714cdb6b8148"),
+    ("20000", "nosegay", "3.594", "3", "0d47d926b21c352a"),
+    ("20000", "nosegay", "7.6", "4", "d02fe39fc9c3826e"),
+]
+
+
+@pytest.mark.parametrize("n, gadget, alpha, k, digest", GOLDEN_TRACES,
+                         ids=["-".join(case[1:]) for case in GOLDEN_TRACES])
+def test_peel_trace_golden(tmp_path, capsys, n, gadget, alpha, k, digest):
     # pinned samples: any change to the graph or the peel for a seed fails here
     trace = tmp_path / "steps.csv"
-    run_json(capsys, "peel", "--n", "2000", "--alpha", alpha, "--k", k,
+    run_json(capsys, "peel", "--n", n, "--alpha", alpha, "--k", k,
              "--gadget", gadget, "--seed", "0", "--trace", str(trace))
     assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == digest
 

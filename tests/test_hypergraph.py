@@ -24,13 +24,6 @@ def test_edge_normalization():
     assert g.edges == ((0, 1, 3), (2, 4))
     assert g.m == 2
     assert g.arities() == {3, 2}
-    assert g.uniform_arity() is None
-
-
-def test_uniform_arity():
-    g = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
-    assert g.uniform_arity() == 3
-    assert Hypergraph(3, []).uniform_arity() is None
 
 
 def graph_key(g):
@@ -129,6 +122,11 @@ def test_random_hypergraph_golden(args, digest):
 def test_random_hypergraph_rejects():
     with pytest.raises(ValueError):
         random_hypergraph(2, 1, 3, seed=0)
+    # a draw of 11 distinct vertices of 11 succeeds with p = 2^-12.8: refused
+    # before rejection sampling could spin; 10 of 10 (p = 2^-11.4) still draws
+    with pytest.raises(ValueError, match="probability p=0.00014"):
+        random_hypergraph(11, 5, 11, seed=0)
+    assert random_hypergraph(10, 5, 10, seed=0).m == 5
 
 
 def test_degree_distribution_binomial():
