@@ -6,25 +6,26 @@ the other qubits, whose nonzeros are the clause's 2^k entries spread over the
 matching global basis states. The generic rank 2^n - rowrank is the minimum
 over clause vectors, attained with probability 1, so adorning the clauses at
 random and keeping the best row rank of a few trials gives the generic value.
-Both backends run one trial loop, `_trial_ranks`, through one builder,
-`constraint_matrix`; only the entries and the rank kernel differ:
+Both backends run one trial loop, `_trial_ranks`, through one float64
+builder, `constraint_matrix`; only the entries and the rank kernel differ:
 
-- float: a clause's entries conjugate a vector uniform on the unit sphere
-  of C^(2^k) (real normals, then imaginary, normalized); singular values
-  above a tolerance cut count the rows;
-- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`).
+- float: a clause's entries are a real Gaussian vector, normalized; singular
+  values above a tolerance cut count the rows. Real entries reach the generic
+  rank over C: with entries w = conj(v), a nonzero R x R minor is a nonzero
+  polynomial p(w) over C, which cannot vanish on all of R^N, so its real zero
+  set has measure zero, and a real Gaussian w attains the generic row rank
+  with probability 1. The price is a heavier tail of small singular values,
+  P(sigma < eps) ~ eps, not eps^2 (README, "Numerical notes");
+- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`),
+  the independent check of the float rank.
 
 Field trials fail only one way: a trial can find a row rank below the
 generic row rank R over GF(P), never above it. Each constraint entry is one
 clause entry, so a nonzero R x R minor is a polynomial of degree at most
 R <= d = min(rows, 2^n) in the clause entries, and by Schwartz-Zippel a
 trial misses it with probability at most d/P. The maximum over t independent
-trials is wrong with probability at most
-
-    failure_bound = (d / P)^t,
-
-and `field_trials` picks the least t that makes this at most 2^-40. (The
-float backend checks the characteristic-zero rank independently.)
+trials is wrong with probability at most failure_bound = (d / P)^t, and
+`field_trials` picks the least t that makes this at most 2^-40.
 
 Qubit convention: bit v of a column index is the basis value of vertex v,
 vertex 0 least significant. Within a clause, local bit j belongs to the j-th
@@ -121,11 +122,11 @@ def field_trials(rows: int, n: int) -> int:
     return t
 
 
-def constraint_matrix(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
-    """Constraint matrix of g with vectors[i] spread over the rows of edge i
-    at the columns layout[i] = clause_columns(edge i); its kernel is the
-    satisfying subspace."""
-    a = np.zeros((constraint_rows(g), 1 << g.n), dtype=dtype)
+def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
+    """float64 constraint matrix of g with vectors[i] spread over the rows of
+    edge i at the columns layout[i] = clause_columns(edge i); its kernel is
+    the satisfying subspace."""
+    a = np.zeros((constraint_rows(g), 1 << g.n))
     r = 0
     for cols, v in zip(layout, vectors):
         a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
@@ -133,7 +134,7 @@ def constraint_matrix(g: Hypergraph, layout, vectors, dtype) -> np.ndarray:
     return a
 
 
-def _trial_ranks(g: Hypergraph, trials: int, seed, draw, dtype, rank) -> list:
+def _trial_ranks(g: Hypergraph, trials: int, seed, draw, rank) -> list:
     """rank(constraint matrix) of each of `trials` independent adornments;
     trial t draws each clause's entries, in edge order, as
     draw(child_rng(seed, t), 2^k). One matrix is alive at a time."""
@@ -144,20 +145,19 @@ def _trial_ranks(g: Hypergraph, trials: int, seed, draw, dtype, rank) -> list:
     for t in range(trials):
         rng = child_rng(seed, t)
         vectors = [draw(rng, 1 << len(e)) for e in g.edges]
-        ranks.append(rank(constraint_matrix(g, layout, vectors, dtype)))
+        ranks.append(rank(constraint_matrix(g, layout, vectors)))
     return ranks
 
 
 def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Row entries of a clause adorned with a vector uniform on the unit
-    sphere of C^size: the conjugate of that vector."""
-    z = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return np.conj(z / np.linalg.norm(z))
+    """Row entries of a clause: a real Gaussian vector, normalized."""
+    z = rng.normal(size=size)
+    return z / np.linalg.norm(z)
 
 
 def generic_rank_float(a: np.ndarray,
                        tolerance: float = DEFAULT_TOLERANCE) -> RankResult:
-    """Satisfying-subspace dimension of one complex constraint matrix.
+    """Satisfying-subspace dimension of one constraint matrix.
 
     Singular values below tolerance * max count as zero; confidence is the
     ratio of the singular values on either side of that cut.
@@ -183,9 +183,9 @@ def min_rank_float(g: Hypergraph, samples: int = 3,
     _check_cap(g.n, cap)
     if not 0.0 < tolerance < 1e-3:
         raise ValueError(f"tolerance must lie in (0, 1e-3), got {tolerance}")
-    # the complex matrix and the copy that LAPACK factors
-    check_memory(2 * 16 * constraint_rows(g) << g.n, "the float rank")
-    results = _trial_ranks(g, samples, seed, _unit_vector, np.complex128,
+    # the float64 matrix and the copy that LAPACK factors
+    check_memory(2 * 8 * constraint_rows(g) << g.n, "the float rank")
+    results = _trial_ranks(g, samples, seed, _unit_vector,
                            lambda a: generic_rank_float(a, tolerance))
     return min(results, key=lambda res: res.rank)
 
@@ -211,7 +211,7 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
         trials = field_trials(rows, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ranks = _trial_ranks(g, trials, seed, rand_mod, np.float64, rank_mod)
+    ranks = _trial_ranks(g, trials, seed, rand_mod, rank_mod)
     best = max(ranks)
     d = min(rows, 1 << n)
     return RankResult((1 << n) - best, "field", float(ranks.count(best)),

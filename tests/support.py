@@ -9,6 +9,8 @@ from scipy.sparse.csgraph import connected_components
 from qksat.analysis import nosegay_ode
 from qksat.gadgets import nosegay_hang_graph, nosegay_hang_rank
 from qksat.hypergraph import Hypergraph
+from qksat.rank_oracle import generic_rank_float
+from qksat.rng import child_rng
 
 STOQUASTIC_CAP = 22
 
@@ -76,6 +78,52 @@ def stoquastic_component_count(a: int, b: int, c: int, mode: str = "states") -> 
     us, vs = (np.concatenate(side) for side in zip(*pairs))
     links = coo_matrix((np.ones(len(us)), (us, vs)), shape=(1 << n, 1 << n))
     return connected_components(links, directed=False)[0]
+
+
+def complex_unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The complex adornment: the conjugate of a vector uniform on the unit
+    sphere of C^size (real normals, then imaginary, normalized)."""
+    z = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return np.conj(z / np.linalg.norm(z))
+
+
+def clause_rows_by_kron(edge, n: int, w: np.ndarray) -> np.ndarray:
+    """Rows of one clause with entries w, built as kron(I, w) on the qubit
+    order (rest..., edge...) and then permuted into the global order (bit v
+    of a column index is vertex v); independent of clause_columns."""
+    rest = [v for v in range(n) if v not in edge]
+    m = np.kron(np.eye(1 << len(rest)), w[None, :])
+    # column axis i of the reshaped rows is local bit n-1-i, the rest above
+    # the edge; move vertex v to axis n-1-v, the global bit v
+    vertex_at_axis = (list(edge) + rest)[::-1]
+    axes = [1 + vertex_at_axis.index(v) for v in reversed(range(n))]
+    t = m.reshape((-1,) + (2,) * n).transpose([0] + axes)
+    return t.reshape(m.shape[0], 1 << n)
+
+
+def complex_adorned_rank(g: Hypergraph, samples: int = 3,
+                         tolerance: float = 1e-9, seed: int = 0) -> int:
+    """Least float rank over `samples` complex adornments, trial t drawing
+    each clause's entries in edge order from child_rng(seed, t): the complex
+    reference for the real-adorned min_rank_float."""
+    best = 1 << g.n
+    for t in range(samples):
+        rng = child_rng(seed, t)
+        blocks = [clause_rows_by_kron(e, g.n, complex_unit_vector(rng, 1 << len(e)))
+                  for e in g.edges]
+        a = np.concatenate(blocks) if blocks else np.zeros((0, 1 << g.n))
+        best = min(best, generic_rank_float(a, tolerance).rank)
+    return best
+
+
+def random_mixed_graph(n: int, m: int, rng: np.random.Generator) -> Hypergraph:
+    """m clauses of arity 2 or 3, each arity and vertex set drawn from rng
+    (arity 2 only when n < 3)."""
+    edges = []
+    for _ in range(m):
+        k = 2 if n < 3 else int(rng.integers(2, 4))
+        edges.append(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
+    return Hypergraph(n, edges)
 
 
 def attach(g: Hypergraph, h: Hypergraph, embedding) -> Hypergraph:

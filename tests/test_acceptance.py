@@ -43,7 +43,7 @@ from qksat.rank_oracle import (
 )
 from qksat.rng import child_rng, make_rng
 from support import (attach, nosegay3_via_binomial, nosegay_mu,
-                     stoquastic_component_count)
+                     random_mixed_graph, stoquastic_component_count)
 
 
 def _report(capsys, num, description, ok, detail=""):
@@ -156,14 +156,6 @@ def test_criterion_3_cross_formula_identities(capsys):
             "k-arity reduction, and petal-sum identities all exact")
 
 
-def _random_mixed_graph(n, m, rng):
-    edges = []
-    for _ in range(m):
-        k = 2 if n < 3 else int(rng.integers(2, 4))
-        edges.append(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
-    return Hypergraph(n, edges)
-
-
 def test_criterion_4_rank_product_bound(capsys):
     rng = make_rng(20260816)
     violations = []
@@ -171,8 +163,8 @@ def test_criterion_4_rank_product_bound(capsys):
     for i in range(trials):
         n_g = int(rng.integers(3, 9))
         n_h = int(rng.integers(2, n_g + 1))
-        g = _random_mixed_graph(n_g, int(rng.integers(0, n_g + 1)), rng)
-        h = _random_mixed_graph(n_h, int(rng.integers(1, n_h + 2)), rng)
+        g = random_mixed_graph(n_g, int(rng.integers(0, n_g + 1)), rng)
+        h = random_mixed_graph(n_h, int(rng.integers(1, n_h + 2)), rng)
         joined = attach(g, h, rng.choice(n_g, size=n_h, replace=False).tolist())
         r_g = generic_rank_field(g, seed=i).rank
         r_h = generic_rank_field(h, seed=i).rank
@@ -264,7 +256,7 @@ def test_criterion_6_backend_agreement(capsys):
     total = 50
     for i in range(total):
         n = 4 + (i % 7)
-        g = _random_mixed_graph(n, int(rng.integers(1, n + 3)), rng)
+        g = random_mixed_graph(n, int(rng.integers(1, n + 3)), rng)
         field = generic_rank_field(g, seed=i).rank
         try:
             fl = min_rank_float(g, samples=3, tolerance=1e-9, seed=i).rank

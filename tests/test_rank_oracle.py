@@ -19,7 +19,8 @@ from qksat.rank_oracle import (
     min_rank_float,
 )
 from qksat.rng import make_rng
-from support import attach
+from support import (attach, clause_rows_by_kron, complex_adorned_rank,
+                     random_mixed_graph)
 
 
 def test_clause_columns_convention():
@@ -39,16 +40,17 @@ def test_clause_columns_partition():
 
 
 def test_sample_clause_vector_sphere():
-    # a clause's float entries conjugate a unit vector, drawn replayably
+    # a clause's float entries are a real unit vector, drawn replayably
     v = _unit_vector(make_rng(1), 8)
-    assert v.shape == (8,) and v.dtype == np.complex128
+    assert v.shape == (8,) and v.dtype == np.float64
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     assert _unit_vector(make_rng(5), 4).tolist() == \
         _unit_vector(make_rng(5), 4).tolist()
 
 
 def test_sample_clause_vector_is_uniform_in_component_mass():
-    # |amplitude_0|^2 averages 1/2^k on the unit sphere
+    # v_0^2 averages 1/2^k on the unit sphere of R^(2^k), as |v_0|^2 does on
+    # that of C^(2^k)
     k, reps = 2, 100_000
     rng = make_rng(123)
     total = 0.0
@@ -61,7 +63,7 @@ def test_constraint_matrix_single_full_clause():
     # a clause on every qubit is a single row holding its entries
     g = Hypergraph(2, [(0, 1)])
     v = _unit_vector(make_rng(9), 4)
-    a = constraint_matrix(g, [clause_columns((0, 1), 2)], [v], np.complex128)
+    a = constraint_matrix(g, [clause_columns((0, 1), 2)], [v])
     assert a.shape == (1, 4)
     assert np.array_equal(a[0], v)
 
@@ -70,16 +72,29 @@ def test_constraint_matrix_row_layout():
     # one clause spread over 2^(n-k) rows at its clause_columns
     g = Hypergraph(3, [(0, 2)])
     v = _unit_vector(make_rng(4), 4)
-    a = constraint_matrix(g, [clause_columns((0, 2), 3)], [v], np.complex128)
-    want = np.zeros((2, 8), dtype=complex)
+    a = constraint_matrix(g, [clause_columns((0, 2), 3)], [v])
+    assert a.dtype == np.float64
+    want = np.zeros((2, 8))
     want[0, [0, 1, 4, 5]] = v
     want[1, [2, 3, 6, 7]] = v
     assert np.array_equal(a, want)
 
 
+def test_constraint_matrix_matches_kron_reference():
+    # the scatter through clause_columns equals the complex reference's
+    # kron-and-transpose rows, clause by clause, in the same row order
+    g = random_mixed_graph(6, 7, make_rng(8))
+    rng = make_rng(6)
+    vectors = [_unit_vector(rng, 1 << len(e)) for e in g.edges]
+    a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges], vectors)
+    want = np.concatenate([clause_rows_by_kron(e, g.n, v)
+                           for e, v in zip(g.edges, vectors)])
+    assert np.array_equal(a, want)
+
+
 def test_empty_formula_rank():
     g = Hypergraph(3, [])
-    res = generic_rank_float(np.zeros((0, 8), dtype=complex))
+    res = generic_rank_float(np.zeros((0, 8)))
     assert res.rank == 8 and res.confidence == float("inf")
     res = min_rank_float(g)
     assert res.rank == 8 and res.confidence == float("inf")
@@ -182,6 +197,28 @@ def test_backend_agreement_small():
     assert disagreements == 0
 
 
+def test_real_and_complex_adornments_agree_with_the_field():
+    # real adornments reach the generic rank: on fixed k = 2, 3 and mixed
+    # arity instances at n = 4-9, the real-adorned float rank, the complex
+    # reference and the exact field rank coincide
+    seen = []
+    for i in range(30):
+        n = 4 + i % 6
+        m = n - 2 + 7 * i % 5
+        if i % 3 == 2:
+            g = random_mixed_graph(n, m, make_rng(500 + i))
+        else:
+            g = random_hypergraph(n, m, 2 + i % 3, seed=500 + i)
+        field = generic_rank_field(g, seed=i).rank
+        ranks = (min_rank_float(g, seed=i).rank,
+                 complex_adorned_rank(g, seed=i), field)
+        assert ranks == (field,) * 3, (i, n, m, ranks)
+        seen.append((field, (1 << n) - constraint_rows(g)))
+    # the set holds unsatisfiable and row-rank-deficient instances
+    assert any(rank == 0 for rank, _ in seen)
+    assert any(rank > max(free, 0) for rank, free in seen)
+
+
 def test_product_bound_quick():
     rng = make_rng(14)
     for trial in range(10):
@@ -201,7 +238,7 @@ def _planted_gap_matrix():
     # three unit clause rows on one edge of two qubits, nearly parallel:
     # singular values are the 1-row scale sqrt(3) plus planted small values
     # 4e-4 and 8e-5
-    a = np.zeros((3, 4), dtype=complex)
+    a = np.zeros((3, 4))
     a[0, 0] = 1.0
     for row, (axis, eps) in enumerate([(1, 4e-4), (2, 8e-5)], start=1):
         a[row, 0] = math.sqrt(1.0 - eps * eps)
@@ -224,16 +261,16 @@ def test_tolerance_picks_the_scale():
 # (n, m, k, graph seed, oracle seed) -> (rank, repr(confidence)) of
 # min_rank_float: pins the float adornment draws bit for bit
 FLOAT_GOLDEN = [
-    ((4, 2, 2, 400, 0), (9, "4160986521367539.5")),
+    ((4, 2, 2, 400, 0), (9, "1.433901924707863e+16")),
     ((5, 5, 3, 401, 1), (12, "inf")),
     ((6, 8, 2, 402, 2), (0, "inf")),
     ((7, 4, 3, 403, 3), (64, "inf")),
-    ((8, 7, 2, 404, 4), (9, "118812833818706.4")),
+    ((8, 7, 2, 404, 4), (9, "102340958164375.38")),
     ((9, 3, 3, 405, 5), (320, "inf")),
     ((4, 6, 2, 406, 6), (0, "inf")),
     ((5, 2, 3, 407, 7), (24, "inf")),
-    ((6, 5, 2, 408, 8), (4, "457394653386411.6")),
-    ((7, 8, 3, 409, 9), (4, "46075160083889.32")),
+    ((6, 5, 2, 408, 8), (4, "629438762730699.8")),
+    ((7, 8, 3, 409, 9), (4, "20033516348945.562")),
 ]
 
 
