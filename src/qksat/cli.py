@@ -225,11 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q = fam.add_parser("sunflower")
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--k", type=int, default=3)
-    for name in ("nosegay3", "nosegay-hang"):
-        q = fam.add_parser(name)
-        q.add_argument("--a", type=int, required=True)
-        q.add_argument("--b", type=int, required=True)
-        q.add_argument("--c", type=int, required=True)
+    q = fam.add_parser("nosegay-hang")
+    q.add_argument("--a", type=int, required=True)
+    q.add_argument("--b", type=int, required=True)
+    q.add_argument("--c", type=int, required=True)
     q = fam.add_parser("nosegay-k")
     q.add_argument("--dvec", type=_parse_dvec, required=True,
                    help="comma-separated hanging counts; arity = length")
@@ -243,7 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check gadget formulas against the field oracle")
     p.add_argument("target", choices=("gadgets",))
     p.add_argument("--max-size", type=int, default=3,
-                   help="bounds sunflower d, nosegay a+b+c, and k2 edge count")
+                   help="bounds sunflower d, k = 3 nosegay a+b+c, and k2 edge "
+                        "count; k = 4 nosegay d_1+...+d_4 <= max-size - 2")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 

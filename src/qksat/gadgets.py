@@ -6,14 +6,13 @@ log-weights ln(rank) - t*ln2 are derived from the exact integers afterward.
 
 Families:
   * (d,k)-sunflower: d edges of arity k sharing one center vertex.
-  * 3-uniform (a,b,c)-nosegay: a central 3-edge whose vertices carry a, b, c
-    hanging 3-edges (each adding two fresh vertices).
-  * hanging-edge [a,b,c]-nosegay: same center, but the hanging edges have
-    arity 2 (one fresh vertex each).
   * k-uniform d-vector nosegay: central k-edge, d_i hanging k-edges on vertex
-    i. Its formula is an upper bound on the generic rank in general (it is
-    exact for separable adornments); for k = 3 it reduces to the 3-uniform
-    nosegay.
+    i (each adding k - 1 fresh vertices). At k = 3 it is the paper's
+    (a,b,c)-nosegay and its formula is exact; for k >= 4 the formula is an
+    upper bound on the generic rank in general (exact for separable
+    adornments).
+  * hanging-edge [a,b,c]-nosegay: a central 3-edge whose hanging edges have
+    arity 2 (one fresh vertex each).
   * k=2 connected components, classified by vertex and edge counts.
 """
 
@@ -41,13 +40,6 @@ class Sunflower:
 
 
 @dataclass(frozen=True)
-class Nosegay3:
-    a: int
-    b: int
-    c: int
-
-
-@dataclass(frozen=True)
 class NosegayHang:
     a: int
     b: int
@@ -67,7 +59,7 @@ class K2Component:
     edges: int
 
 
-GadgetSpec = Union[Sunflower, Nosegay3, NosegayHang, NosegayK, K2Component]
+GadgetSpec = Union[Sunflower, NosegayHang, NosegayK, K2Component]
 
 
 @dataclass(frozen=True)
@@ -99,17 +91,6 @@ def sunflower_rank(d: int, k: int) -> GadgetRank:
     return _as_rank(m ** (d - 1) * (d + 2 * m), 1 + d * (k - 1))
 
 
-def nosegay3_rank(a: int, b: int, c: int) -> GadgetRank:
-    """3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)]; t = 3 + 2(a+b+c)."""
-    _check_counts(a=a, b=b, c=c)
-    s = a + b + c
-    value = Fraction(3) ** s * ((a + 6) * (b + 6) * (c + 6)
-                                - (a + 3) * (b + 3) * (c + 3)) / 27
-    if value.denominator != 1:
-        raise AssertionError(f"nosegay rank ({a},{b},{c}) is not integral: {value}")
-    return _as_rank(value.numerator, 3 + 2 * s)
-
-
 def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
     """(a+2)(b+2)(c+2) - (a+1)(b+1)(c+1); t = 3 + a + b + c."""
     _check_counts(a=a, b=b, c=c)
@@ -117,24 +98,35 @@ def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
     return _as_rank(rank, 3 + a + b + c)
 
 
-def nosegay_k_rank(dvec, k: int) -> GadgetRank:
-    """N(d) = prod M^(d_i - 1) [prod (d_i + 2M) - prod (d_i + M)], M = 2^(k-1) - 1.
-
-    Upper bound on the generic rank of the k-uniform nosegay; exact at k = 3.
-    t = k + sum d_i (k - 1).
-    """
+def _check_dvec(dvec, k: int) -> tuple[int, ...]:
+    """dvec as a tuple of k nonnegative ints, for arity k >= 2."""
     dvec = tuple(int(d) for d in dvec)
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
     if len(dvec) != k:
         raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
     _check_counts(**{f"d{i}": d for i, d in enumerate(dvec)})
+    return dvec
+
+
+def nosegay_k_rank(dvec, k: int) -> GadgetRank:
+    """N(d) = prod M^(d_i - 1) [prod (d_i + 2M) - prod (d_i + M)], M = 2^(k-1) - 1.
+
+    Upper bound on the generic rank of the k-uniform nosegay; exact at k = 3,
+    where it is the paper's 3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)].
+    t = k + sum d_i (k - 1).
+    """
+    dvec = _check_dvec(dvec, k)
     m = (1 << (k - 1)) - 1
     value = Fraction(m) ** (sum(dvec) - k) * (prod(d + 2 * m for d in dvec)
                                               - prod(d + m for d in dvec))
     if value.denominator != 1:
         raise AssertionError(f"nosegay rank {dvec} is not integral: {value}")
     return _as_rank(value.numerator, k + sum(dvec) * (k - 1))
+
+
+def nosegay3_rank(a: int, b: int, c: int) -> GadgetRank:
+    return nosegay_k_rank((a, b, c), 3)
 
 
 def k2_component_rank(vertex_count: int, edge_count: int) -> int:
@@ -180,12 +172,11 @@ class Family(NamedTuple):
 FAMILIES = {
     "sunflower": Family(Sunflower, lambda s: sunflower_rank(s.d, s.k),
                         lambda s: sunflower_graph(s.d, s.k)),
-    "nosegay3": Family(Nosegay3, lambda s: nosegay3_rank(s.a, s.b, s.c),
-                       lambda s: nosegay3_graph(s.a, s.b, s.c)),
     "nosegay-hang": Family(NosegayHang,
                            lambda s: nosegay_hang_rank(s.a, s.b, s.c),
                            lambda s: nosegay_hang_graph(s.a, s.b, s.c)),
-    "nosegay-k": Family(NosegayK, lambda s: nosegay_k_rank(s.dvec, s.k)),
+    "nosegay-k": Family(NosegayK, lambda s: nosegay_k_rank(s.dvec, s.k),
+                        lambda s: nosegay_k_graph(s.dvec, s.k)),
     "k2": Family(K2Component, lambda s: _as_rank(
         k2_component_rank(s.vertices, s.edges), s.vertices)),
 }
@@ -227,12 +218,7 @@ def sunflower_graph(d: int, k: int) -> Hypergraph:
 
 def nosegay_k_graph(dvec, k: int) -> Hypergraph:
     """Central k-edge on 0..k-1 with d_i hanging k-edges at vertex i."""
-    dvec = tuple(int(d) for d in dvec)
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
-    if len(dvec) != k:
-        raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
-    _check_counts(**{f"d{i}": d for i, d in enumerate(dvec)})
+    dvec = _check_dvec(dvec, k)
     hanging = _hanging(np.repeat(np.arange(k), dvec), k, k)
     return Hypergraph(k + sum(dvec) * (k - 1), np.vstack([np.arange(k), hanging]))
 
@@ -248,19 +234,18 @@ def nosegay_hang_graph(a: int, b: int, c: int) -> Hypergraph:
     return Hypergraph(3 + a + b + c, [(0, 1, 2), *hanging.tolist()])
 
 
-def sorted_triples(total: int):
-    """(a, b, c) with a >= b >= c >= 0 and a + b + c = total, a then b
-    descending."""
-    for a in range(total, -1, -1):
-        for b in range(min(a, total - a), -1, -1):
-            if total - a - b <= b:
-                yield a, b, total - a - b
+def sorted_dvecs(total: int, k: int):
+    """Nonincreasing k-tuples of nonnegative ints summing to total, in
+    descending lexicographic order."""
+    return (d for d in combinations_with_replacement(range(total, -1, -1), k)
+            if sum(d) == total)
 
 
 def verification_cases(max_size: int):
     """(family, params, closed-form rank, graph) for every gadget checked
-    against a rank oracle: sunflowers at k = 3, 4 with d <= max_size, both
-    3-uniform nosegay families with a + b + c <= max_size, and connected
+    against a rank oracle: sunflowers at k = 3, 4 with d <= max_size, the
+    k = 3 nosegay and hanging-edge nosegay with a + b + c <= max_size, the
+    k = 4 nosegay with d_1 + ... + d_4 <= max_size - 2, and connected
     arity-2 multigraphs on 2 to 4 vertices with at most max_size edges, one
     per multiset of vertex pairs. Graphs above the oracle's qubit cap are
     skipped."""
@@ -268,8 +253,10 @@ def verification_cases(max_size: int):
         raise ValueError(f"max_size must be nonnegative, got {max_size}")
     specs = [Sunflower(d, k) for k in (3, 4) for d in range(max_size + 1)]
     for total in range(max_size + 1):
-        for a, b, c in sorted_triples(total):
-            specs += [Nosegay3(a, b, c), NosegayHang(a, b, c)]
+        for dvec in sorted_dvecs(total, 3):
+            specs += [NosegayK(dvec, 3), NosegayHang(*dvec)]
+    specs += [NosegayK(dvec, 4) for total in range(max_size - 1)
+              for dvec in sorted_dvecs(total, 4)]
     for spec in specs:
         name = family_of(spec)
         g = FAMILIES[name].graph(spec)

@@ -83,7 +83,8 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
 
     Each edge is k distinct vertices obtained by rejection: any draw with a
     repeated vertex is redrawn whole, and k is refused where a draw has
-    distinct vertices with probability p < 2^-12. Deterministic given the seed.
+    distinct vertices with probability p < 2^-12. Deterministic given the
+    seed, a plain int or a Generator; a float or bool seed raises TypeError.
     """
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")

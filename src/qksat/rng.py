@@ -6,25 +6,28 @@ import numpy as np
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Build a PCG64 generator from an integer seed or SeedSequence.
+    """Build a PCG64 generator from a plain int seed or a SeedSequence.
 
     A Generator passes through unchanged, so callers can thread one RNG
-    through a pipeline without reseeding.
+    through a pipeline without reseeding. Any other seed, float and bool
+    included, raises TypeError rather than drawing int(seed)'s stream.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(require_int_seed(seed))))
 
 
 def child_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for stream `stream` derived from an integer master seed.
 
     Deterministic in (seed, stream); distinct streams are statistically
-    independent, so parallel trials can be replayed individually.
+    independent, so parallel trials can be replayed individually. A seed
+    that is not a plain int raises TypeError, as in make_rng.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(require_int_seed(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
 
 

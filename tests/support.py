@@ -1,5 +1,6 @@
 """Independent reference routes and graph utilities that only the tests use."""
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -15,11 +16,20 @@ from qksat.rng import child_rng
 STOQUASTIC_CAP = 22
 
 
+def nosegay3_paper_rank(a: int, b: int, c: int) -> int:
+    """The paper's (a,b,c)-nosegay rank, 3^(a+b+c-3) [(a+6)(b+6)(c+6) -
+    (a+3)(b+3)(c+3)], asserted integral."""
+    value = Fraction(3) ** (a + b + c - 3) * ((a + 6) * (b + 6) * (c + 6)
+                                              - (a + 3) * (b + 3) * (c + 3))
+    assert value.denominator == 1, (a, b, c, value)
+    return value.numerator
+
+
 def nosegay3_via_binomial(a: int, b: int, c: int) -> int:
     """The 3-uniform nosegay rank as a binomial sum over hanging-edge ranks.
 
     R_(a,b,c) = sum over p,q,r of 2^(a+b+c-p-q-r) C(a,p) C(b,q) C(c,r) R_[p,q,r].
-    Independent route to the same integer as nosegay3_rank.
+    Independent route to the same integer as nosegay3_paper_rank.
     """
     total = 0
     for p in range(a + 1):

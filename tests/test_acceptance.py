@@ -27,10 +27,9 @@ from qksat.analysis import (
 )
 from qksat.gadgets import (
     k2_rank,
-    nosegay3_rank,
     nosegay_hang_rank,
     nosegay_k_rank,
-    sorted_triples,
+    sorted_dvecs,
     sunflower_rank,
     verification_cases,
 )
@@ -42,8 +41,9 @@ from qksat.rank_oracle import (
     min_rank_float,
 )
 from qksat.rng import child_rng, make_rng
-from support import (attach, nosegay3_via_binomial, nosegay_mu,
-                     random_mixed_graph, stoquastic_component_count)
+from support import (attach, nosegay3_paper_rank, nosegay3_via_binomial,
+                     nosegay_mu, random_mixed_graph,
+                     stoquastic_component_count)
 
 
 def _report(capsys, num, description, ok, detail=""):
@@ -108,6 +108,7 @@ def test_criterion_2_gadget_formulas_match_oracle(capsys):
             mismatches.append(f"{label}: formula {formula_rank} oracle {oracle}")
 
     k2_cases = 0
+    k4_nosegays = []
     for family, params, formula_rank, graph in verification_cases(7):
         # the oracle's cost grows as 4^n; arity-2 graphs on at most 4
         # vertices with over 5 edges all fall in the rank-0 classes
@@ -115,6 +116,12 @@ def test_criterion_2_gadget_formulas_match_oracle(capsys):
             continue
         check(f"{family} {params}", graph, formula_rank)
         k2_cases += family == "k2"
+        if family == "nosegay-k" and params["k"] == 4:
+            k4_nosegays.append(params["dvec"])
+    # the k = 4 formula, an upper bound in general, is exact on every
+    # hanging-count class with d_1 + ... + d_4 <= 2 (n <= 10)
+    if k4_nosegays != [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)]:
+        mismatches.append(f"k = 4 nosegay classes checked: {k4_nosegays}")
     # the one arity-2 class without edges: a single vertex
     check("k2 n=1", Hypergraph(1, []), k2_rank(Hypergraph(1, [])))
     k2_cases += 1
@@ -122,19 +129,21 @@ def test_criterion_2_gadget_formulas_match_oracle(capsys):
     elapsed = time.monotonic() - t0
     _report(capsys, 2, "gadget closed forms equal the field oracle exactly",
             not mismatches,
-            f"{cases} cases ({k2_cases} arity-2 classes) in {elapsed:.0f}s"
+            f"{cases} cases ({k2_cases} arity-2 classes, "
+            f"{len(k4_nosegays)} k = 4 nosegays) in {elapsed:.0f}s"
             + (f"; mismatches={mismatches[:3]}" if mismatches else ""))
 
 
 def test_criterion_3_cross_formula_identities(capsys):
     bad = []
     for a, b, c in itertools.product(range(7), repeat=3):
-        if nosegay3_via_binomial(a, b, c) != nosegay3_rank(a, b, c).rank:
+        rank = nosegay_k_rank((a, b, c), 3).rank
+        if nosegay3_via_binomial(a, b, c) != rank:
             bad.append(f"binomial ({a},{b},{c})")
-        if nosegay_k_rank((a, b, c), 3).rank != nosegay3_rank(a, b, c).rank:
-            bad.append(f"karity ({a},{b},{c})")
+        if nosegay3_paper_rank(a, b, c) != rank:
+            bad.append(f"paper ({a},{b},{c})")
     for s in range(9):
-        for a, b, c in sorted_triples(s):
+        for a, b, c in sorted_dvecs(s, 3):
             want = nosegay_hang_rank(a, b, c).rank
             if stoquastic_component_count(a, b, c, mode="states") != want:
                 bad.append(f"states ({a},{b},{c})")

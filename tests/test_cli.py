@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -117,9 +119,28 @@ def test_gadget_commands(capsys):
     assert hang["rank"] == 36
     nk = run_json(capsys, "gadget", "nosegay-k", "--dvec", "2,0,0")
     assert nk["rank"] == 81 and nk["params"]["k"] == 3
+    # the paper's (1,2,3)-nosegay
+    nk = run_json(capsys, "gadget", "nosegay-k", "--dvec", "1,2,3")
+    assert (nk["rank"], nk["vertex_count"]) == (10368, 15)
     tree = run_json(capsys, "gadget", "k2", "--vertices", "3", "--edges", "2")
     assert tree["rank"] == 4
     assert tree["log_weight"] == pytest.approx(math.log(4) - 3 * math.log(2))
+
+
+def test_readme_gadget_and_bound_examples_run(capsys):
+    # every `qksat gadget|bound ...` line of the README's sh blocks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line.removeprefix("$ "))
+            if argv[:1] == ["qksat"] and argv[1:2] in (["gadget"], ["bound"]):
+                commands.append(argv[1:])
+    assert {argv[0] for argv in commands} == {"gadget", "bound"}
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_gadget_zero_rank_serializes_null(capsys):
@@ -186,6 +207,7 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         ("bound", "nosegay", "--alpha", "3.0", "--k", "1"),
         ("rank", "--graph", str(tmp_path / "missing.hg")),
         ("gadget", "nosegay-k", "--dvec", "1,x"),
+        ("gadget", "nosegay3", "--a", "1", "--b", "2", "--c", "3"),
         ("gadget", "sunflower", "--d", "-1"),
         ("gadget", "k2", "--vertices", "3", "--edges", "3", "--max-mult", "1"),
         ("rank", "--graph", str(graph), "--prime", "97"),
@@ -359,16 +381,20 @@ def check_verify_sweep(capsys, max_size, case_count):
     assert payload["failures"] == 0
     assert payload["case_count"] == case_count
     families = {case["family"] for case in payload["cases"]}
-    assert families == {"sunflower", "nosegay3", "nosegay-hang", "k2"}
+    assert families == {"sunflower", "nosegay-k", "nosegay-hang", "k2"}
     assert all(case["equal"] for case in payload["cases"])
+    nosegays = [case["params"] for case in payload["cases"]
+                if case["family"] == "nosegay-k"]
+    assert {p["k"] for p in nosegays} == {3, 4}
+    assert all(len(p["dvec"]) == p["k"] for p in nosegays)
 
 
 def test_verify_small_sweep(capsys):
-    check_verify_sweep(capsys, 2, 19)
+    check_verify_sweep(capsys, 2, 20)
 
 
 def test_verify_size_three_sweep(capsys):
-    check_verify_sweep(capsys, 3, 51)
+    check_verify_sweep(capsys, 3, 53)
 
 
 def test_threshold_general_k(capsys):

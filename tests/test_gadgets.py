@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qksat.gadgets import (
     GadgetRank,
     K2Component,
-    Nosegay3,
     NosegayHang,
     NosegayK,
     Sunflower,
@@ -29,7 +28,8 @@ from qksat.gadgets import (
 )
 from qksat.hypergraph import Hypergraph
 from qksat.rank_oracle import generic_rank_field
-from support import nosegay3_via_binomial, stoquastic_component_count
+from support import (nosegay3_paper_rank, nosegay3_via_binomial,
+                     stoquastic_component_count)
 
 
 def test_sunflower_values():
@@ -71,7 +71,7 @@ def test_nosegay3_values():
 def test_nosegay3_matches_sunflower_on_one_arm():
     # a single arm of d hanging edges is a (d+1)-petal sunflower
     for d in range(8):
-        assert nosegay3_rank(d, 0, 0).rank == sunflower_rank(d + 1, 3).rank
+        assert nosegay_k_rank((d, 0, 0), 3).rank == sunflower_rank(d + 1, 3).rank
 
 
 def test_nosegay_hang_values():
@@ -85,22 +85,23 @@ def test_nosegay_hang_values():
 
 def test_binomial_expansion_matches_closed_form():
     for a, b, c in itertools.product(range(5), repeat=3):
-        assert nosegay3_via_binomial(a, b, c) == nosegay3_rank(a, b, c).rank
+        assert nosegay3_via_binomial(a, b, c) == nosegay_k_rank((a, b, c), 3).rank
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 def test_nosegay_forms_are_symmetric(a, b, c):
-    base3 = nosegay3_rank(a, b, c).rank
+    base3 = nosegay_k_rank((a, b, c), 3).rank
     baseh = nosegay_hang_rank(a, b, c).rank
     for p in itertools.permutations((a, b, c)):
-        assert nosegay3_rank(*p).rank == base3
+        assert nosegay_k_rank(p, 3).rank == base3
         assert nosegay_hang_rank(*p).rank == baseh
 
 
 def test_nosegay_k_reduces_to_three_arm_form():
+    # at k = 3 the d-vector form is the paper's (a,b,c)-nosegay expression
     for a, b, c in itertools.product(range(5), repeat=3):
-        assert nosegay_k_rank((a, b, c), 3).rank == nosegay3_rank(a, b, c).rank
+        assert nosegay_k_rank((a, b, c), 3).rank == nosegay3_paper_rank(a, b, c)
 
 
 def test_nosegay_k_single_arm_is_sunflower():
@@ -111,10 +112,13 @@ def test_nosegay_k_single_arm_is_sunflower():
 
 
 def test_nosegay_k_validation():
-    with pytest.raises(ValueError):
-        nosegay_k_rank((1, 2), 3)
-    with pytest.raises(ValueError):
-        nosegay_k_rank((1, -1, 0), 3)
+    for build in (nosegay_k_rank, nosegay_k_graph):
+        with pytest.raises(ValueError):
+            build((1, 2), 3)
+        with pytest.raises(ValueError):
+            build((1, -1, 0), 3)
+        with pytest.raises(ValueError):
+            build((0,), 1)
 
 
 def test_k2_component_classes():
@@ -155,18 +159,6 @@ def test_k2_rank_matches_field_oracle():
         assert k2_rank(g) == generic_rank_field(g, seed=1).rank
 
 
-def test_nosegay_k4_rank_matches_oracle():
-    # every class of hanging counts with d_1 + ... + d_4 <= 2 (n <= 10)
-    classes = {tuple(sorted(d, reverse=True))
-               for d in itertools.product(range(3), repeat=4) if sum(d) <= 2}
-    assert len(classes) == 4
-    for dvec in sorted(classes):
-        g = nosegay_k_graph(dvec, 4)
-        assert g.n <= 10
-        assert generic_rank_field(g, seed=0).rank == \
-            nosegay_k_rank(dvec, 4).rank, dvec
-
-
 def test_stoquastic_modes_agree_with_closed_form():
     for a, b, c in itertools.product(range(3), repeat=3):
         want = nosegay_hang_rank(a, b, c).rank
@@ -187,7 +179,7 @@ def test_stoquastic_validation():
 
 def test_gadget_rank_dispatch():
     assert gadget_rank(Sunflower(2, 3)) == sunflower_rank(2, 3)
-    assert gadget_rank(Nosegay3(1, 1, 0)) == nosegay3_rank(1, 1, 0)
+    assert gadget_rank(NosegayK((1, 1, 0), 3)) == nosegay3_rank(1, 1, 0)
     assert gadget_rank(NosegayHang(2, 0, 0)) == nosegay_hang_rank(2, 0, 0)
     assert gadget_rank(NosegayK((1, 0, 1, 0), 4)) == nosegay_k_rank((1, 0, 1, 0), 4)
     tree = gadget_rank(K2Component(3, 2))
@@ -205,7 +197,7 @@ def test_log_weights():
     for d in range(12):
         assert gadget_log_weight(Sunflower(d, 3)) <= 0.0
     for a, b, c in itertools.product(range(4), repeat=3):
-        assert gadget_log_weight(Nosegay3(a, b, c)) <= 0.0
+        assert gadget_log_weight(NosegayK((a, b, c), 3)) <= 0.0
 
 
 def test_graph_builders_shape():

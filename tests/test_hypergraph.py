@@ -16,6 +16,7 @@ from qksat.hypergraph import (
     random_hypergraph,
     read_hypergraph,
 )
+from qksat.rng import make_rng
 from support import attach, format_hypergraph, write_hypergraph
 
 
@@ -127,6 +128,14 @@ def test_random_hypergraph_rejects():
     with pytest.raises(ValueError, match="probability p=0.00014"):
         random_hypergraph(11, 5, 11, seed=0)
     assert random_hypergraph(10, 5, 10, seed=0).m == 5
+
+    # a float or bool seed is refused, not truncated to another seed's draw
+    for bad in [2.7, 2.0, True, False, None, np.float64(2.0)]:
+        with pytest.raises(TypeError):
+            random_hypergraph(10, 5, 3, bad)
+    # a Generator passes through: seed 2's generator draws seed 2's graph
+    assert random_hypergraph(10, 5, 3, make_rng(2)).edges == \
+        random_hypergraph(10, 5, 3, 2).edges
 
 
 def test_degree_distribution_binomial():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qksat.peeling as peeling
-from qksat.gadgets import Nosegay3, NosegayK, Sunflower, gadget_log_weight
+from qksat.gadgets import NosegayK, Sunflower, gadget_log_weight
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import (
     EmpiricalBound,
@@ -322,4 +322,4 @@ def test_trace_csv_nosegay_params(tmp_path):
     for row, (_, _, (a, b, c), _) in zip(rows[1:], columns(trace)):
         assert row[3] == "nosegay-k"
         assert row[4] == f"{a};{b};{c}"
-        assert float(row[5]) == gadget_log_weight(Nosegay3(a, b, c))
+        assert float(row[5]) == gadget_log_weight(NosegayK((a, b, c), 3))

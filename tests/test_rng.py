@@ -39,5 +39,8 @@ def test_child_rng_differs_from_master_stream():
 
 
 def test_make_rng_rejects_junk():
-    with pytest.raises(TypeError):
-        make_rng(object())
+    for bad in [object(), None, 2.7, True, np.int64(3)]:
+        with pytest.raises(TypeError):
+            make_rng(bad)
+        with pytest.raises(TypeError):
+            child_rng(bad, 0)
