@@ -183,8 +183,10 @@ def _nosegay_expectation(k: int, truncation: int):
     kept mass, from ln(1-y) = -sum_j y^j/j. J is the least with tail
     y^(J+1)/((J+1)(1-y)) <= SERIES_TAIL at y = x(T)^k, the largest y kept;
     all terms are negative, so both cuts only raise the value. The (T+1) x J
-    table of x^j is refused unbuilt if J's bound ln(SERIES_TAIL (1-y)) / ln y
-    says it cannot fit in memory."""
+    table of x^j is refused unbuilt if its first column, or J's bound
+    ln(SERIES_TAIL (1-y)) / ln y, says it cannot fit in memory; the first
+    check also refuses every T at which y would round to 1."""
+    check_memory(8 * (truncation + 1), "the nosegay series table")
     y, terms = _nosegay_vertex_terms(k, np.array([truncation]))[1][0] ** k, 1
     terms_max = ceil(log(SERIES_TAIL * (1.0 - y)) / log(y))
     check_memory(8 * (truncation + 1) * terms_max, "the nosegay series table")

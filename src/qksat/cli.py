@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from math import isfinite
 
 from . import analysis, gadgets, peeling
@@ -74,16 +74,16 @@ def _parse_dvec(text: str) -> tuple[int, ...]:
 
 
 def _cmd_gadget(args) -> tuple[int, dict]:
-    # each family's options are named after its spec's fields
-    spec_type = gadgets.FAMILIES[args.family].spec
+    # each family's options are named after its closed form's arguments
+    params = {name: value for name, value in vars(args).items()
+              if name not in ("command", "family", "handler")}
     if args.family == "nosegay-k":
-        args.k = len(args.dvec)     # the arity is the length of --dvec
-    spec = spec_type(**{f.name: getattr(args, f.name) for f in fields(spec_type)})
-    result = gadgets.gadget_rank(spec)
+        params["k"] = len(args.dvec)    # the arity is the length of --dvec
+    result = gadgets.gadget_rank(args.family, **params)
     return 0, {
         "command": "gadget",
         "family": args.family,
-        "params": asdict(spec),
+        "params": params,
         "rank": result.rank,
         "vertex_count": result.vertex_count,
         "log_weight": _json_float(result.log_weight),
@@ -131,7 +131,7 @@ def _cmd_peel(args) -> tuple[int, dict]:
         trace = peeling.sunflower_peel(g, args.seed)
     else:
         trace = peeling.nosegay_peel(g, args.seed)
-    bound = peeling.empirical_log_rank(trace)
+    value = peeling.empirical_log_rank(trace)
     if args.trace:
         peeling.write_trace_csv(trace, args.trace)
     return 0, {
@@ -142,9 +142,9 @@ def _cmd_peel(args) -> tuple[int, dict]:
         "k": args.k,
         "alpha": args.alpha,
         "seed": args.seed,
-        "value": _json_float(bound.value),
-        "step_count": bound.step_count,
-        "anomalies": bound.anomalies,
+        "value": _json_float(value),
+        "step_count": len(trace.steps),
+        "anomalies": trace.anomalies,
         "trace_file": args.trace,
     }
 

@@ -18,12 +18,11 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import inf, log, prod
-from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -31,35 +30,6 @@ from .hypergraph import Hypergraph, components
 from .rank_oracle import DEFAULT_CAP
 
 LN2 = log(2.0)
-
-
-@dataclass(frozen=True)
-class Sunflower:
-    d: int
-    k: int
-
-
-@dataclass(frozen=True)
-class NosegayHang:
-    a: int
-    b: int
-    c: int
-
-
-@dataclass(frozen=True)
-class NosegayK:
-    dvec: tuple[int, ...]
-    k: int
-
-
-@dataclass(frozen=True)
-class K2Component:
-    """A connected arity-2 component with these vertex and edge counts."""
-    vertices: int
-    edges: int
-
-
-GadgetSpec = Union[Sunflower, NosegayHang, NosegayK, K2Component]
 
 
 @dataclass(frozen=True)
@@ -125,6 +95,8 @@ def nosegay_k_rank(dvec, k: int) -> GadgetRank:
     return _as_rank(value.numerator, k + sum(dvec) * (k - 1))
 
 
+# nosegay3_rank and nosegay3_graph have no caller here: perfbench/layers.py
+# wraps them by name
 def nosegay3_rank(a: int, b: int, c: int) -> GadgetRank:
     return nosegay_k_rank((a, b, c), 3)
 
@@ -159,46 +131,35 @@ def k2_rank(g: Hypergraph) -> int:
     return total
 
 
-class Family(NamedTuple):
-    """One gadget family: its spec type, its closed form and the hypergraph a
-    spec names (only for families checked against the rank oracle)."""
-    spec: type
-    rank: Callable[..., GadgetRank]
-    graph: Callable[..., Hypergraph] | None = None
-
-
-# The functions look the closed forms and builders up when called, so a
-# rebound module attribute reaches every caller.
+# Each family's closed form and the hypergraph it names (only for families
+# checked against the rank oracle), both called with the family's params.
+# The lambdas look the functions up when called, so a rebound module
+# attribute reaches every caller.
 FAMILIES = {
-    "sunflower": Family(Sunflower, lambda s: sunflower_rank(s.d, s.k),
-                        lambda s: sunflower_graph(s.d, s.k)),
-    "nosegay-hang": Family(NosegayHang,
-                           lambda s: nosegay_hang_rank(s.a, s.b, s.c),
-                           lambda s: nosegay_hang_graph(s.a, s.b, s.c)),
-    "nosegay-k": Family(NosegayK, lambda s: nosegay_k_rank(s.dvec, s.k),
-                        lambda s: nosegay_k_graph(s.dvec, s.k)),
-    "k2": Family(K2Component, lambda s: _as_rank(
-        k2_component_rank(s.vertices, s.edges), s.vertices)),
+    "sunflower": (lambda d, k: sunflower_rank(d, k),
+                  lambda d, k: sunflower_graph(d, k)),
+    "nosegay-hang": (lambda a, b, c: nosegay_hang_rank(a, b, c),
+                     lambda a, b, c: nosegay_hang_graph(a, b, c)),
+    "nosegay-k": (lambda dvec, k: nosegay_k_rank(dvec, k),
+                  lambda dvec, k: nosegay_k_graph(dvec, k)),
+    "k2": (lambda vertices, edges: _as_rank(
+        k2_component_rank(vertices, edges), vertices), None),
 }
 
 
-def family_of(spec: GadgetSpec) -> str:
-    """The FAMILIES key of a spec."""
-    for name, family in FAMILIES.items():
-        if type(spec) is family.spec:
-            return name
-    raise TypeError(f"not a gadget spec: {spec!r}")
-
-
-def gadget_rank(spec: GadgetSpec) -> GadgetRank:
-    """Exact rank, vertex count t, and log-weight for any gadget variant."""
-    return FAMILIES[family_of(spec)].rank(spec)
+def gadget_rank(family: str, **params) -> GadgetRank:
+    """Exact rank, vertex count t, and log-weight of a gadget: its FAMILIES
+    key and its closed form's arguments, as `qksat gadget` prints them."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown gadget family {family!r}")
+    return FAMILIES[family][0](**params)
 
 
 @lru_cache(maxsize=None)
-def gadget_log_weight(spec: GadgetSpec) -> float:
-    """ln(rank) - t*ln2 in nats; -inf when the rank is 0."""
-    return gadget_rank(spec).log_weight
+def gadget_log_weight(family: str, **params) -> float:
+    """ln(rank) - t*ln2 in nats; -inf when the rank is 0. A dvec is passed
+    as a tuple, so that it can be hashed."""
+    return gadget_rank(family, **params).log_weight
 
 
 def _hanging(centers: np.ndarray, k: int, first: int) -> np.ndarray:
@@ -251,17 +212,19 @@ def verification_cases(max_size: int):
     skipped."""
     if max_size < 0:
         raise ValueError(f"max_size must be nonnegative, got {max_size}")
-    specs = [Sunflower(d, k) for k in (3, 4) for d in range(max_size + 1)]
+    cases = [("sunflower", {"d": d, "k": k})
+             for k in (3, 4) for d in range(max_size + 1)]
     for total in range(max_size + 1):
-        for dvec in sorted_dvecs(total, 3):
-            specs += [NosegayK(dvec, 3), NosegayHang(*dvec)]
-    specs += [NosegayK(dvec, 4) for total in range(max_size - 1)
-              for dvec in sorted_dvecs(total, 4)]
-    for spec in specs:
-        name = family_of(spec)
-        g = FAMILIES[name].graph(spec)
+        for a, b, c in sorted_dvecs(total, 3):
+            cases += [("nosegay-k", {"dvec": (a, b, c), "k": 3}),
+                      ("nosegay-hang", {"a": a, "b": b, "c": c})]
+    cases += [("nosegay-k", {"dvec": dvec, "k": 4})
+              for total in range(max_size - 1) for dvec in sorted_dvecs(total, 4)]
+    for family, params in cases:
+        rank, graph = FAMILIES[family]
+        g = graph(**params)
         if g.n <= DEFAULT_CAP:
-            yield name, asdict(spec), FAMILIES[name].rank(spec).rank, g
+            yield family, params, rank(**params).rank, g
     for n in range(2, 5):
         pairs = list(combinations(range(n), 2))
         for m in range(n - 1, max_size + 1):

@@ -22,13 +22,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .gadgets import LN2, NosegayK, Sunflower, gadget_log_weight
+from .gadgets import LN2, gadget_log_weight
 from .hypergraph import Hypergraph
 from .rng import make_rng, require_int_seed
 
-# each algorithm's gadget family, and the gadget spec of one params row
-GADGETS = {"sunflower": ("sunflower", lambda row, k: Sunflower(row[0], k)),
-           "nosegay": ("nosegay-k", lambda row, k: NosegayK(tuple(row), k))}
+# each algorithm's gadget family, and the family's params of one params row
+GADGETS = {"sunflower": ("sunflower", lambda row, k: {"d": row[0], "k": k}),
+           "nosegay": ("nosegay-k", lambda row, k: {"dvec": tuple(row), "k": k})}
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,17 +51,11 @@ class PeelTrace:
         rows, inverse, counts = np.unique(self.steps["params"], axis=0,
                                           return_inverse=True,
                                           return_counts=True)
-        spec = GADGETS[self.algorithm][1]
+        family, params = GADGETS[self.algorithm]
         rows = rows.tolist()
-        weights = [gadget_log_weight(spec(row, self.k)) for row in rows]
+        weights = [gadget_log_weight(family, **params(row, self.k))
+                   for row in rows]
         return rows, weights, counts.tolist(), inverse.tolist()
-
-
-@dataclass(frozen=True)
-class EmpiricalBound:
-    value: float
-    step_count: int
-    anomalies: int
 
 
 def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
@@ -162,7 +156,7 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     return PeelTrace("nosegay", g.n, g.m, k, seed, steps)
 
 
-def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
+def empirical_log_rank(trace: PeelTrace) -> float:
     """ln 2 + (1/n) * sum of gadget log-weights over the trace's steps.
 
     A zero-rank gadget drives the value to -inf, certifying unsatisfiability
@@ -170,8 +164,7 @@ def empirical_log_rank(trace: PeelTrace) -> EmpiricalBound:
     """
     _, weights, counts, _ = trace.gadgets
     total = math.fsum(c * w for c, w in zip(counts, weights))
-    return EmpiricalBound(LN2 + total / trace.n, len(trace.steps),
-                          trace.anomalies)
+    return LN2 + total / trace.n
 
 
 def write_trace_csv(trace: PeelTrace, path) -> None:

@@ -206,7 +206,7 @@ def _nosegay_peel_problems(n, alpha, k, seeds):
         if sup > 0.01:
             problems.append(f"nosegay k={k} alpha={alpha} trajectory seed "
                             f"{seed}: {sup:.4f}")
-        emp = empirical_log_rank(trace).value
+        emp = empirical_log_rank(trace)
         if abs(emp - target) > 0.01:
             problems.append(f"nosegay k={k} alpha={alpha} value seed {seed}: "
                             f"{emp:.5f}")
@@ -229,7 +229,7 @@ def test_criterion_5_peeling_matches_analytics(capsys):
         hist_err = float(np.max(np.abs(counts / n - densities)))
         if hist_err > 0.01:
             problems.append(f"sunflower hist seed {seed}: {hist_err:.4f}")
-        emp = empirical_log_rank(trace).value
+        emp = empirical_log_rank(trace)
         if abs(emp - target_s) > 0.01:
             problems.append(f"sunflower value seed {seed}: {emp:.5f}")
 

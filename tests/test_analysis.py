@@ -19,7 +19,7 @@ from qksat.analysis import (
     sunflower_degree_densities,
     threshold_root,
 )
-from qksat.gadgets import NosegayK, gadget_log_weight, nosegay_k_rank
+from qksat.gadgets import gadget_log_weight, nosegay_k_rank
 from support import nosegay_mu
 
 
@@ -175,7 +175,8 @@ def test_nosegay_expectation_matches_brute_force():
         pmf = [math.exp(-lam) * lam ** d / math.factorial(d)
                for d in range(trunc + 1)]
         brute = sum(
-            math.prod(pmf[d] for d in dvec) * gadget_log_weight(NosegayK(dvec, k))
+            math.prod(pmf[d] for d in dvec)
+            * gadget_log_weight("nosegay-k", dvec=dvec, k=k)
             for dvec in itertools.product(range(trunc + 1), repeat=k))
         fast = _nosegay_expectation(k, trunc)(np.array([pmf]))
         assert float(fast[0]) == pytest.approx(brute, rel=1e-12)

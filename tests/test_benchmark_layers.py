@@ -56,7 +56,11 @@ def test_benchmark_layers_install(tmp_path):
     for name in ("rank_oracle.constraint_matrix",
                  "rank_oracle.generic_rank_float", "modlin.rank_mod",
                  "hypergraph.random_hypergraph", "peeling.sunflower_peel",
-                 "peeling.nosegay_peel", "peeling.write_trace_csv"):
+                 "peeling.nosegay_peel", "peeling.write_trace_csv",
+                 # the gadget table must look these up when called, or
+                 # gadgets.closed_form.busy_s reads 0
+                 "gadgets.sunflower_rank", "gadgets.sunflower_graph",
+                 "gadgets.nosegay_hang_rank", "gadgets.k2_rank"):
         assert name in traced["names"], name
     metrics = traced["metrics"]
     assert metrics["modlin.rank_mod.calls"] > 0

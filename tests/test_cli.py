@@ -71,6 +71,19 @@ def test_bound_nosegay_refuses_before_building_its_tables(capsys, monkeypatch):
     assert "nosegay series table" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "nosegay", "--alpha", "1e17"),
+    ("bound", "nosegay", "--alpha", "1e20"),
+    ("bound", "nosegay", "--alpha", "3.6", "--trunc", str(10 ** 17)),
+    ("threshold", "nosegay", "--trunc", str(10 ** 17)),
+])
+def test_nosegay_refuses_huge_cutoffs(capsys, argv):
+    # x(T) rounds to 1 from T ~ 3e16 on, and T >= 2^63 overflows int64
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nosegay series table" in err
+
+
 def test_bound_sunflower_refuses_oversized_cutoff(capsys, monkeypatch):
     import qksat.analysis as analysis
 
@@ -141,6 +154,20 @@ def test_readme_gadget_and_bound_examples_run(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert json.loads(out)["command"] == argv[0]
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block; a print commented with a value prints it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme,
+                      re.M | re.S)[1]
+    exec(block, {})
+    out = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(out) == len(prints)
+    for line, got in zip(prints, out):
+        if "#" in line:
+            assert got == line.split("#", 1)[1].strip(), line
 
 
 def test_gadget_zero_rank_serializes_null(capsys):
@@ -376,7 +403,11 @@ def test_peel_trace_golden(tmp_path, capsys, n, gadget, alpha, k, digest):
 
 
 def check_verify_sweep(capsys, max_size, case_count):
-    payload = run_json(capsys, "verify", "gadgets", "--max-size", str(max_size))
+    """Check one `verify gadgets` sweep and return its stdout."""
+    code, out, err = run_cli(capsys, "verify", "gadgets", "--max-size",
+                             str(max_size))
+    assert code == 0, err
+    payload = json.loads(out)
     assert payload["all_equal"] is True
     assert payload["failures"] == 0
     assert payload["case_count"] == case_count
@@ -387,6 +418,7 @@ def check_verify_sweep(capsys, max_size, case_count):
                 if case["family"] == "nosegay-k"]
     assert {p["k"] for p in nosegays} == {3, 4}
     assert all(len(p["dvec"]) == p["k"] for p in nosegays)
+    return out
 
 
 def test_verify_small_sweep(capsys):
@@ -394,7 +426,9 @@ def test_verify_small_sweep(capsys):
 
 
 def test_verify_size_three_sweep(capsys):
-    check_verify_sweep(capsys, 3, 53)
+    out = check_verify_sweep(capsys, 3, 53)
+    # pinned byte for byte: the cases, their order, params and bounds
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("23fe23eacb3b7d15")
 
 
 def test_threshold_general_k(capsys):

@@ -9,16 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from qksat.gadgets import (
     GadgetRank,
-    K2Component,
-    NosegayHang,
-    NosegayK,
-    Sunflower,
     gadget_log_weight,
     gadget_rank,
     k2_component_rank,
     k2_rank,
-    nosegay3_graph,
-    nosegay3_rank,
     nosegay_hang_graph,
     nosegay_hang_rank,
     nosegay_k_graph,
@@ -61,11 +55,11 @@ def test_sunflower_validation():
 
 
 def test_nosegay3_values():
-    assert nosegay3_rank(0, 0, 0).rank == 7
-    assert nosegay3_rank(1, 0, 0).rank == 24
-    assert nosegay3_rank(1, 1, 1).rank == 279
-    assert nosegay3_rank(1, 2, 3).rank == 10368
-    assert nosegay3_rank(2, 1, 0).vertex_count == 3 + 2 * 3
+    assert nosegay_k_rank((0, 0, 0), 3).rank == 7
+    assert nosegay_k_rank((1, 0, 0), 3).rank == 24
+    assert nosegay_k_rank((1, 1, 1), 3).rank == 279
+    assert nosegay_k_rank((1, 2, 3), 3).rank == 10368
+    assert nosegay_k_rank((2, 1, 0), 3).vertex_count == 3 + 2 * 3
 
 
 def test_nosegay3_matches_sunflower_on_one_arm():
@@ -178,33 +172,38 @@ def test_stoquastic_validation():
 
 
 def test_gadget_rank_dispatch():
-    assert gadget_rank(Sunflower(2, 3)) == sunflower_rank(2, 3)
-    assert gadget_rank(NosegayK((1, 1, 0), 3)) == nosegay3_rank(1, 1, 0)
-    assert gadget_rank(NosegayHang(2, 0, 0)) == nosegay_hang_rank(2, 0, 0)
-    assert gadget_rank(NosegayK((1, 0, 1, 0), 4)) == nosegay_k_rank((1, 0, 1, 0), 4)
-    tree = gadget_rank(K2Component(3, 2))
+    assert gadget_rank("sunflower", d=2, k=3) == sunflower_rank(2, 3)
+    assert gadget_rank("nosegay-k", dvec=(1, 1, 0), k=3) == \
+        nosegay_k_rank((1, 1, 0), 3)
+    assert gadget_rank("nosegay-hang", a=2, b=0, c=0) == \
+        nosegay_hang_rank(2, 0, 0)
+    assert gadget_rank("nosegay-k", dvec=(1, 0, 1, 0), k=4) == \
+        nosegay_k_rank((1, 0, 1, 0), 4)
+    tree = gadget_rank("k2", vertices=3, edges=2)
     assert tree == GadgetRank(4, 3, math.log(4) - 3 * math.log(2))
+    with pytest.raises(ValueError):
+        gadget_rank("nosegay3", a=1, b=1, c=0)
     with pytest.raises(TypeError):
-        gadget_rank("sunflower")
+        gadget_rank("sunflower", a=1, b=1, c=0)
 
 
 def test_log_weights():
-    assert gadget_log_weight(Sunflower(0, 3)) == 0.0
-    w = gadget_log_weight(Sunflower(1, 3))
+    assert gadget_log_weight("sunflower", d=0, k=3) == 0.0
+    w = gadget_log_weight("sunflower", d=1, k=3)
     assert w == pytest.approx(math.log(7 / 8))
-    assert gadget_log_weight(K2Component(2, 4)) == -math.inf
+    assert gadget_log_weight("k2", vertices=2, edges=4) == -math.inf
     # every positive-rank gadget weight is at most 0 for these families
     for d in range(12):
-        assert gadget_log_weight(Sunflower(d, 3)) <= 0.0
+        assert gadget_log_weight("sunflower", d=d, k=3) <= 0.0
     for a, b, c in itertools.product(range(4), repeat=3):
-        assert gadget_log_weight(NosegayK((a, b, c), 3)) <= 0.0
+        assert gadget_log_weight("nosegay-k", dvec=(a, b, c), k=3) <= 0.0
 
 
 def test_graph_builders_shape():
     g = sunflower_graph(3, 4)
     assert g.n == 1 + 3 * 3 and g.m == 3
     assert all(0 in e and len(e) == 4 for e in g.edges)
-    h = nosegay3_graph(1, 2, 0)
+    h = nosegay_k_graph((1, 2, 0), 3)
     assert h.n == 3 + 2 * 3 and h.m == 4
     assert h.edges[0] == (0, 1, 2)
     hh = nosegay_hang_graph(2, 1, 1)
@@ -248,5 +247,5 @@ def test_builders_match_closed_forms_small():
     for a, b, c in [(0, 0, 0), (1, 0, 0), (1, 1, 0)]:
         g = nosegay_hang_graph(a, b, c)
         assert generic_rank_field(g, seed=0).rank == nosegay_hang_rank(a, b, c).rank
-    g = nosegay3_graph(1, 0, 0)
-    assert generic_rank_field(g, seed=0).rank == nosegay3_rank(1, 0, 0).rank
+    g = nosegay_k_graph((1, 0, 0), 3)
+    assert generic_rank_field(g, seed=0).rank == nosegay_k_rank((1, 0, 0), 3).rank

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import qksat.peeling as peeling
-from qksat.gadgets import NosegayK, Sunflower, gadget_log_weight
+from qksat.gadgets import gadget_log_weight
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import (
-    EmpiricalBound,
     PeelTrace,
     empirical_log_rank,
     nosegay_peel,
@@ -123,10 +122,9 @@ def test_sunflower_peel_metadata_and_conservation():
     assert trace.steps["params"].sum() == g.m
     assert trace.steps[-1]["vertices_remaining"] == 0
     assert trace.steps[-1]["edges_remaining"] == 0
-    bound = empirical_log_rank(trace)
     # plain Python numbers, so that json.dumps takes them
-    assert [type(x) for x in (bound.value, bound.step_count, bound.anomalies)] \
-        == [float, int, int]
+    assert [type(x) for x in (empirical_log_rank(trace), len(trace.steps),
+                              trace.anomalies)] == [float, int, int]
 
 
 def test_sunflower_peel_deterministic():
@@ -140,7 +138,7 @@ def test_sunflower_peel_empty_graph():
     trace = sunflower_peel(g, 0)
     assert columns(trace) == [(4 - s, 0, (0,), 0) for s in range(5)]
     assert trace.k == 2
-    assert empirical_log_rank(trace).value == pytest.approx(math.log(2))
+    assert empirical_log_rank(trace) == pytest.approx(math.log(2))
 
 
 def test_sunflower_peel_rejects_mixed_arity_and_bad_seed():
@@ -240,7 +238,7 @@ def test_nosegay_peel_edge_cases(g, k, want):
     trace = nosegay_peel(g, 0)
     assert (trace.k, columns(trace)) == (k, want)
     if not want:
-        assert empirical_log_rank(trace).value == math.log(2)
+        assert empirical_log_rank(trace) == math.log(2)
 
 
 def test_nosegay_peel_requires_uniform_arity():
@@ -252,41 +250,41 @@ def test_empirical_log_rank_manual_trace():
     steps = trace_steps([2, 1, 0], [1, 0, 0], np.array([[1], [1], [0]]),
                         [0, 0, 0])
     trace = PeelTrace("sunflower", 3, 2, 3, 0, steps)
-    got = empirical_log_rank(trace)
-    assert got == EmpiricalBound(
-        pytest.approx(math.log(2) + 2 * math.log(7 / 8) / 3), 3, 0)
+    assert empirical_log_rank(trace) == pytest.approx(
+        math.log(2) + 2 * math.log(7 / 8) / 3)
+    assert (len(trace.steps), trace.anomalies) == (3, 0)
 
 
 def test_empirical_log_rank_zero_rank_gadget(monkeypatch):
     # no sunflower or nosegay has rank 0, so stand one in for (0, 0, 0)
-    def weight(spec):
-        return (-math.inf if spec == NosegayK((0, 0, 0), 3)
-                else gadget_log_weight(spec))
+    def weight(family, **params):
+        return (-math.inf if (family, params) == ("nosegay-k",
+                                                  {"dvec": (0, 0, 0), "k": 3})
+                else gadget_log_weight(family, **params))
 
     monkeypatch.setattr(peeling, "gadget_log_weight", weight)
     steps = trace_steps([4, 1], [1, 0], np.array([[0, 0, 0], [0, 0, 0]]),
                         [2, 0])
     trace = PeelTrace("nosegay", 7, 2, 3, 0, steps)
-    got = empirical_log_rank(trace)
-    assert got.value == -math.inf
-    assert got.anomalies == 2
+    assert empirical_log_rank(trace) == -math.inf
+    assert trace.anomalies == 2
 
 
 def test_empirical_matches_direct_sum():
     g = random_hypergraph(200, 700, 3, seed=42)
     trace = sunflower_peel(g, 1)
     want = math.log(2) + sum(
-        gadget_log_weight(Sunflower(d, 3))
+        gadget_log_weight("sunflower", d=d, k=3)
         for d in trace.steps["params"][:, 0].tolist()) / g.n
-    assert empirical_log_rank(trace).value == pytest.approx(want)
+    assert empirical_log_rank(trace) == pytest.approx(want)
 
 
 def test_gadget_weights_computed_once_per_trace(tmp_path, monkeypatch):
     calls = []
 
-    def weight(spec):
-        calls.append(spec)
-        return gadget_log_weight(spec)
+    def weight(family, **params):
+        calls.append((family, tuple(params.items())))
+        return gadget_log_weight(family, **params)
 
     monkeypatch.setattr(peeling, "gadget_log_weight", weight)
     trace = nosegay_peel(random_hypergraph(60, 170, 3, seed=5), 1)
@@ -308,7 +306,7 @@ def test_trace_csv_format(tmp_path):
     assert len(rows) == 1 + len(trace.steps)
     for i, (row, (v, e, (d,), a)) in enumerate(zip(rows[1:], columns(trace))):
         assert row == [str(i), str(v), str(e), "sunflower", str(d),
-                       repr(gadget_log_weight(Sunflower(d, 3))), str(a)]
+                       repr(gadget_log_weight("sunflower", d=d, k=3)), str(a)]
 
 
 def test_trace_csv_nosegay_params(tmp_path):
@@ -322,4 +320,5 @@ def test_trace_csv_nosegay_params(tmp_path):
     for row, (_, _, (a, b, c), _) in zip(rows[1:], columns(trace)):
         assert row[3] == "nosegay-k"
         assert row[4] == f"{a};{b};{c}"
-        assert float(row[5]) == gadget_log_weight(NosegayK((a, b, c), 3))
+        assert float(row[5]) == gadget_log_weight("nosegay-k", dvec=(a, b, c),
+                                                  k=3)
