@@ -6,8 +6,10 @@ that clause density are unsatisfiable with high probability. The sunflower and
 nosegay bounds integrate an expectation under i.i.d. Poisson degrees along
 their peel's trajectory with one integrator, _poisson_integral. It builds the
 pmf in log space, so that terms survive large degrees, in blocks of at most
-_BLOCK_CELLS entries; its Simpson rule carries a Richardson error estimate
-(|S_N - S_{N/2}| / 15) that is reported, never silently trusted.
+_BLOCK_CELLS entries. Its grids are fixed: SUNFLOWER_PANELS = 4096 Simpson
+panels over peel time t, NOSEGAY_PANELS = 1000 over nu. On those grids the
+Simpson rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15) that
+is reported, never silently trusted.
 
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises
@@ -23,6 +25,7 @@ from math import ceil, inf, log, log1p, sqrt
 
 import numpy as np
 
+from .hypergraph import check_arity
 from .rank_oracle import check_memory
 
 LN2 = log(2.0)
@@ -30,6 +33,9 @@ LN2 = log(2.0)
 _BLOCK_CELLS = 1 << 20
 # what the ln(1 - y) series of the nosegay bound may leave out per vector
 SERIES_TAIL = 1e-17
+# Simpson panels over t (sunflower) and over nu (nosegay); multiples of 4
+# keep the half-resolution rule of the error estimate Simpson too
+SUNFLOWER_PANELS, NOSEGAY_PANELS = 4096, 1000
 
 
 @dataclass(frozen=True)
@@ -46,21 +52,13 @@ class BoundReport:
 def _check_model(alpha: float, k: int = 3) -> None:
     if not 0 < alpha < inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
 
 
 def _verdict(upper: float) -> str:
     """unsat-whp when the bound is negative even with its error estimate
     (value + quad_error) added."""
     return "unsat-whp" if upper < 0 else "inconclusive"
-
-
-def _even_panels(panels: int) -> int:
-    # multiples of 4 keep the half-resolution Simpson rule valid too
-    if panels < 4:
-        raise ValueError(f"need at least 4 quadrature panels, got {panels}")
-    return panels + (-panels) % 4
 
 
 def _simpson_weights(points: int, h: float) -> np.ndarray:
@@ -102,15 +100,15 @@ def _poisson_integral(lam: np.ndarray, lo: float, hi: float, d_max: int,
     return sums[0], abs(sums[0] - sums[1]) / 15.0
 
 
-def sunflower_degree_densities(d_max: int, alpha: float, k: int = 3,
-                               quadrature_points: int = 4096) -> np.ndarray:
+def sunflower_degree_densities(d_max: int, alpha: float,
+                               k: int = 3) -> np.ndarray:
     """a_d for d = 0..d_max: the limiting fraction of peeling steps whose
     sunflower has degree d, the integral over peel time t in [0, 1] of the
     Poisson pmf of mean k alpha t^(k-1)."""
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     _check_model(alpha, k)
-    t = np.linspace(0.0, 1.0, _even_panels(quadrature_points) + 1)
+    t = np.linspace(0.0, 1.0, SUNFLOWER_PANELS + 1)
     return _poisson_integral(k * alpha * t ** (k - 1), 0.0, 1.0, d_max,
                              lambda pmf: pmf)[0]
 
@@ -121,8 +119,8 @@ def _auto_dmax(alpha: float, k: int) -> int:
     return int(ceil(mean + 12.0 * sqrt(mean))) + 20
 
 
-def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
-                    quadrature_points: int = 4096) -> BoundReport:
+def sunflower_bound(alpha: float, k: int = 3,
+                    d_max: int | None = None) -> BoundReport:
     """ln 2 + sum_{d<=d_max} a_d (d ln(1 - 2^(1-k)) + ln(d/(2^k-2) + 1)).
 
     d_max=None takes _auto_dmax(alpha, k), far into the Poisson tail. The
@@ -135,21 +133,20 @@ def sunflower_bound(alpha: float, k: int = 3, d_max: int | None = None,
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     # the table, one pmf row and their temporaries: 65 B per degree measured
     check_memory(80 * (d_max + 1), "the sunflower degree table")
-    panels = _even_panels(quadrature_points)
     ds = np.arange(d_max + 1)
     table = np.stack([ds * log1p(-(2.0 ** (1 - k)))
                       + np.log(ds / float((1 << k) - 2) + 1.0),
                       np.ones(d_max + 1), ds], axis=1)
+    t = np.linspace(0.0, 1.0, SUNFLOWER_PANELS + 1)
     (total, mass, edge_mass), errors = _poisson_integral(
-        k * alpha * np.linspace(0.0, 1.0, panels + 1) ** (k - 1), 0.0, 1.0,
-        d_max, lambda pmf: pmf @ table)
+        k * alpha * t ** (k - 1), 0.0, 1.0, d_max, lambda pmf: pmf @ table)
     value, quad_error = LN2 + float(total), float(errors[0])
     return BoundReport(
         method="sunflower", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "d_max": int(d_max),
-            "quadrature_points": panels,
+            "quadrature_points": SUNFLOWER_PANELS,
             "density_mass": float(mass),
             "density_edge_mass": float(edge_mass),
         },
@@ -204,8 +201,8 @@ def _nosegay_expectation(k: int, truncation: int):
     return expectation
 
 
-def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
-                  quadrature_points: int = 1000) -> BoundReport:
+def nosegay_bound(alpha: float, k: int = 3,
+                  truncation: int | None = None) -> BoundReport:
     """ln 2 + (1/k) integral over nu of E[ln(N(d)/2^t)], the d_i i.i.d.
     Poisson of mean k mu/nu along nosegay_ode.
 
@@ -219,12 +216,9 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
         truncation = _auto_dmax(alpha, k)
     if truncation < 10:
         raise ValueError(f"truncation must be >= 10, got {truncation}")
-    if quadrature_points < 100:
-        raise ValueError(f"need >= 100 quadrature points, got {quadrature_points}")
     expectation = _nosegay_expectation(k, truncation)
-    panels = _even_panels(quadrature_points)
     c, nu0 = nosegay_ode(alpha, k)
-    nus = np.linspace(nu0, 1.0, panels + 1)
+    nus = np.linspace(nu0, 1.0, NOSEGAY_PANELS + 1)
     lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
     integral, error = _poisson_integral(lam, nu0, 1.0, truncation, expectation)
     value, quad_error = LN2 + float(integral) / k, float(error) / k
@@ -236,7 +230,7 @@ def nosegay_bound(alpha: float, k: int = 3, truncation: int | None = None,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
             "truncation": int(truncation),
-            "quadrature_points": panels,
+            "quadrature_points": NOSEGAY_PANELS,
             "nu0": nu0,
             # 1 - (1 - tail)^k, accurate at both ends
             "max_poisson_tail": tail * sum((1.0 - tail) ** i for i in range(k)),
@@ -265,9 +259,8 @@ def bisect_bracket(f, lo: float, hi: float,
     """
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo > 0 > f_hi:
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}"
-        )
+        raise ValueError(f"no sign change on [{lo}, {hi}]: "
+                         f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
@@ -287,28 +280,19 @@ def solve_b(precision: float = 1e-10) -> float:
 def single_clause_threshold(k: int) -> float:
     """Density above which independent single-clause factors already certify
     unsatisfiability: ln 2 / (-ln(1 - 2^(-k)))."""
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
     return LN2 / -log1p(-(2.0 ** (-k)))
 
 
-def bound(method: str, alpha: float, k: int = 3, *, d_max: int | None = None,
-          truncation: int | None = None,
-          quadrature_points: int | None = None) -> BoundReport:
-    """The "sunflower", "nosegay" or "general_k" bound at density alpha.
-
-    Each method reads only its own options; quadrature_points=None keeps
-    the method's default.
-    """
-    points = {} if quadrature_points is None else {
-        "quadrature_points": quadrature_points}
-    if method == "sunflower":
-        return sunflower_bound(alpha, k, d_max, **points)
-    if method == "nosegay":
-        return nosegay_bound(alpha, k, truncation, **points)
-    if method == "general_k":
-        return general_k_bound(alpha, k)
-    raise ValueError(f"unknown method {method!r}")
+def bound(method: str, alpha: float, k: int = 3, **options) -> BoundReport:
+    """The "sunflower", "nosegay" or "general_k" bound at density alpha,
+    given the method's own option: d_max, truncation or none."""
+    # looked up per call, so a rebound module attribute reaches every caller
+    methods = {"sunflower": sunflower_bound, "nosegay": nosegay_bound,
+               "general_k": general_k_bound}
+    if method not in methods:
+        raise ValueError(f"unknown method {method!r}")
+    return methods[method](alpha, k, **options)
 
 
 ROOT_PRECISION = 1e-4
@@ -316,27 +300,18 @@ ROOT_PRECISION = 1e-4
 _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 
 
-def threshold_root(method: str, k: int = 3, *, bracket=None,
-                   d_max: int | None = None,
-                   truncation: int | None = None,
-                   quadrature_points: int | None = None,
-                   precision: float = ROOT_PRECISION) -> float:
-    """A density at most `precision` above the zero crossing of the selected
-    bound plus its quad_error, at which that sum was evaluated negative: the
-    right end of the final bisection bracket.
-
-    The bracket must straddle the sign change: bound positive at the left
-    end, negative at the right end. Without one, the right end is a density
-    known to certify; elsewhere 2^k b + 1 lies above the general-k root,
-    which no sunflower or nosegay root exceeds.
-    """
-    if bracket is None:
-        right = _NEGATIVE_AT.get((method, k))
-        bracket = (0.5, (1 << k) * solve_b() + 1.0 if right is None else right)
+def threshold_root(method: str, k: int = 3, **options) -> float:
+    """A density at most ROOT_PRECISION above the zero crossing of the
+    selected bound plus its quad_error, at which that sum was evaluated
+    negative: the right end of the final bisection bracket. The bisection
+    starts from 0.5 and a density known to certify, _NEGATIVE_AT or else
+    2^k b + 1, above the general-k root and so above every root."""
+    right = _NEGATIVE_AT.get((method, k))
+    if right is None:
+        right = (1 << k) * solve_b() + 1.0
 
     def f(alpha: float) -> float:
-        report = bound(method, alpha, k, d_max=d_max, truncation=truncation,
-                       quadrature_points=quadrature_points)
+        report = bound(method, alpha, k, **options)
         return report.value + report.quad_error
 
-    return bisect_bracket(f, float(bracket[0]), float(bracket[1]), precision)[1]
+    return bisect_bracket(f, 0.5, right, ROOT_PRECISION)[1]

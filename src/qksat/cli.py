@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except RankInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(payload, sort_keys=True))

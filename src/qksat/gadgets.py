@@ -18,15 +18,16 @@ Families:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import inf, log, prod
+from math import inf, log, log10, prod
 
 import numpy as np
 
-from .hypergraph import Hypergraph, components
+from .hypergraph import Hypergraph, check_arity, components
 from .rank_oracle import DEFAULT_CAP
 
 LN2 = log(2.0)
@@ -53,8 +54,7 @@ def _check_counts(**counts: int) -> None:
 def sunflower_rank(d: int, k: int) -> GadgetRank:
     """S(d,k) = 2 M^d (d/(2M) + 1) with M = 2^(k-1) - 1; t = 1 + d(k-1)."""
     _check_counts(d=d)
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
     if d == 0:
         return _as_rank(2, 1)
     m = (1 << (k - 1)) - 1
@@ -71,8 +71,7 @@ def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
 def _check_dvec(dvec, k: int) -> tuple[int, ...]:
     """dvec as a tuple of k nonnegative ints, for arity k >= 2."""
     dvec = tuple(int(d) for d in dvec)
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
     if len(dvec) != k:
         raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
     _check_counts(**{f"d{i}": d for i, d in enumerate(dvec)})
@@ -147,19 +146,43 @@ FAMILIES = {
 }
 
 
+def _refuse_unprintable(family: str, params: dict) -> None:
+    """Refuse, before it is built, a sunflower or nosegay-k rank with more
+    decimal digits than an int prints. Either is M^e times a small factor,
+    M = 2^(k-1) - 1. Arguments that the closed form refuses are left to it."""
+    dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
+    if (family not in ("sunflower", "nosegay-k") or k < 2
+            or min(dvec, default=-1) < 0):
+        return
+    m, limit = (1 << (k - 1)) - 1, sys.get_int_max_str_digits()
+    if family == "sunflower":
+        e, factor = dvec[0] - 1, dvec[0] + 2 * m
+    else:
+        e = sum(dvec) - k
+        factor = prod(d + 2 * m for d in dvec) - prod(d + m for d in dvec)
+    # an e beyond float range raises OverflowError, an argument error too
+    digits = int(e * log10(m) + log10(factor)) + 1
+    if 0 < limit < digits:
+        raise ValueError(f"the {family} rank has about {digits:.0f} decimal "
+                         f"digits, more than the {limit} that an int prints")
+
+
 def gadget_rank(family: str, **params) -> GadgetRank:
     """Exact rank, vertex count t, and log-weight of a gadget: its FAMILIES
-    key and its closed form's arguments, as `qksat gadget` prints them."""
+    key and its closed form's arguments, as `qksat gadget` prints them. A
+    rank too long to print is refused before it is built."""
     if family not in FAMILIES:
         raise ValueError(f"unknown gadget family {family!r}")
+    _refuse_unprintable(family, params)
     return FAMILIES[family][0](**params)
 
 
 @lru_cache(maxsize=None)
 def gadget_log_weight(family: str, **params) -> float:
     """ln(rank) - t*ln2 in nats; -inf when the rank is 0. A dvec is passed
-    as a tuple, so that it can be hashed."""
-    return gadget_rank(family, **params).log_weight
+    as a tuple, so that it can be hashed. Ranks too long to print are fine
+    here: a nosegay peel at k = 8 takes ranks of some 16000 digits."""
+    return FAMILIES[family][0](**params).log_weight
 
 
 def _hanging(centers: np.ndarray, k: int, first: int) -> np.ndarray:
@@ -172,8 +195,7 @@ def _hanging(centers: np.ndarray, k: int, first: int) -> np.ndarray:
 def sunflower_graph(d: int, k: int) -> Hypergraph:
     """d petals of arity k around center 0; vertex count matches t."""
     _check_counts(d=d)
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
     return Hypergraph(1 + d * (k - 1), _hanging(np.zeros(d, np.int64), k, 1))
 
 

@@ -72,6 +72,11 @@ class Hypergraph:
         return set(np.unique(np.diff(self.offsets)).tolist())
 
 
+def check_arity(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"arity k must be >= 2, got {k}")
+
+
 @dataclass(frozen=True)
 class ComponentSummary:
     vertex_count: int
@@ -86,8 +91,7 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     distinct vertices with probability p < 2^-12. Deterministic given the
     seed, a plain int or a Generator; a float or bool seed raises TypeError.
     """
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    check_arity(k)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 0:

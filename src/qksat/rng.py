@@ -6,7 +6,7 @@ import numpy as np
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Build a PCG64 generator from a plain int seed or a SeedSequence.
+    """Build a PCG64 generator from a plain int seed.
 
     A Generator passes through unchanged, so callers can thread one RNG
     through a pipeline without reseeding. Any other seed, float and bool
@@ -14,8 +14,6 @@ def make_rng(seed) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(require_int_seed(seed))))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import qksat.analysis as analysis
 from qksat.analysis import (
     BoundReport,
     bound,
@@ -23,9 +24,8 @@ from qksat.gadgets import gadget_log_weight, nosegay_k_rank
 from support import nosegay_mu
 
 
-def sunflower_degree_density(d: int, alpha: float, k: int = 3,
-                             quadrature_points: int = 4096) -> float:
-    return float(sunflower_degree_densities(d, alpha, k, quadrature_points)[d])
+def sunflower_degree_density(d: int, alpha: float, k: int = 3) -> float:
+    return float(sunflower_degree_densities(d, alpha, k)[d])
 
 
 def log_lower_incomplete_gamma(s: float, x: float) -> float:
@@ -74,11 +74,12 @@ def test_density_matches_scipy_quadrature():
             assert got == pytest.approx(want, rel=1e-8), (alpha, k, d)
 
 
-def test_density_matches_incomplete_gamma_form():
+def test_density_matches_incomplete_gamma_form(monkeypatch):
     # at k = 3, a_d = gamma(d + 1/2, 3 alpha) / (2 d! sqrt(3 alpha))
+    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 16384)
     alpha = 3.894
     x = 3.0 * alpha
-    dens = sunflower_degree_densities(100, alpha, 3, quadrature_points=16384)
+    dens = sunflower_degree_densities(100, alpha, 3)
     for d in range(101):
         lg = log_lower_incomplete_gamma(d + 0.5, x)
         want = math.exp(lg - math.lgamma(d + 1)) / (2.0 * math.sqrt(x))
@@ -100,8 +101,6 @@ def test_density_validation():
         sunflower_degree_densities(5, 0.0)
     with pytest.raises(ValueError):
         sunflower_degree_densities(5, 1.0, k=1)
-    with pytest.raises(ValueError):
-        sunflower_degree_densities(5, 1.0, quadrature_points=2)
 
 
 def test_sunflower_bound_headline():
@@ -216,11 +215,11 @@ def test_max_poisson_tail_is_the_dropped_mass():
 def test_integrator_blocks_do_not_change_results(monkeypatch, rows):
     # one grid row per block, or 7-row blocks that split 4097, 1005 and
     # 4097 grid points unevenly, against the default single block
-    import qksat.analysis as analysis
+    monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 1004)
 
     def run():
         sun = sunflower_bound(3.894, 3, d_max=100)
-        nose = nosegay_bound(3.594, truncation=50, quadrature_points=1004)
+        nose = nosegay_bound(3.594, truncation=50)
         dens = sunflower_degree_densities(60, 3.894)
         return [sun.value, sun.quad_error, nose.value, nose.quad_error], dens
 
@@ -264,8 +263,6 @@ def test_nosegay_bound_validation():
         nosegay_bound(0.0)
     with pytest.raises(ValueError):
         nosegay_bound(3.5, truncation=5)
-    with pytest.raises(ValueError):
-        nosegay_bound(3.5, quadrature_points=50)
 
 
 def test_bounds_refuse_non_finite_alpha():
@@ -318,32 +315,36 @@ def test_threshold_roots():
     assert abs(general_k_bound(root_g3, 3).value) < 1e-3
 
 
-def test_threshold_root_nosegay():
-    root = threshold_root("nosegay", 3, truncation=30, quadrature_points=400)
+def test_threshold_root_nosegay(monkeypatch):
+    monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 400)
+    root = threshold_root("nosegay", 3, truncation=30)
     assert 3.55 < root <= 3.594
     assert nosegay_bound(root + 0.01, truncation=30).value < 0
 
 
-def test_verdict_and_root_count_quad_error():
+def test_verdict_and_root_count_quad_error(monkeypatch):
     # four panels: the value is negative, but not by more than its error
-    report = bound("sunflower", 3.894, quadrature_points=4)
+    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 4)
+    report = bound("sunflower", 3.894)
     assert report.value == pytest.approx(-1.47e-4, abs=1e-6)
     assert report.quad_error == pytest.approx(1.64e-4, abs=1e-6)
     assert report.verdict == "inconclusive"
-    root = threshold_root("sunflower", 3, bracket=(3.8, 4.0),
-                          quadrature_points=4)
-    at_root = bound("sunflower", root, quadrature_points=4)
+    monkeypatch.setitem(analysis._NEGATIVE_AT, ("sunflower", 3), 4.0)
+    root = threshold_root("sunflower", 3)
+    at_root = bound("sunflower", root)
     assert at_root.value + at_root.quad_error < 0
     assert at_root.verdict == "unsat-whp"
 
 
-def test_threshold_root_validation():
+def test_threshold_root_validation(monkeypatch):
     with pytest.raises(ValueError):
         threshold_root("bogus")
     with pytest.raises(ValueError):
         threshold_root("nosegay", 1)
-    with pytest.raises(ValueError):
-        threshold_root("sunflower", 3, bracket=(4.0, 5.0))
+    # a bracket with no sign change: the bound is positive at both ends
+    monkeypatch.setitem(analysis._NEGATIVE_AT, ("sunflower", 3), 3.5)
+    with pytest.raises(ValueError, match="no sign change"):
+        threshold_root("sunflower", 3)
 
 
 def test_incomplete_gamma_series():

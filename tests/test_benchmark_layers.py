@@ -1,5 +1,5 @@
 """The benchmark's span wrappers still find every name they wrap, and traced
-oracle and peel passes still call the wrapped names."""
+oracle, peel and bounds passes still call the wrapped names."""
 
 import json
 import os
@@ -12,9 +12,9 @@ from support import write_hypergraph
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# installs the wrappers, runs both rank modes, a small verify and a traced
-# peel per gadget with spans on, and prints the span names and the per-layer
-# metrics on the last line
+# installs the wrappers, runs both rank modes, a small verify, a traced peel
+# per gadget, a threshold and two bounds with spans on, and prints the span
+# names and the per-layer metrics on the last line
 TRACED_PASS = """
 import contextlib, io, json, sys
 import layers, spans
@@ -28,6 +28,9 @@ runs = [["rank", "--graph", sys.argv[1], "--mode", "field"],
 runs += [["peel", "--n", "300", "--alpha", "3.0", "--gadget", gadget,
           "--seed", "0", "--trace", sys.argv[2]]
          for gadget in ("sunflower", "nosegay")]
+runs += [["threshold", "general-k", "--k", "4"],
+         ["bound", "sunflower", "--alpha", "3.9"],
+         ["bound", "nosegay", "--alpha", "3.7"]]
 for op, argv in enumerate(runs):
     tracer.op = op
     with contextlib.redirect_stdout(io.StringIO()):
@@ -60,10 +63,15 @@ def test_benchmark_layers_install(tmp_path):
                  # the gadget table must look these up when called, or
                  # gadgets.closed_form.busy_s reads 0
                  "gadgets.sunflower_rank", "gadgets.sunflower_graph",
-                 "gadgets.nosegay_hang_rank", "gadgets.k2_rank"):
+                 "gadgets.nosegay_hang_rank", "gadgets.k2_rank",
+                 # analysis.bound must look these up when called, or the
+                 # analysis.*_bound.calls read 0
+                 "analysis.threshold_root", "analysis.sunflower_bound",
+                 "analysis.nosegay_bound"):
         assert name in traced["names"], name
     metrics = traced["metrics"]
     assert metrics["modlin.rank_mod.calls"] > 0
     assert metrics["rank_oracle.generic_rank_field.calls"] > 0
     assert metrics["rank_oracle.constraint_matrix.busy_s"] > 0
     assert metrics["peeling.steps"] > 0
+    assert metrics["analysis.threshold_root.evaluations_per_root"] > 0

@@ -140,6 +140,33 @@ def test_gadget_commands(capsys):
     assert tree["log_weight"] == pytest.approx(math.log(4) - 3 * math.log(2))
 
 
+def test_gadget_refuses_ranks_too_long_to_print(capsys, monkeypatch):
+    import qksat.gadgets as gadgets
+
+    # (2998, 3000, 3000) has 4300 digits, Python's default int print limit
+    edge = run_json(capsys, "gadget", "nosegay-k", "--dvec", "2998,3000,3000")
+    assert len(str(edge["rank"])) == 4300
+
+    def unreachable(*args):
+        raise AssertionError("the rank was built before the refusal")
+
+    # 4775 and 4301 digits
+    for argv in [("gadget", "sunflower", "--d", "10000", "--k", "3"),
+                 ("gadget", "nosegay-k", "--dvec", "3000,3000,3000")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(gadgets, "sunflower_rank", unreachable)
+            patch.setattr(gadgets, "nosegay_k_rank", unreachable)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and "decimal digits" in err, argv
+    # the peel's log-weights take such ranks: 3^8997 (3006^3 - 3003^3) over
+    # 2^18003
+    want = (8997 * math.log(3) + math.log(3006 ** 3 - 3003 ** 3)
+            - 18003 * math.log(2))
+    assert gadgets.gadget_log_weight(
+        "nosegay-k", dvec=(3000, 3000, 3000), k=3) == pytest.approx(want)
+
+
 def test_readme_gadget_and_bound_examples_run(capsys):
     # every `qksat gadget|bound ...` line of the README's sh blocks
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -435,6 +462,33 @@ def test_threshold_general_k(capsys):
     payload = run_json(capsys, "threshold", "general-k", "--k", "3")
     assert payload["method"] == "general_k"
     assert 4.2 < payload["root"] < 4.35
+
+
+# the bounds commands of the threshold benchmark and the README, with the
+# sha256 of their stdout
+GOLDEN_BOUNDS = [
+    (("threshold", "nosegay", "--trunc", "25"), "c27df68f8ae78c00"),
+    (("threshold", "sunflower"), "7f647725cd39b68a"),
+    (("threshold", "general-k", "--k", "4"), "ee0189966097e50e"),
+    (("threshold", "general-k", "--k", "5"), "24faba9074e0611b"),
+    (("threshold", "general-k", "--k", "6"), "6c5321b6d05421b8"),
+    (("threshold", "general-k", "--k", "7"), "dce24ee977c7c3dc"),
+    (("threshold", "general-k", "--k", "8"), "17313191bca52edd"),
+    (("bound", "nosegay", "--alpha", "3.594"), "bbd3cf12d5e2c65c"),
+    (("bound", "nosegay", "--alpha", "3.65"), "4ff493f6b4f95c24"),
+    (("bound", "nosegay", "--alpha", "3.7"), "663fc5a5d3af7c8c"),
+    (("bound", "nosegay", "--alpha", "3.8"), "5d85bf5d4a8b2b47"),
+    (("bound", "sunflower", "--alpha", "3.894"), "1e65e7e9b5d446f4"),
+    (("threshold", "nosegay"), "c2a1edcda611164d"),
+]
+
+
+def test_bounds_golden(capsys):
+    # pinned byte for byte: values, quad errors, roots and echoed params
+    for argv, digest in GOLDEN_BOUNDS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
 def test_json_is_sorted_and_stable(capsys):
