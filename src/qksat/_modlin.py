@@ -57,11 +57,11 @@ def matmul_mod(left, right, acc):
     return _reduce(prod, out=acc)
 
 
-def _rank(a: np.ndarray, nb: int = NB) -> int:
+def _rank(a: np.ndarray) -> int:
     """Row rank of a reduced float64 matrix with rows >= cols, which it
     overwrites.
 
-    Left-looking within each panel of nb columns: column c is brought up to
+    Left-looking within each panel of NB columns: column c is brought up to
     date by one matrix-vector product with the panel's earlier pivots, and
     so is each pivot row, out to the last column (normalized by its
     pivot). Only reduced entries reach the pivot search and the inverses.
@@ -69,10 +69,10 @@ def _rank(a: np.ndarray, nb: int = NB) -> int:
     """
     rows, cols = a.shape
     r = 0
-    for c0 in range(0, cols, nb):
+    for c0 in range(0, cols, NB):
         if r == rows:
             break
-        c1 = min(c0 + nb, cols)
+        c1 = min(c0 + NB, cols)
         r0 = r
         # negated multipliers of the panel's pivots, rows r0.. of a
         lmul = np.zeros((rows - r0, c1 - c0), order="F")

@@ -249,9 +249,8 @@ def general_k_bound(alpha: float, k: int) -> BoundReport:
                        value=value, verdict=_verdict(value))
 
 
-def bisect_bracket(f, lo: float, hi: float,
-                   precision: float) -> tuple[float, float]:
-    """Shrink [lo, hi] by bisection until it is at most `precision` wide.
+def bisect_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Shrink [lo, hi] by bisection until it is at most `width` wide.
 
     f must be positive at lo and negative at hi; the returned bracket keeps
     f(lo) >= 0 > f(hi), so hi is a point where f was evaluated negative (or
@@ -261,7 +260,7 @@ def bisect_bracket(f, lo: float, hi: float,
     if not f_lo > 0 > f_hi:
         raise ValueError(f"no sign change on [{lo}, {hi}]: "
                          f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
-    while hi - lo > precision:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             hi = mid
@@ -270,10 +269,9 @@ def bisect_bracket(f, lo: float, hi: float,
     return lo, hi
 
 
-def solve_b(precision: float = 1e-10) -> float:
-    """Unique positive root of ln 2 - 2b + ln(b + 1) = 0, by bisection."""
-    lo, hi = bisect_bracket(lambda b: LN2 - 2.0 * b + log1p(b), 0.0, 2.0,
-                            precision)
+def solve_b() -> float:
+    """Unique positive root of ln 2 - 2b + ln(b + 1) = 0, bisected to 1e-10."""
+    lo, hi = bisect_bracket(lambda b: LN2 - 2.0 * b + log1p(b), 0.0, 2.0, 1e-10)
     return 0.5 * (lo + hi)
 
 

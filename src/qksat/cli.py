@@ -16,7 +16,7 @@ from math import isfinite
 
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
-from .rank_oracle import (DEFAULT_CAP, DEFAULT_TOLERANCE, RankInstabilityError,
+from .rank_oracle import (DEFAULT_CAP, TOLERANCE, RankInstabilityError,
                           check_memory, constraint_rows, field_trials,
                           generic_rank_field, min_rank_float)
 from ._modlin import P
@@ -39,8 +39,6 @@ def _cmd_rank(args) -> tuple[int, dict]:
         "seed": args.seed,
     }
     if args.mode == "field":
-        if args.tolerance is not None:
-            raise ValueError("rank --mode field does not read --tolerance")
         trials = (args.trials if args.trials is not None
                   else field_trials(constraint_rows(g), g.n))
         result = generic_rank_field(g, trials=trials, seed=args.seed, cap=cap)
@@ -48,11 +46,8 @@ def _cmd_rank(args) -> tuple[int, dict]:
                        failure_bound=result.failure_bound)
     else:
         samples = args.trials if args.trials is not None else 3
-        tolerance = (args.tolerance if args.tolerance is not None
-                     else DEFAULT_TOLERANCE)
-        result = min_rank_float(g, samples=samples, tolerance=tolerance,
-                                seed=args.seed, cap=cap)
-        payload.update(trials=samples, tolerance=tolerance)
+        result = min_rank_float(g, samples=samples, seed=args.seed, cap=cap)
+        payload.update(trials=samples, tolerance=TOLERANCE)
     payload.update(rank=result.rank, backend=result.backend,
                    confidence=_json_float(result.confidence))
     return 0, payload
@@ -212,9 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="field trials (default: the fewest whose "
                         "failure_bound is <= 2^-40) / float samples "
                         "(default 3)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative singular-value cutoff (float mode only; "
-                        f"default {DEFAULT_TOLERANCE:g})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="lift the qubit cap (memory grows as m*4^n)")

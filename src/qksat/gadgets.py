@@ -45,10 +45,16 @@ def _as_rank(rank: int, t: int) -> GadgetRank:
     return GadgetRank(int(rank), t, w)
 
 
+# a gadget's counts index the int64 arrays of its graph
+MAX_COUNT = 2 ** 63
+
+
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+        if value >= MAX_COUNT:
+            raise ValueError(f"{name} must be below 2^63")
 
 
 def sunflower_rank(d: int, k: int) -> GadgetRank:
@@ -108,6 +114,7 @@ def k2_component_rank(vertex_count: int, edge_count: int) -> int:
     orthocomplement of m generic vectors in the 4-dimensional two-qubit
     space; anything denser gives 0.
     """
+    _check_counts(vertices=vertex_count, edges=edge_count)
     n, m = vertex_count, edge_count
     if n < 1 or m < max(0, n - 1):
         raise ValueError(f"not a connected component: n={n}, m={m}")
@@ -152,7 +159,7 @@ def _refuse_unprintable(family: str, params: dict) -> None:
     M = 2^(k-1) - 1. Arguments that the closed form refuses are left to it."""
     dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
     if (family not in ("sunflower", "nosegay-k") or k < 2
-            or min(dvec, default=-1) < 0):
+            or min(dvec, default=-1) < 0 or max(dvec) >= MAX_COUNT):
         return
     m, limit = (1 << (k - 1)) - 1, sys.get_int_max_str_digits()
     if family == "sunflower":
@@ -160,7 +167,6 @@ def _refuse_unprintable(family: str, params: dict) -> None:
     else:
         e = sum(dvec) - k
         factor = prod(d + 2 * m for d in dvec) - prod(d + m for d in dvec)
-    # an e beyond float range raises OverflowError, an argument error too
     digits = int(e * log10(m) + log10(factor)) + 1
     if 0 < limit < digits:
         raise ValueError(f"the {family} rank has about {digits:.0f} decimal "

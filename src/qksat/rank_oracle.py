@@ -10,12 +10,13 @@ Both backends run one trial loop, `_trial_ranks`, through one float64
 builder, `constraint_matrix`; only the entries and the rank kernel differ:
 
 - float: a clause's entries are a real Gaussian vector, normalized; singular
-  values above a tolerance cut count the rows. Real entries reach the generic
-  rank over C: with entries w = conj(v), a nonzero R x R minor is a nonzero
-  polynomial p(w) over C, which cannot vanish on all of R^N, so its real zero
-  set has measure zero, and a real Gaussian w attains the generic row rank
-  with probability 1. The price is a heavier tail of small singular values,
-  P(sigma < eps) ~ eps, not eps^2 (README, "Numerical notes");
+  values above the fixed cut TOLERANCE = 1e-9 times the largest count the
+  rows. Real entries reach the generic rank over C: with entries w = conj(v),
+  a nonzero R x R minor is a nonzero polynomial p(w) over C, which cannot
+  vanish on all of R^N, so its real zero set has measure zero, and a real
+  Gaussian w attains the generic row rank with probability 1. The price is
+  a heavier tail of small singular values, P(sigma < eps) ~ eps, not eps^2
+  (README, "Numerical notes");
 - field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`),
   the independent check of the float rank.
 
@@ -44,7 +45,7 @@ from .hypergraph import Hypergraph
 from .rng import child_rng, require_int_seed
 
 DEFAULT_CAP = 13
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 # default field trials make a wrong rank at most 2^-FAILURE_LOG2 likely
 FAILURE_LOG2 = 40
 CONFIDENCE_FLOOR = 10.0
@@ -82,20 +83,10 @@ def clause_columns(edge, n: int) -> np.ndarray:
     """
     k = len(edge)
     rest = [v for v in range(n) if v not in edge]
-    ys = np.arange(1 << (n - k), dtype=np.uint64)
-    base = np.zeros(1 << (n - k), dtype=np.uint64)
-    for j, v in enumerate(rest):
-        base |= ((ys >> np.uint64(j)) & np.uint64(1)) << np.uint64(v)
-    xs = np.arange(1 << k, dtype=np.uint64)
-    offset = np.zeros(1 << k, dtype=np.uint64)
-    for j, v in enumerate(edge):
-        offset |= ((xs >> np.uint64(j)) & np.uint64(1)) << np.uint64(v)
-    return base[:, None] | offset[None, :]
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the cap {cap}; pass a larger cap to force")
+    # axis i of the (2,) * n index array holds the bit of vertex n - 1 - i
+    axes = [n - 1 - v for v in (*rest[::-1], *edge[::-1])]
+    return (np.arange(1 << n).reshape((2,) * n).transpose(axes)
+            .reshape(1 << (n - k), 1 << k))
 
 
 def check_memory(nbytes: int, what: str) -> None:
@@ -134,11 +125,20 @@ def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
     return a
 
 
-def _trial_ranks(g: Hypergraph, trials: int, seed, draw, rank) -> list:
+def _trial_ranks(g: Hypergraph, trials: int, seed, cap: int, matrices: int,
+                 draw, rank) -> list:
     """rank(constraint matrix) of each of `trials` independent adornments;
     trial t draws each clause's entries, in edge order, as
-    draw(child_rng(seed, t), 2^k). One matrix is alive at a time."""
+    draw(child_rng(seed, t), 2^k). One matrix is alive at a time. Refuses,
+    before any draw, a seed that is not an int, trials < 1, n above cap and
+    `matrices` float64 copies of the matrix beyond physical memory."""
     seed = require_int_seed(seed)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if g.n > cap:
+        raise ValueError(f"n={g.n} exceeds the cap {cap}; pass a larger cap to force")
+    check_memory(matrices * 8 * constraint_rows(g) << g.n,
+                 f"a rank trial ({matrices} copies of the constraint matrix)")
     # the same clause layout serves every trial
     layout = [clause_columns(e, g.n) for e in g.edges]
     ranks = []
@@ -155,17 +155,16 @@ def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def generic_rank_float(a: np.ndarray,
-                       tolerance: float = DEFAULT_TOLERANCE) -> RankResult:
+def generic_rank_float(a: np.ndarray) -> RankResult:
     """Satisfying-subspace dimension of one constraint matrix.
 
-    Singular values below tolerance * max count as zero; confidence is the
+    Singular values below TOLERANCE * max count as zero; confidence is the
     ratio of the singular values on either side of that cut.
     """
     if a.shape[0] == 0:
         return RankResult(a.shape[1], "float", float("inf"))
     sv = np.linalg.svd(a, compute_uv=False)
-    row_rank = int((sv > tolerance * sv[0]).sum())
+    row_rank = int((sv > TOLERANCE * sv[0]).sum())
     gap = 0 < row_rank < sv.size and sv[row_rank] > 0
     confidence = float(sv[row_rank - 1] / sv[row_rank]) if gap else float("inf")
     if confidence < CONFIDENCE_FLOOR:
@@ -173,20 +172,13 @@ def generic_rank_float(a: np.ndarray,
     return RankResult(a.shape[1] - row_rank, "float", confidence)
 
 
-def min_rank_float(g: Hypergraph, samples: int = 3,
-                   tolerance: float = DEFAULT_TOLERANCE, seed=0,
+def min_rank_float(g: Hypergraph, samples: int = 3, seed=0,
                    cap: int = DEFAULT_CAP) -> RankResult:
     """Least generic_rank_float over independently adorned samples; a
     degenerate sample can only overstate the dimension."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_cap(g.n, cap)
-    if not 0.0 < tolerance < 1e-3:
-        raise ValueError(f"tolerance must lie in (0, 1e-3), got {tolerance}")
-    # the float64 matrix and the copy that LAPACK factors
-    check_memory(2 * 8 * constraint_rows(g) << g.n, "the float rank")
-    results = _trial_ranks(g, samples, seed, _unit_vector,
-                           lambda a: generic_rank_float(a, tolerance))
+    # two matrices: the float64 matrix and the copy that LAPACK factors
+    results = _trial_ranks(g, samples, seed, cap, 2, _unit_vector,
+                           generic_rank_float)
     return min(results, key=lambda res: res.rank)
 
 
@@ -201,18 +193,13 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     field_trials(rows, n), which makes that at most 2^-40. Confidence
     reports how many trials attained the maximum.
     """
-    n = g.n
-    _check_cap(n, cap)
     rows = constraint_rows(g)
-    # the float64 matrix, the working copy that the elimination reduces and
-    # the product of its first block update
-    check_memory(3 * 8 * rows << n, "the field rank")
     if trials is None:
-        trials = field_trials(rows, n)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    ranks = _trial_ranks(g, trials, seed, rand_mod, rank_mod)
+        trials = field_trials(rows, g.n)
+    # three matrices: the float64 matrix, the elimination's working copy and
+    # the product of its first block update
+    ranks = _trial_ranks(g, trials, seed, cap, 3, rand_mod, rank_mod)
     best = max(ranks)
-    d = min(rows, 1 << n)
-    return RankResult((1 << n) - best, "field", float(ranks.count(best)),
+    d = min(rows, 1 << g.n)
+    return RankResult((1 << g.n) - best, "field", float(ranks.count(best)),
                       failure_bound=d ** trials / P ** trials)

@@ -111,8 +111,7 @@ def clause_rows_by_kron(edge, n: int, w: np.ndarray) -> np.ndarray:
     return t.reshape(m.shape[0], 1 << n)
 
 
-def complex_adorned_rank(g: Hypergraph, samples: int = 3,
-                         tolerance: float = 1e-9, seed: int = 0) -> int:
+def complex_adorned_rank(g: Hypergraph, samples: int = 3, seed: int = 0) -> int:
     """Least float rank over `samples` complex adornments, trial t drawing
     each clause's entries in edge order from child_rng(seed, t): the complex
     reference for the real-adorned min_rank_float."""
@@ -122,7 +121,7 @@ def complex_adorned_rank(g: Hypergraph, samples: int = 3,
         blocks = [clause_rows_by_kron(e, g.n, complex_unit_vector(rng, 1 << len(e)))
                   for e in g.edges]
         a = np.concatenate(blocks) if blocks else np.zeros((0, 1 << g.n))
-        best = min(best, generic_rank_float(a, tolerance).rank)
+        best = min(best, generic_rank_float(a).rank)
     return best
 
 

@@ -10,6 +10,7 @@ from scipy import integrate
 import qksat.analysis as analysis
 from qksat.analysis import (
     BoundReport,
+    bisect_bracket,
     bound,
     general_k_bound,
     nosegay_bound,
@@ -291,7 +292,9 @@ def test_solve_b():
     b = solve_b()
     assert b == pytest.approx(0.573, abs=1e-3)
     assert abs(math.log(2) - 2 * b + math.log1p(b)) < 1e-9
-    assert solve_b(precision=1e-6) == pytest.approx(b, abs=1e-5)
+    lo, hi = bisect_bracket(lambda x: math.log(2) - 2 * x + math.log1p(x),
+                            0.0, 2.0, 1e-6)
+    assert hi - lo <= 1e-6 and lo <= b <= hi
 
 
 def test_single_clause_threshold():

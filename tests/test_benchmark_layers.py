@@ -58,6 +58,10 @@ def test_benchmark_layers_install(tmp_path):
     traced = json.loads(proc.stdout.splitlines()[-1])
     for name in ("rank_oracle.constraint_matrix",
                  "rank_oracle.generic_rank_float", "modlin.rank_mod",
+                 # _trial_ranks must look these up when called, or
+                 # clause_columns.calls and child_rng.calls read 0
+                 "rank_oracle.clause_columns", "modlin.rand_mod",
+                 "rng.child_rng",
                  "hypergraph.random_hypergraph", "peeling.sunflower_peel",
                  "peeling.nosegay_peel", "peeling.write_trace_csv",
                  # the gadget table must look these up when called, or
@@ -71,6 +75,8 @@ def test_benchmark_layers_install(tmp_path):
         assert name in traced["names"], name
     metrics = traced["metrics"]
     assert metrics["modlin.rank_mod.calls"] > 0
+    assert metrics["rank_oracle.clause_columns.calls"] > 0
+    assert metrics["rng.child_rng.calls"] > 0
     assert metrics["rank_oracle.generic_rank_field.calls"] > 0
     assert metrics["rank_oracle.constraint_matrix.busy_s"] > 0
     assert metrics["peeling.steps"] > 0

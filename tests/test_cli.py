@@ -18,7 +18,8 @@ import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P
 from qksat.hypergraph import Hypergraph
 from qksat.rank_oracle import RankInstabilityError
-from support import write_hypergraph
+from qksat.rng import make_rng
+from support import random_mixed_graph, write_hypergraph
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,20 @@ def test_gadget_commands(capsys):
     assert tree["log_weight"] == pytest.approx(math.log(4) - 3 * math.log(2))
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("nosegay-hang", "--a", str(10 ** 2000), "--b", "1", "--c", "1"), "a"),
+    (("sunflower", "--d", str(10 ** 400)), "d"),
+    (("k2", "--vertices", str(10 ** 400), "--edges", str(10 ** 400 - 1)),
+     "vertices"),
+    (("nosegay-k", "--dvec", f"{10 ** 400},0,0"), "d0"),
+], ids=["nosegay-hang", "sunflower", "k2", "nosegay-k"])
+def test_gadget_refuses_huge_counts_by_name(capsys, argv, name):
+    # a count beyond float range is refused by its option's name
+    code, out, err = run_cli(capsys, "gadget", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be below 2^63\n"
+
+
 def test_gadget_refuses_ranks_too_long_to_print(capsys, monkeypatch):
     import qksat.gadgets as gadgets
 
@@ -223,17 +238,15 @@ def test_rank_modes(tmp_path, capsys):
 
 
 def test_rank_field_refuses_tolerance(tmp_path, capsys):
-    # --tolerance is the float cutoff; field mode would ignore it
+    # the float cut is fixed at 1e-9, so neither mode takes --tolerance
     path = tmp_path / "triangle.hg"
     write_hypergraph(Hypergraph(3, [(0, 1, 2)]), path)
-    for value in ("0.5", "1e-9"):
-        code, out, err = run_cli(capsys, "rank", "--graph", str(path),
-                                 "--mode", "field", "--tolerance", value)
-        assert code == 2 and out == ""
-        assert "--tolerance" in err
-    fl = run_json(capsys, "rank", "--graph", str(path), "--mode", "float",
-                  "--tolerance", "1e-6")
-    assert fl["tolerance"] == 1e-6 and fl["rank"] == 7
+    for mode in ("field", "float"):
+        for value in ("0.5", "1e-9"):
+            code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                     "--mode", mode, "--tolerance", value)
+            assert code == 2 and out == ""
+            assert "--tolerance" in err
 
 
 def test_rank_instability_exits_one(tmp_path, capsys, monkeypatch):
@@ -489,6 +502,35 @@ def test_bounds_golden(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
+# README's two graph files and four random mixed-arity graphs (n, m, seed of
+# random_mixed_graph), ranked in each mode, with the sha256 of the exit codes
+# and stdout of the six runs
+RANK_GRAPHS = {
+    "clause.txt": Hypergraph(3, [(0, 1, 2)]),
+    "mixed.txt": Hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)]),
+    **{f"mixed{n}.txt": random_mixed_graph(n, m, make_rng(seed))
+       for n, m, seed in [(4, 3, 1), (6, 6, 2), (8, 7, 3), (10, 8, 4)]},
+}
+GOLDEN_RANKS = [
+    (("--mode", "field"), "ef5afeaf0198eea0"),
+    (("--mode", "float"), "e9dec344d3e14173"),
+    (("--mode", "float", "--seed", "3", "--trials", "5"), "de9522418052ca10"),
+]
+
+
+@pytest.mark.parametrize("mode, digest", GOLDEN_RANKS,
+                         ids=[" ".join(case[0]) for case in GOLDEN_RANKS])
+def test_rank_golden(tmp_path, capsys, monkeypatch, mode, digest):
+    # pinned byte for byte: ranks, confidences, trial counts and bounds
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for name, g in RANK_GRAPHS.items():
+        write_hypergraph(g, name)
+        code, out, err = run_cli(capsys, "rank", "--graph", name, *mode)
+        runs.append(f"{code} {out}")
+    assert hashlib.sha256("".join(runs).encode()).hexdigest()[:16] == digest, runs
 
 
 def test_json_is_sorted_and_stable(capsys):

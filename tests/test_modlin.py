@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qksat._modlin as _modlin
 from qksat._modlin import (NB, P, _rank, _reduce, inv_mod, matmul_mod,
                            rand_mod, rank_mod)
 
@@ -122,10 +123,12 @@ def test_matmul_mod_shape_checks():
     assert empty.tolist() == [[5.0] * 3] * 2
 
 
-def _kernel_rank(a, nb=NB):
-    """_rank on a column-major copy, tall side down, as rank_mod calls it."""
+def _kernel_rank(monkeypatch, a, nb):
+    """_rank with panels nb wide, on a column-major copy, tall side down, as
+    rank_mod calls it."""
+    monkeypatch.setattr(_modlin, "NB", nb)
     a = np.asarray(a, dtype=np.float64)
-    return _rank(np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T), nb)
+    return _rank(np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T))
 
 
 def test_rank_paths_agree_on_planted_rank():
@@ -140,7 +143,7 @@ def test_rank_paths_agree_on_planted_rank():
             assert _rank_object(a) == r
 
 
-def test_rank_panel_widths_around_nb():
+def test_rank_panel_widths_around_nb(monkeypatch):
     # widths nb - 1, nb and nb + 1, full rank and deficient, tall and wide
     rng = np.random.default_rng(11)
     for width in (NB - 1, NB, NB + 1):
@@ -151,15 +154,15 @@ def test_rank_panel_widths_around_nb():
     for nb in (7, 8, 9):
         for r in (8, 5):
             a = _planted(rng, 40, 8, r)
-            assert _kernel_rank(a, nb) == r == _rank_object(a)
+            assert _kernel_rank(monkeypatch, a, nb) == r == _rank_object(a)
 
 
-def test_rank_blocked_small_block_size():
+def test_rank_blocked_small_block_size(monkeypatch):
     # a tiny nb forces many panels and the cross-panel updates
     rng = np.random.default_rng(6)
     a = _planted(rng, 120, 95, 33)
     for nb in (1, 2, 7):
-        assert _kernel_rank(a, nb) == 33
+        assert _kernel_rank(monkeypatch, a, nb) == 33
 
 
 def test_rank_full_block_worst_case_magnitudes():
@@ -185,7 +188,7 @@ def test_rank_degenerate_patterns():
     assert rank_mod(np.vstack([z.T, c.T, z.T])) == 70
 
 
-def test_rank_degenerate_entry_distribution():
+def test_rank_degenerate_entry_distribution(monkeypatch):
     # many zeros and extreme entries stress pivot search and row swaps
     rng = np.random.default_rng(8)
     vals = np.array([0, 0, 0, 1, -1, H, -H], dtype=np.float64)
@@ -195,7 +198,7 @@ def test_rank_degenerate_entry_distribution():
         want = _rank_object(a)
         assert rank_mod(a) == want
         for nb in (1, 3):
-            assert _kernel_rank(a, nb) == want
+            assert _kernel_rank(monkeypatch, a, nb) == want
 
 
 def test_rank_object_path_other_prime():

@@ -1,10 +1,12 @@
 """Tests for the float and finite-field generic-rank backends."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
@@ -82,14 +84,19 @@ def test_constraint_matrix_row_layout():
 
 def test_constraint_matrix_matches_kron_reference():
     # the scatter through clause_columns equals the complex reference's
-    # kron-and-transpose rows, clause by clause, in the same row order
-    g = random_mixed_graph(6, 7, make_rng(8))
+    # kron-and-transpose rows, clause by clause, in the same row order: on a
+    # random mixed graph, and with one clause on every k-subset, k = 2..n
+    every_subset = [Hypergraph(n, [e for k in range(2, n + 1)
+                                   for e in itertools.combinations(range(n), k)])
+                    for n in range(2, 7)]
     rng = make_rng(6)
-    vectors = [_unit_vector(rng, 1 << len(e)) for e in g.edges]
-    a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges], vectors)
-    want = np.concatenate([clause_rows_by_kron(e, g.n, v)
-                           for e, v in zip(g.edges, vectors)])
-    assert np.array_equal(a, want)
+    for g in [random_mixed_graph(6, 7, make_rng(8)), *every_subset]:
+        vectors = [_unit_vector(rng, 1 << len(e)) for e in g.edges]
+        a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges],
+                              vectors)
+        want = np.concatenate([clause_rows_by_kron(e, g.n, v)
+                               for e, v in zip(g.edges, vectors)])
+        assert np.array_equal(a, want), g.n
 
 
 def test_empty_formula_rank():
@@ -234,28 +241,29 @@ def test_product_bound_quick():
         assert r_j * (1 << n_h) <= r_g * r_h
 
 
-def _planted_gap_matrix():
+def _planted_gap_matrix(big, small):
     # three unit clause rows on one edge of two qubits, nearly parallel:
     # singular values are the 1-row scale sqrt(3) plus planted small values
-    # 4e-4 and 8e-5
+    # near big and small (0.82 big and 0.70 small)
     a = np.zeros((3, 4))
     a[0, 0] = 1.0
-    for row, (axis, eps) in enumerate([(1, 4e-4), (2, 8e-5)], start=1):
+    for row, (axis, eps) in enumerate([(1, big), (2, small)], start=1):
         a[row, 0] = math.sqrt(1.0 - eps * eps)
         a[row, axis] = eps
     return a
 
 
 def test_instability_raises_between_planted_scales():
+    # the cut 1e-9 * sqrt(3) falls between the planted values
     with pytest.raises(RankInstabilityError) as info:
-        generic_rank_float(_planted_gap_matrix(), tolerance=1e-4)
+        generic_rank_float(_planted_gap_matrix(4e-9, 8e-10))
     assert 1.0 < info.value.confidence < 10.0
 
 
 def test_tolerance_picks_the_scale():
-    a = _planted_gap_matrix()
-    assert generic_rank_float(a, tolerance=1e-6).rank == 1
-    assert generic_rank_float(a, tolerance=9e-4).rank == 3
+    # both planted values above the fixed cut, then both below it
+    assert generic_rank_float(_planted_gap_matrix(4e-4, 8e-5)).rank == 1
+    assert generic_rank_float(_planted_gap_matrix(4e-12, 8e-13)).rank == 3
 
 
 # (n, m, k, graph seed, oracle seed) -> (rank, repr(confidence)) of
@@ -281,16 +289,22 @@ def test_min_rank_float_golden(args, want):
     assert (res.rank, repr(res.confidence)) == want
 
 
-def test_cap_and_parameter_validation():
+def _no_draws(monkeypatch):
+    # the oracles refuse bad input before they draw a trial stream
+    def unreachable(*args):
+        raise AssertionError("a trial was drawn before the refusal")
+
+    monkeypatch.setattr(rank_oracle, "child_rng", unreachable)
+
+
+def test_cap_and_parameter_validation(monkeypatch):
+    _no_draws(monkeypatch)
     big = Hypergraph(14, [(0, 1)])
     with pytest.raises(ValueError):
         generic_rank_field(big)
     with pytest.raises(ValueError):
         min_rank_float(big)
     g = Hypergraph(2, [(0, 1)])
-    for tolerance in (0.0, 1e-3, 0.5):
-        with pytest.raises(ValueError):
-            min_rank_float(g, tolerance=tolerance)
     with pytest.raises(ValueError):
         generic_rank_field(g, trials=0)
     with pytest.raises(ValueError):
@@ -298,10 +312,12 @@ def test_cap_and_parameter_validation():
 
 
 @pytest.mark.parametrize("seed", [2.7, True, make_rng(0)])
-def test_oracles_refuse_non_integer_seeds(seed):
+def test_oracles_refuse_non_integer_seeds(monkeypatch, seed):
     # 2.7 would run seed 2 and True seed 1; a Generator cannot be replayed
+    _no_draws(monkeypatch)
     g = Hypergraph(2, [(0, 1)])
     with pytest.raises(TypeError, match="integer seed"):
         generic_rank_field(g, seed=seed)
     with pytest.raises(TypeError, match="integer seed"):
         min_rank_float(g, seed=seed)
+
