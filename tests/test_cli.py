@@ -477,8 +477,8 @@ def test_threshold_general_k(capsys):
     assert 4.2 < payload["root"] < 4.35
 
 
-# the bounds commands of the threshold benchmark and the README, with the
-# sha256 of their stdout
+# the bounds commands of the threshold benchmark and the README, and five
+# more, with the sha256 of their stdout
 GOLDEN_BOUNDS = [
     (("threshold", "nosegay", "--trunc", "25"), "c27df68f8ae78c00"),
     (("threshold", "sunflower"), "7f647725cd39b68a"),
@@ -493,6 +493,14 @@ GOLDEN_BOUNDS = [
     (("bound", "nosegay", "--alpha", "3.8"), "5d85bf5d4a8b2b47"),
     (("bound", "sunflower", "--alpha", "3.894"), "1e65e7e9b5d446f4"),
     (("threshold", "nosegay"), "c2a1edcda611164d"),
+    # outside the benchmark's grid: k = 4 roots, rows of tiny mean, and
+    # cutoffs wide enough that the integrator takes two blocks
+    (("threshold", "sunflower", "--k", "4"), "9171b6487c32aef0"),
+    (("bound", "sunflower", "--alpha", "0.5"), "457ca7351995a34d"),
+    (("bound", "sunflower", "--alpha", "3.894", "--dmax", "300"),
+     "3288fad83e4994ee"),
+    (("bound", "nosegay", "--alpha", "123.264", "--k", "8"), "cc157a9ee1256312"),
+    (("threshold", "nosegay", "--k", "4", "--trunc", "40"), "0e8b23cc1177e406"),
 ]
 
 
