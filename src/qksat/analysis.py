@@ -5,11 +5,12 @@ log-weight per vertex); a negative value certifies that random formulas at
 that clause density are unsatisfiable with high probability. The sunflower and
 nosegay bounds integrate an expectation under i.i.d. Poisson degrees along
 their peel's trajectory with one integrator, _poisson_integral. It builds the
-pmf in log space, so that terms survive large degrees, in blocks of at most
-_BLOCK_CELLS entries. Its grids are fixed: SUNFLOWER_PANELS = 4096 Simpson
-panels over peel time t, NOSEGAY_PANELS = 1000 over nu. On those grids the
-Simpson rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15) that
-is reported, never silently trusted.
+pmf in log space, so that terms survive large degrees, in place in blocks of
+one float64 array of at most _BLOCK_CELLS = 2^20 entries (8 MB). Its grids
+are fixed: SUNFLOWER_PANELS = 4096 Simpson panels over peel time t,
+NOSEGAY_PANELS = 1000 over nu. On those grids the Simpson rule carries a
+Richardson error estimate (|S_N - S_{N/2}| / 15) that is reported, never
+silently trusted.
 
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises
@@ -69,12 +70,15 @@ def _simpson_weights(points: int, h: float) -> np.ndarray:
 
 
 def _poisson_pmf(lam: np.ndarray, d_max: int) -> np.ndarray:
-    """exp(d ln lam - lam - ln d!): rows are the means lam, columns are
-    d = 0..d_max; a zero mean gives the point mass at 0."""
-    ds = np.arange(d_max + 1)
+    """exp((d ln lam - lam) - ln d!), built in place in one float64 array:
+    rows are the means lam, columns are d = 0..d_max; a zero mean gives the
+    point mass at 0."""
+    ds = np.arange(d_max + 1, dtype=np.float64)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(ds[1:]))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pmf = ds * np.log(lam)[:, None] - lam[:, None] - log_fact
+        pmf = ds * np.log(lam)[:, None]
+        pmf -= lam[:, None]
+        pmf -= log_fact
         np.exp(pmf, out=pmf)
     pmf[lam == 0.0] = ds == 0
     return pmf

@@ -156,18 +156,25 @@ FAMILIES = {
 def _refuse_unprintable(family: str, params: dict) -> None:
     """Refuse, before it is built, a sunflower or nosegay-k rank with more
     decimal digits than an int prints. Either is M^e times a small factor,
-    M = 2^(k-1) - 1. Arguments that the closed form refuses are left to it."""
+    M = 2^(k-1) - 1; an M too long to print is not built either. Arguments
+    that the closed form refuses are left to it."""
     dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
     if (family not in ("sunflower", "nosegay-k") or k < 2
-            or min(dvec, default=-1) < 0 or max(dvec) >= MAX_COUNT):
+            or len(dvec) != (1 if family == "sunflower" else k)
+            or min(dvec) < 0 or max(dvec) >= MAX_COUNT):
         return
-    m, limit = (1 << (k - 1)) - 1, sys.get_int_max_str_digits()
-    if family == "sunflower":
-        e, factor = dvec[0] - 1, dvec[0] + 2 * m
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < (k - 1) * log10(2):
+        # beside M every count rounds away: the rank is 2^len(dvec) M^sum(dvec)
+        digits = int((sum(dvec) * (k - 1) + len(dvec)) * log10(2)) + 1
     else:
-        e = sum(dvec) - k
-        factor = prod(d + 2 * m for d in dvec) - prod(d + m for d in dvec)
-    digits = int(e * log10(m) + log10(factor)) + 1
+        m = (1 << (k - 1)) - 1
+        if family == "sunflower":
+            e, factor = dvec[0] - 1, dvec[0] + 2 * m
+        else:
+            e = sum(dvec) - k
+            factor = prod(d + 2 * m for d in dvec) - prod(d + m for d in dvec)
+        digits = int(e * log10(m) + log10(factor)) + 1
     if 0 < limit < digits:
         raise ValueError(f"the {family} rank has about {digits:.0f} decimal "
                          f"digits, more than the {limit} that an int prints")

@@ -195,6 +195,25 @@ def test_poisson_pmf_matches_closed_form():
         np.testing.assert_allclose(row, want, rtol=1e-10, atol=0.0)
 
 
+def test_poisson_pmf_peaks_at_one_block():
+    # the sunflower bound's block at alpha = 3.7: 4097 x 73 cells, built in
+    # place, so no second pmf-sized temporary
+    import tracemalloc
+
+    from qksat.analysis import _poisson_pmf
+
+    t = np.linspace(0.0, 1.0, analysis.SUNFLOWER_PANELS + 1)
+    lam = 3 * 3.7 * t ** 2
+    tracemalloc.start()
+    try:
+        pmf = _poisson_pmf(lam, 72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pmf.shape == (4097, 73)
+    assert peak <= 1.1 * pmf.nbytes, (peak, pmf.nbytes)
+
+
 def test_max_poisson_tail_is_the_dropped_mass():
     # 1 - P(d <= T)^k at the top mean k alpha, from the upper tail itself
     from scipy.stats import poisson

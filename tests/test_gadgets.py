@@ -187,6 +187,30 @@ def test_gadget_rank_dispatch():
         gadget_rank("sunflower", a=1, b=1, c=0)
 
 
+def test_gadget_rank_refuses_huge_arity_unbuilt():
+    import tracemalloc
+
+    # M = 2^(k-1) - 1 alone would take 12.5 MB here
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="about 30103000 decimal digits"):
+            gadget_rank("sunflower", d=1, k=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a sunflower without petals has rank 2 at any arity
+    assert gadget_rank("sunflower", d=0, k=10 ** 8).rank == 2
+    # 2^k - 1 has 4300 digits at k = 14284 (printed) and 4301 from k = 14285;
+    # from k = 14286 M alone has more than 4300, and the count is estimated
+    # without it, to the digit of the exact count
+    assert len(str(gadget_rank("sunflower", d=1, k=14284).rank)) == 4300
+    for k, d in [(14285, 1), (14286, 1), (14286, 5), (20000, 2)]:
+        digits = int(math.log10(sunflower_rank(d, k).rank)) + 1
+        with pytest.raises(ValueError, match=f"about {digits} decimal digits"):
+            gadget_rank("sunflower", d=d, k=k)
+
+
 def test_log_weights():
     assert gadget_log_weight("sunflower", d=0, k=3) == 0.0
     w = gadget_log_weight("sunflower", d=1, k=3)
