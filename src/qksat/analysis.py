@@ -5,12 +5,12 @@ log-weight per vertex); a negative value certifies that random formulas at
 that clause density are unsatisfiable with high probability. The sunflower and
 nosegay bounds integrate an expectation under i.i.d. Poisson degrees along
 their peel's trajectory with one integrator, _poisson_integral. It builds the
-pmf in log space, so that terms survive large degrees, in place in blocks of
-one float64 array of at most _BLOCK_CELLS = 2^20 entries (8 MB). Its grids
-are fixed: SUNFLOWER_PANELS = 4096 Simpson panels over peel time t,
-NOSEGAY_PANELS = 1000 over nu. On those grids the Simpson rule carries a
-Richardson error estimate (|S_N - S_{N/2}| / 15) that is reported, never
-silently trusted.
+pmf in log space, so that terms survive large degrees, a block of grid rows
+at a time: one float64 array of at most _BLOCK_CELLS = 2^20 entries (8 MB),
+built in place. Its grids are fixed: SUNFLOWER_PANELS = 4096 Simpson panels
+over peel time t, NOSEGAY_PANELS = 1000 over nu. On those grids the Simpson
+rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15) that is
+reported, never silently trusted.
 
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises

@@ -193,6 +193,13 @@ def test_poisson_pmf_matches_closed_form():
         # ln d! is a running sum of logs, whose rounding near d = 400 is
         # about 1e-11 relative
         np.testing.assert_allclose(row, want, rtol=1e-10, atol=0.0)
+    # bit for bit the out-of-place int64-grid reference, cell by cell
+    ds = np.arange(401)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ds[1:]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.exp(ds * np.log(lams)[:, None] - lams[:, None] - log_fact)
+    ref[0] = ds == 0
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_poisson_pmf_peaks_at_one_block():
