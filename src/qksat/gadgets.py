@@ -1,18 +1,20 @@
 """Closed-form generic ranks of the gadget families, with verification oracles.
 
-Every rank is computed in exact integer arithmetic (rational intermediates
-are asserted integral) so cross-formula identities can be tested bit-exactly;
-log-weights ln(rank) - t*ln2 are derived from the exact integers afterward.
+Every rank is an exact integer, so cross-formula identities can be tested
+bit-exactly; log-weights ln(rank) - t*ln2 are derived from it afterward.
+A vertex with d hanging edges of arity h brings integer factors a(d) and b(d):
+M^(d-1) (d + 2M) and M^(d-1) (d + M), M = 2^(h-1) - 1, a(0) = 2, b(0) = 1.
+A sunflower's rank is a(d), a nosegay's prod_i a(d_i) - prod_i b(d_i).
 
 Families:
   * (d,k)-sunflower: d edges of arity k sharing one center vertex.
   * k-uniform d-vector nosegay: central k-edge, d_i hanging k-edges on vertex
     i (each adding k - 1 fresh vertices). At k = 3 it is the paper's
-    (a,b,c)-nosegay and its formula is exact; for k >= 4 the formula is an
-    upper bound on the generic rank in general (exact for separable
-    adornments).
+    (a,b,c)-nosegay and its formula is exact; for k >= 4 it is an upper
+    bound on the generic rank (exact for separable adornments), checked for
+    equality at k = 4 by `verify gadgets` on sum d_i <= min(max_size - 2, 3).
   * hanging-edge [a,b,c]-nosegay: a central 3-edge whose hanging edges have
-    arity 2 (one fresh vertex each).
+    arity 2 (one fresh vertex each), so M = 1.
   * k=2 connected components, classified by vertex and edge counts.
 """
 
@@ -20,17 +22,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import inf, log, log10, prod
+from math import expm1, floor, inf, ldexp, log, log1p, log10, prod
 
 import numpy as np
 
 from .hypergraph import Hypergraph, check_arity, components
 from .rank_oracle import DEFAULT_CAP
 
-LN2 = log(2.0)
+LN2, LN10 = log(2.0), log(10.0)
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,33 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be below 2^63")
 
 
+def _vertex_factors(dvec, k: int, logs: bool = False):
+    """(prod a(d_i), prod b(d_i)) at arity k; with logs, never building M, the
+    float sums of log10 a(d) = d log10 M + log10(2 + x) and log10(b(d)/a(d)) =
+    log10(1 - 1/(2 + x)), x = d/M."""
+    if logs:  # log10 M must be exactly 0 at k = 2: sum(dvec) reaches 2^64
+        xs = [ldexp(d, 1 - k) / (1 - ldexp(1.0, 1 - k)) for d in dvec]
+        log10_m = (k - 1) * log10(2) + log10(1 - ldexp(1.0, 1 - k))
+        return (sum(dvec) * log10_m + sum(log10(2 + x) for x in xs),
+                sum(log1p(-1 / (2 + x)) for x in xs) / LN10)
+    m = (1 << (k - 1)) - 1 if any(dvec) else 0     # no M without hanging edges
+    power = m ** sum(d - 1 for d in dvec if d)      # the M^(d-1) of each d > 0
+    return (power * prod(d + 2 * m if d else 2 for d in dvec),
+            power * prod(d + m if d else 1 for d in dvec))
+
+
 def sunflower_rank(d: int, k: int) -> GadgetRank:
-    """S(d,k) = 2 M^d (d/(2M) + 1) with M = 2^(k-1) - 1; t = 1 + d(k-1)."""
+    """S(d,k) = a(d) = M^(d-1) (d + 2M) with M = 2^(k-1) - 1; t = 1 + d(k-1)."""
     _check_counts(d=d)
     check_arity(k)
-    if d == 0:
-        return _as_rank(2, 1)
-    m = (1 << (k - 1)) - 1
-    return _as_rank(m ** (d - 1) * (d + 2 * m), 1 + d * (k - 1))
+    return _as_rank(_vertex_factors((d,), k)[0], 1 + d * (k - 1))
 
 
 def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
-    """(a+2)(b+2)(c+2) - (a+1)(b+1)(c+1); t = 3 + a + b + c."""
+    """(a+2)(b+2)(c+2) - (a+1)(b+1)(c+1): M = 1; t = 3 + a + b + c."""
     _check_counts(a=a, b=b, c=c)
-    rank = (a + 2) * (b + 2) * (c + 2) - (a + 1) * (b + 1) * (c + 1)
-    return _as_rank(rank, 3 + a + b + c)
+    top, bottom = _vertex_factors((a, b, c), 2)
+    return _as_rank(top - bottom, 3 + a + b + c)
 
 
 def _check_dvec(dvec, k: int) -> tuple[int, ...]:
@@ -85,19 +98,14 @@ def _check_dvec(dvec, k: int) -> tuple[int, ...]:
 
 
 def nosegay_k_rank(dvec, k: int) -> GadgetRank:
-    """N(d) = prod M^(d_i - 1) [prod (d_i + 2M) - prod (d_i + M)], M = 2^(k-1) - 1.
-
-    Upper bound on the generic rank of the k-uniform nosegay; exact at k = 3,
-    where it is the paper's 3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)].
-    t = k + sum d_i (k - 1).
-    """
+    """N(d) = prod a(d_i) - prod b(d_i), the factors of the module docstring
+    at M = 2^(k-1) - 1, t = k + sum d_i (k - 1): an upper bound on the generic
+    rank of the k-uniform nosegay, exact at k = 3, where it is the paper's
+    3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)], and checked at k = 4 by
+    `verify gadgets` on sum d_i <= min(max_size - 2, 3)."""
     dvec = _check_dvec(dvec, k)
-    m = (1 << (k - 1)) - 1
-    value = Fraction(m) ** (sum(dvec) - k) * (prod(d + 2 * m for d in dvec)
-                                              - prod(d + m for d in dvec))
-    if value.denominator != 1:
-        raise AssertionError(f"nosegay rank {dvec} is not integral: {value}")
-    return _as_rank(value.numerator, k + sum(dvec) * (k - 1))
+    top, bottom = _vertex_factors(dvec, k)
+    return _as_rank(top - bottom, k + sum(dvec) * (k - 1))
 
 
 # nosegay3_rank and nosegay3_graph have no caller here: perfbench/layers.py
@@ -154,29 +162,19 @@ FAMILIES = {
 
 
 def _refuse_unprintable(family: str, params: dict) -> None:
-    """Refuse, before it is built, a sunflower or nosegay-k rank with more
-    decimal digits than an int prints. Either is M^e times a small factor,
-    M = 2^(k-1) - 1; an M too long to print is not built either. Arguments
-    that the closed form refuses are left to it."""
+    """Refuse, unbuilt, a sunflower or nosegay-k rank too long to print, counting
+    digits from its factors' logs; bad arguments are left to the closed form."""
     dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
     if (family not in ("sunflower", "nosegay-k") or k < 2
             or len(dvec) != (1 if family == "sunflower" else k)
             or min(dvec) < 0 or max(dvec) >= MAX_COUNT):
         return
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < (k - 1) * log10(2):
-        # beside M every count rounds away: the rank is 2^len(dvec) M^sum(dvec)
-        digits = int((sum(dvec) * (k - 1) + len(dvec)) * log10(2)) + 1
-    else:
-        m = (1 << (k - 1)) - 1
-        if family == "sunflower":
-            e, factor = dvec[0] - 1, dvec[0] + 2 * m
-        else:
-            e = sum(dvec) - k
-            factor = prod(d + 2 * m for d in dvec) - prod(d + m for d in dvec)
-        digits = int(e * log10(m) + log10(factor)) + 1
+    log_a, log_ratio = _vertex_factors(dvec, k, logs=True)
+    # a nosegay's rank is prod a(d_i) times (1 - prod b(d_i)/a(d_i))
+    tail = log10(-expm1(LN10 * log_ratio)) if family == "nosegay-k" else 0
+    digits, limit = floor(log_a + tail) + 1, sys.get_int_max_str_digits()
     if 0 < limit < digits:
-        raise ValueError(f"the {family} rank has about {digits:.0f} decimal "
+        raise ValueError(f"the {family} rank has about {digits} decimal "
                          f"digits, more than the {limit} that an int prints")
 
 

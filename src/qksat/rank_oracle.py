@@ -20,12 +20,13 @@ builder, `constraint_matrix`; only the entries and the rank kernel differ:
 - field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`),
   the independent check of the float rank.
 
-Field trials fail only one way: a trial can find a row rank below the
-generic row rank R over GF(P), never above it. Each constraint entry is one
-clause entry, so a nonzero R x R minor is a polynomial of degree at most
-R <= d = min(rows, 2^n) in the clause entries, and by Schwartz-Zippel a
-trial misses it with probability at most d/P. The maximum over t independent
-trials is wrong with probability at most failure_bound = (d / P)^t, and
+Field trials fail only one way. A nonzero minor mod P is a nonzero integer,
+so a trial's row rank is a deterministic lower bound on the complex generic
+row rank: `rank` never understates the generic dimension over C, and
+failure_bound bears only on equality. A nonzero R x R minor, R the generic
+row rank over GF(P), has degree at most R <= d = min(rows, 2^n) in the clause
+entries (each constraint entry is one), so by Schwartz-Zippel the maximum
+over t trials misses R with probability at most failure_bound = (d / P)^t;
 `field_trials` picks the least t that makes this at most 2^-40.
 
 Qubit convention: bit v of a column index is the basis value of vertex v,

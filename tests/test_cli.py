@@ -161,13 +161,18 @@ def test_gadget_refuses_ranks_too_long_to_print(capsys, monkeypatch):
     # (2998, 3000, 3000) has 4300 digits, Python's default int print limit
     edge = run_json(capsys, "gadget", "nosegay-k", "--dvec", "2998,3000,3000")
     assert len(str(edge["rank"])) == 4300
+    # the all-zero nosegay of arity k has rank 2^k - 1
+    zeros = run_json(capsys, "gadget", "nosegay-k",
+                     "--dvec", ",".join("0" * 2000))
+    assert zeros["rank"] == 2 ** 2000 - 1
 
     def unreachable(*args):
         raise AssertionError("the rank was built before the refusal")
 
-    # 4775 and 4301 digits
+    # 4775, 4301 and 4301 digits
     for argv in [("gadget", "sunflower", "--d", "10000", "--k", "3"),
-                 ("gadget", "nosegay-k", "--dvec", "3000,3000,3000")]:
+                 ("gadget", "nosegay-k", "--dvec", "3000,3000,3000"),
+                 ("gadget", "nosegay-k", "--dvec", ",".join("0" * 14285))]:
         with monkeypatch.context() as patch:
             patch.setattr(gadgets, "sunflower_rank", unreachable)
             patch.setattr(gadgets, "nosegay_k_rank", unreachable)

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import sys
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qksat.gadgets import (
     GadgetRank,
@@ -209,6 +210,47 @@ def test_gadget_rank_refuses_huge_arity_unbuilt():
         digits = int(math.log10(sunflower_rank(d, k).rank)) + 1
         with pytest.raises(ValueError, match=f"about {digits} decimal digits"):
             gadget_rank("sunflower", d=d, k=k)
+    # the all-zero nosegay has rank 2^k - 1 and takes no product of k
+    # k-bit factors, neither for the rank nor for its digit count
+    assert gadget_rank("nosegay-k", dvec=(0,) * 2000, k=2000).rank == \
+        2 ** 2000 - 1
+    rank = gadget_rank("nosegay-k", dvec=(0,) * 14284, k=14284).rank
+    assert rank == 2 ** 14284 - 1 and len(str(rank)) == 4300
+    with pytest.raises(ValueError, match="about 4301 decimal digits"):
+        gadget_rank("nosegay-k", dvec=(0,) * 14285, k=14285)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gadget_rank_refuses_exactly_the_unprintable(data):
+    # the digit count is estimated in floats; near an int print limit of
+    # 640 it must agree with the exact count of a 600-700 digit rank
+    k = data.draw(st.integers(3, 9), label="k")
+    log10_m = math.log10(2 ** (k - 1) - 1)
+    total = data.draw(st.integers(math.ceil(600 / log10_m),
+                                  math.floor(700 / log10_m)), label="total")
+    if data.draw(st.booleans(), label="sunflower"):
+        family, params = "sunflower", {"d": total, "k": k}
+        rank = sunflower_rank(total, k).rank
+    else:
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=k - 1,
+                                         max_size=k - 1), label="cuts"))
+        dvec = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+        family, params = "nosegay-k", {"dvec": dvec, "k": k}
+        rank = nosegay_k_rank(dvec, k).rank
+    digits = len(str(rank))
+    assume(600 <= digits <= 700)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        if digits > 640:
+            with pytest.raises(ValueError,
+                               match=f"about {digits} decimal digits"):
+                gadget_rank(family, **params)
+        else:
+            assert gadget_rank(family, **params).rank == rank
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_log_weights():
