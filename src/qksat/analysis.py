@@ -22,7 +22,7 @@ refuse a cutoff whose tables cannot fit in memory before building them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, inf, log, log1p, sqrt
+from math import ceil, inf, log, log1p, sqrt, ulp
 
 import numpy as np
 
@@ -50,10 +50,13 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
 
-def _check_model(alpha: float, k: int = 3) -> None:
+def check_model(alpha: float, k: int = 3) -> None:
+    """Refuse alpha not positive and finite, and k outside 2..1023."""
     if not 0 < alpha < inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     check_arity(k)
+    if k >= 1024:
+        raise ValueError(f"arity k = {k} is too large: 2^k overflows a float")
 
 
 def _verdict(upper: float) -> str:
@@ -104,19 +107,6 @@ def _poisson_integral(lam: np.ndarray, lo: float, hi: float, d_max: int,
     return sums[0], abs(sums[0] - sums[1]) / 15.0
 
 
-def sunflower_degree_densities(d_max: int, alpha: float,
-                               k: int = 3) -> np.ndarray:
-    """a_d for d = 0..d_max: the limiting fraction of peeling steps whose
-    sunflower has degree d, the integral over peel time t in [0, 1] of the
-    Poisson pmf of mean k alpha t^(k-1)."""
-    if d_max < 0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    _check_model(alpha, k)
-    t = np.linspace(0.0, 1.0, SUNFLOWER_PANELS + 1)
-    return _poisson_integral(k * alpha * t ** (k - 1), 0.0, 1.0, d_max,
-                             lambda pmf: pmf)[0]
-
-
 def _auto_dmax(alpha: float, k: int) -> int:
     """Both bounds' degree cutoff: 12 sd plus 20 above their top mean."""
     mean = k * alpha
@@ -130,7 +120,7 @@ def sunflower_bound(alpha: float, k: int = 3,
     d_max=None takes _auto_dmax(alpha, k), far into the Poisson tail. The
     omitted terms are negative, so the value is an upper bound regardless.
     """
-    _check_model(alpha, k)
+    check_model(alpha, k)
     if d_max is None:
         d_max = _auto_dmax(alpha, k)
     if d_max < 1:
@@ -165,7 +155,7 @@ def nosegay_ode(alpha: float, k: int = 3) -> tuple[float, float]:
     mu(1) = alpha and hit zero at nu0 = c^(-1/(k-1)); each vertex degree
     is then Poisson of mean k mu/nu = (c nu^(k-1) - 1)/(k-1).
     """
-    _check_model(alpha, k)
+    check_model(alpha, k)
     c = k * (k - 1) * alpha + 1.0
     return c, c ** (-1.0 / (k - 1))
 
@@ -215,7 +205,7 @@ def nosegay_bound(alpha: float, k: int = 3,
     is the dropped mass 1 - P(d <= T)^k at nu = 1, where the mean (k alpha)
     and with it the tail are largest, summed from the upper tail itself.
     """
-    _check_model(alpha, k)
+    check_model(alpha, k)
     if truncation is None:
         truncation = _auto_dmax(alpha, k)
     if truncation < 10:
@@ -247,7 +237,7 @@ def general_k_bound(alpha: float, k: int) -> BoundReport:
 
     Arithmetic-mean relaxation of the sunflower sum; weaker but closed-form.
     """
-    _check_model(alpha, k)
+    check_model(alpha, k)
     value = LN2 + alpha * log1p(-(2.0 ** (1 - k))) + log1p(alpha / ((1 << k) - 2))
     return BoundReport(method="general_k", alpha=float(alpha), k=k,
                        value=value, verdict=_verdict(value))
@@ -283,7 +273,10 @@ def single_clause_threshold(k: int) -> float:
     """Density above which independent single-clause factors already certify
     unsatisfiability: ln 2 / (-ln(1 - 2^(-k)))."""
     check_arity(k)
-    return LN2 / -log1p(-(2.0 ** (-k)))
+    rate = -log1p(-(2.0 ** -k))     # 0.0 from k = 1075 on
+    if rate < LN2 / np.finfo(float).max:
+        raise ValueError(f"the single-clause threshold overflows a float at k = {k}")
+    return LN2 / rate
 
 
 def bound(method: str, alpha: float, k: int = 3, **options) -> BoundReport:
@@ -307,10 +300,17 @@ def threshold_root(method: str, k: int = 3, **options) -> float:
     selected bound plus its quad_error, at which that sum was evaluated
     negative: the right end of the final bisection bracket. The bisection
     starts from 0.5 and a density known to certify, _NEGATIVE_AT or else
-    2^k b + 1, above the general-k root and so above every root."""
+    2^k b plus max(1, 2^k 1e-10), a margin that covers solve_b's bisection
+    width; tests find the general-k bound negative there for k = 3..39. From
+    k = 40 on, floats near the root are spaced wider than ROOT_PRECISION, so
+    the bisection could not close, and the arity is refused."""
+    check_model(0.5, k)     # the left end; refuses k before 2^k is built
     right = _NEGATIVE_AT.get((method, k))
     if right is None:
-        right = (1 << k) * solve_b() + 1.0
+        right = (1 << k) * solve_b() + max(1.0, 2.0 ** k * 1e-10)
+    if ulp(right) > ROOT_PRECISION:
+        raise ValueError(f"at k = {k} floats near the root are {ulp(right):.3g} "
+                         f"apart, wider than ROOT_PRECISION = {ROOT_PRECISION}")
 
     def f(alpha: float) -> float:
         report = bound(method, alpha, k, **options)

@@ -16,10 +16,9 @@ from math import isfinite
 
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
-from .rank_oracle import (DEFAULT_CAP, TOLERANCE, RankInstabilityError,
+from .rank_oracle import (DEFAULT_CAP, TOLERANCE, P, RankInstabilityError,
                           check_memory, constraint_rows, field_trials,
                           generic_rank_field, min_rank_float)
-from ._modlin import P
 from .rng import child_rng
 
 
@@ -31,7 +30,6 @@ def _cmd_rank(args) -> tuple[int, dict]:
     g = read_hypergraph(args.graph)
     cap = max(DEFAULT_CAP, g.n) if args.force else DEFAULT_CAP
     payload = {
-        "command": "rank",
         "graph": args.graph,
         "n": g.n,
         "m": g.m,
@@ -76,7 +74,6 @@ def _cmd_gadget(args) -> tuple[int, dict]:
         params["k"] = len(args.dvec)    # the arity is the length of --dvec
     result = gadgets.gadget_rank(args.family, **params)
     return 0, {
-        "command": "gadget",
         "family": args.family,
         "params": params,
         "rank": result.rank,
@@ -99,7 +96,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
                       "formula": formula_rank, "oracle": oracle.rank,
                       "equal": equal, "failure_bound": oracle.failure_bound})
     payload = {
-        "command": "verify",
         "max_size": args.max_size,
         "seed": args.seed,
         "cases": cases,
@@ -130,7 +126,6 @@ def _cmd_peel(args) -> tuple[int, dict]:
     if args.trace:
         peeling.write_trace_csv(trace, args.trace)
     return 0, {
-        "command": "peel",
         "algorithm": args.gadget,
         "n": args.n,
         "m": m,
@@ -164,10 +159,9 @@ def _cmd_bound(args) -> tuple[int, dict]:
     options = _method_options(args)
     if args.method == "single-clause":
         threshold = analysis.single_clause_threshold(args.k)
-        payload = {"command": "bound", "method": "single_clause", "k": args.k,
-                   "threshold": threshold}
+        payload = {"method": "single_clause", "k": args.k, "threshold": threshold}
         if args.alpha is not None:
-            analysis._check_model(args.alpha, args.k)
+            analysis.check_model(args.alpha, args.k)
             payload["alpha"] = args.alpha
             payload["verdict"] = ("unsat-whp" if args.alpha > threshold
                                   else "inconclusive")
@@ -176,7 +170,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
         raise ValueError(f"bound {args.method} requires --alpha")
     report = analysis.bound(args.method.replace("-", "_"), args.alpha, args.k,
                             **options)
-    return 0, {"command": "bound", **asdict(report)}
+    return 0, asdict(report)
 
 
 def _cmd_threshold(args) -> tuple[int, dict]:
@@ -184,7 +178,6 @@ def _cmd_threshold(args) -> tuple[int, dict]:
     params = _method_options(args)
     root = analysis.threshold_root(method, args.k, **params)
     return 0, {
-        "command": "threshold",
         "method": method,
         "k": args.k,
         "root": root,
@@ -282,7 +275,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps({"command": args.command, **payload}, sort_keys=True))
     return code
 
 

@@ -138,8 +138,8 @@ def k2_component_rank(vertex_count: int, edge_count: int) -> int:
 def k2_rank(g: Hypergraph) -> int:
     """Product of component ranks of an arity-2 multigraph (exact integer)."""
     total = 1
-    for summary in components(g):
-        total *= k2_component_rank(summary.vertex_count, summary.edge_count)
+    for vertex_count, edge_count in components(g):
+        total *= k2_component_rank(vertex_count, edge_count)
         if total == 0:
             return 0
     return total

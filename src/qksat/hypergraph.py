@@ -10,7 +10,6 @@ hypergraph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,12 +76,6 @@ def check_arity(k: int) -> None:
         raise ValueError(f"arity k must be >= 2, got {k}")
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    vertex_count: int
-    edge_count: int
-
-
 def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     """m edges drawn uniformly with replacement from the k-subsets of [0, n).
 
@@ -109,12 +102,10 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
-def components(g: Hypergraph) -> list[ComponentSummary]:
-    """Connected components of an arity-2 multigraph, isolated vertices included.
-
-    Ordered by each component's smallest vertex index; edge counts keep
-    multiplicity.
-    """
+def components(g: Hypergraph) -> list[tuple[int, int]]:
+    """(vertex_count, edge_count) of each connected component of an arity-2
+    multigraph, isolated vertices included, ordered by each component's
+    smallest vertex index; edge counts keep multiplicity."""
     if g.arities() - {2}:
         raise ValueError("components requires all edges to have arity 2")
     u, v = g.vertices.reshape(g.m, 2).T
@@ -129,7 +120,7 @@ def components(g: Hypergraph) -> list[ComponentSummary]:
         root = low
     vertex_count = np.bincount(root, minlength=g.n)
     edge_count = np.bincount(root[u], minlength=g.n)
-    return [ComponentSummary(int(vertex_count[r]), int(edge_count[r]))
+    return [(int(vertex_count[r]), int(edge_count[r]))
             for r in np.flatnonzero(vertex_count)]
 
 

@@ -2,10 +2,11 @@
 
 Both algorithms partition the edge set: every edge is consumed by exactly one
 gadget, so the per-qubit log-rank bound accumulates one gadget log-weight per
-step on top of the global ln 2. Structure violations (petals sharing an extra
-vertex, hanging edges touching two centers) keep the standard gadget formula
-and are counted as anomalies instead; they are rare on sparse random inputs,
-and their count bounds the slack of pretending the structure is clean.
+step on top of the global ln 2. A gadget with a structure violation keeps its
+standard formula; anomalies count each pair of petals sharing a vertex besides
+the center, and each further center vertex a hanging edge touches, but not two
+hanging edges of one nosegay sharing a fresh vertex (ROADMAP item 3): the graph
+(0,1,2), (0,3,4), (1,3,5) peels to params [1, 1, 0] with 0 anomalies.
 
 A trace's steps are one structured array with the columns
 `vertices_remaining`, `edges_remaining`, `params` (the gadget's `d` for a

@@ -7,6 +7,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from qksat import analysis
 from qksat.analysis import nosegay_ode
 from qksat.gadgets import nosegay_hang_graph, nosegay_hang_rank
 from qksat.hypergraph import Hypergraph
@@ -41,6 +42,17 @@ def nosegay3_via_binomial(a: int, b: int, c: int) -> int:
                     * comb(a, p) * comb(b, q) * comb(c, r) * hang
                 )
     return total
+
+
+def sunflower_degree_densities(d_max: int, alpha: float,
+                               k: int = 3) -> np.ndarray:
+    """a_d for d = 0..d_max: the limiting fraction of peeling steps whose
+    sunflower has degree d, the integral over peel time t in [0, 1] of the
+    Poisson pmf of mean k alpha t^(k-1), on the sunflower bound's grid."""
+    analysis.check_model(alpha, k)
+    t = np.linspace(0.0, 1.0, analysis.SUNFLOWER_PANELS + 1)
+    return analysis._poisson_integral(k * alpha * t ** (k - 1), 0.0, 1.0,
+                                      d_max, lambda pmf: pmf)[0]
 
 
 def nosegay_mu(alpha: float, nu: float, k: int = 3) -> float:

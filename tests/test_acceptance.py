@@ -23,7 +23,6 @@ from qksat.analysis import (
     single_clause_threshold,
     solve_b,
     sunflower_bound,
-    sunflower_degree_densities,
 )
 from qksat.gadgets import (
     k2_rank,
@@ -43,7 +42,7 @@ from qksat.rank_oracle import (
 from qksat.rng import child_rng, make_rng
 from support import (attach, nosegay3_paper_rank, nosegay3_via_binomial,
                      nosegay_mu, random_mixed_graph,
-                     stoquastic_component_count)
+                     stoquastic_component_count, sunflower_degree_densities)
 
 
 def _report(capsys, num, description, ok, detail=""):

@@ -18,11 +18,10 @@ from qksat.analysis import (
     single_clause_threshold,
     solve_b,
     sunflower_bound,
-    sunflower_degree_densities,
     threshold_root,
 )
 from qksat.gadgets import gadget_log_weight, nosegay_k_rank
-from support import nosegay_mu
+from support import nosegay_mu, sunflower_degree_densities
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3) -> float:
@@ -93,15 +92,6 @@ def test_degree_zero_erf_form():
         assert sunflower_degree_density(0, alpha, 3) == pytest.approx(want, rel=1e-10)
         quad, _ = integrate.quad(lambda t: math.exp(-3 * alpha * t * t), 0, 1)
         assert want == pytest.approx(quad, rel=1e-10)
-
-
-def test_density_validation():
-    with pytest.raises(ValueError):
-        sunflower_degree_densities(-1, 1.0)
-    with pytest.raises(ValueError):
-        sunflower_degree_densities(5, 0.0)
-    with pytest.raises(ValueError):
-        sunflower_degree_densities(5, 1.0, k=1)
 
 
 def test_sunflower_bound_headline():

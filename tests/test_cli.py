@@ -16,6 +16,7 @@ import pytest
 import qksat.cli as cli
 import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P
+from qksat.analysis import general_k_bound
 from qksat.hypergraph import Hypergraph
 from qksat.rank_oracle import RankInstabilityError
 from qksat.rng import make_rng
@@ -480,6 +481,37 @@ def test_threshold_general_k(capsys):
     payload = run_json(capsys, "threshold", "general-k", "--k", "3")
     assert payload["method"] == "general_k"
     assert 4.2 < payload["root"] < 4.35
+    # from k = 36 on the bracket's margin must cover solve_b's 1e-10 width
+    for k in (36, 39):
+        root = run_json(capsys, "threshold", "general-k", "--k", str(k))["root"]
+        assert general_k_bound(root - 1e-4, k).value >= 0, k
+        assert general_k_bound(root, k).value < 0, k
+
+
+def test_threshold_refuses_arities_it_cannot_resolve(capsys, monkeypatch):
+    import qksat.analysis as analysis
+
+    def unreachable(*args):
+        raise AssertionError("the bisection evaluated a bound")
+
+    monkeypatch.setattr(analysis, "bound", unreachable)
+    # at k = 40 floats near the root are 1.2e-4 apart, wider than the precision
+    code, out, err = run_cli(capsys, "threshold", "general-k", "--k", "40")
+    assert code == 2 and out == "" and "k = 40" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "single-clause", "--k", "1025"),
+    ("bound", "single-clause", "--k", "1100"),
+    ("bound", "sunflower", "--alpha", "3.0", "--k", "1024"),
+    ("bound", "nosegay", "--alpha", "3.0", "--k", "1024"),
+    ("bound", "general-k", "--alpha", "3.0", "--k", "1024"),
+    ("threshold", "sunflower", "--k", "1024"),
+], ids=" ".join)
+def test_bounds_refuse_arities_beyond_float_range(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"k = {argv[-1]}" in err
 
 
 # the bounds commands of the threshold benchmark and the README, and five

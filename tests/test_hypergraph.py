@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qksat.hypergraph import (
-    ComponentSummary,
     Hypergraph,
     components,
     parse_hypergraph,
@@ -180,18 +179,16 @@ def test_duplicate_edge_rate():
 def test_components_triangle_plus_isolated():
     g = Hypergraph(5, [(0, 1), (1, 2), (0, 2), (0, 1)])
     comps = components(g)
-    assert comps[0] == ComponentSummary(3, 4)
-    assert comps[1] == ComponentSummary(1, 0)
-    assert comps[2] == ComponentSummary(1, 0)
+    assert comps == [(3, 4), (1, 0), (1, 0)]
 
 
 def test_components_small_cases():
     path = Hypergraph(3, [(0, 1), (1, 2)])
-    assert components(path) == [ComponentSummary(3, 2)]
+    assert components(path) == [(3, 2)]
     two = Hypergraph(4, [(0, 1), (2, 3)])
-    assert components(two) == [ComponentSummary(2, 1), ComponentSummary(2, 1)]
+    assert components(two) == [(2, 1), (2, 1)]
     triple = Hypergraph(3, [(0, 1), (0, 1), (0, 1)])
-    assert components(triple) == [ComponentSummary(2, 3), ComponentSummary(1, 0)]
+    assert components(triple) == [(2, 3), (1, 0)]
 
 
 def scipy_components(g):
@@ -203,7 +200,7 @@ def scipy_components(g):
     links = coo_matrix((np.ones(g.m), (u, v)), shape=(g.n, g.n))
     labels = connected_components(links, directed=False)[1]
     _, first = np.unique(labels, return_index=True)
-    return [ComponentSummary(int((labels == r).sum()), int((labels[u] == r).sum()))
+    return [(int((labels == r).sum()), int((labels[u] == r).sum()))
             for r in labels[np.sort(first)]]
 
 
@@ -216,7 +213,7 @@ def test_components_match_scipy(seed):
     # a long path under shuffled labels, the slowest case for label passing
     p = rng.permutation(300)
     path = Hypergraph(300, np.column_stack([p[:-1], p[1:]]))
-    assert components(path) == scipy_components(path) == [ComponentSummary(300, 299)]
+    assert components(path) == scipy_components(path) == [(300, 299)]
 
 
 def test_components_requires_arity_two():
@@ -226,10 +223,10 @@ def test_components_requires_arity_two():
 
 def test_components_ordering_and_counts():
     g = Hypergraph(7, [(5, 6), (0, 1), (1, 2)])
-    comps = components(g)
-    assert [c.vertex_count for c in comps] == [3, 1, 1, 2]
-    assert sum(c.vertex_count for c in comps) == g.n
-    assert sum(c.edge_count for c in comps) == g.m
+    vertex_counts, edge_counts = zip(*components(g))
+    assert vertex_counts == (3, 1, 1, 2)
+    assert sum(vertex_counts) == g.n
+    assert sum(edge_counts) == g.m
 
 
 def test_attach_relabels_host_edges():
