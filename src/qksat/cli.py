@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from math import isfinite
 
 from . import analysis, gadgets, peeling
@@ -24,6 +25,12 @@ from .rng import child_rng
 
 def _json_float(x: float):
     return x if isfinite(x) else None
+
+
+def _options(args, *shared) -> dict:
+    """args's own options, keyed as its library function's keywords."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("command", "handler", *shared)}
 
 
 def _cmd_rank(args) -> tuple[int, dict]:
@@ -68,8 +75,7 @@ def _parse_dvec(text: str) -> tuple[int, ...]:
 
 def _cmd_gadget(args) -> tuple[int, dict]:
     # each family's options are named after its closed form's arguments
-    params = {name: value for name, value in vars(args).items()
-              if name not in ("command", "family", "handler")}
+    params = _options(args, "family")
     if args.family == "nosegay-k":
         params["k"] = len(args.dvec)    # the arity is the length of --dvec
     result = gadgets.gadget_rank(args.family, **params)
@@ -139,53 +145,35 @@ def _cmd_peel(args) -> tuple[int, dict]:
     }
 
 
-# the one option each bound method reads: CLI name and analysis keyword
-_METHOD_OPTION = {"sunflower": ("dmax", "d_max"),
-                  "nosegay": ("trunc", "truncation")}
-
-
-def _method_options(args) -> dict:
-    """The option args.method reads, as its analysis keyword; None (not
-    given) derives it from alpha and k. An option the method never reads is
-    an argument error."""
-    reads, keyword = _METHOD_OPTION.get(args.method, (None, None))
-    for name in ("dmax", "trunc"):
-        if getattr(args, name) is not None and name != reads:
-            raise ValueError(f"{args.command} {args.method} does not read --{name}")
-    return {keyword: getattr(args, reads)} if reads else {}
-
-
 def _cmd_bound(args) -> tuple[int, dict]:
-    options = _method_options(args)
-    if args.method == "single-clause":
-        threshold = analysis.single_clause_threshold(args.k)
-        payload = {"method": "single_clause", "k": args.k, "threshold": threshold}
-        if args.alpha is not None:
-            analysis.check_model(args.alpha, args.k)
-            payload["alpha"] = args.alpha
-            payload["verdict"] = ("unsat-whp" if args.alpha > threshold
-                                  else "inconclusive")
-        return 0, payload
-    if args.alpha is None:
-        raise ValueError(f"bound {args.method} requires --alpha")
     report = analysis.bound(args.method.replace("-", "_"), args.alpha, args.k,
-                            **options)
+                            **_options(args, "method", "alpha", "k"))
     return 0, asdict(report)
+
+
+def _cmd_single_clause(args) -> tuple[int, dict]:
+    threshold = analysis.single_clause_threshold(args.k)
+    payload = {"method": "single_clause", "k": args.k, "threshold": threshold}
+    if args.alpha is not None:
+        # compared with the threshold only, so no 2^k: k = 1024 takes an alpha
+        if not args.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {args.alpha}")
+        payload.update(alpha=args.alpha, verdict="unsat-whp"
+                       if args.alpha > threshold else "inconclusive")
+    return 0, payload
 
 
 def _cmd_threshold(args) -> tuple[int, dict]:
     method = args.method.replace("-", "_")
-    params = _method_options(args)
+    params = _options(args, "method", "k")
     root = analysis.threshold_root(method, args.k, **params)
-    return 0, {
-        "method": method,
-        "k": args.k,
-        "root": root,
-        "precision": analysis.ROOT_PRECISION,
-        "params": params,
-    }
+    return 0, {"method": method, "k": args.k, "root": root, "params": params,
+               "precision": analysis.ROOT_PRECISION}
 
 
+# built once, at the first main call; it holds only this module's handlers,
+# which look library names up per call, so rebinding one still takes effect
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qksat",
@@ -243,22 +231,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_peel)
 
     bound = sub.add_parser("bound", help="analytic per-qubit log-rank bound")
-    bound.add_argument(
-        "method", choices=("sunflower", "nosegay", "general-k", "single-clause"))
-    bound.add_argument("--alpha", type=_finite_float, default=None)
-    bound.set_defaults(handler=_cmd_bound)
-
+    bound = bound.add_subparsers(dest="method", required=True)
     root = sub.add_parser("threshold", help="root of a bound, by bisection")
-    root.add_argument("method", choices=("sunflower", "nosegay", "general-k"))
-    root.set_defaults(handler=_cmd_threshold)
-    for p in (bound, root):
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--dmax", type=int, default=None,
-                       help="sunflower degree cutoff (default: derived from "
-                            "alpha and k)")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="nosegay degree truncation (default: the same "
-                            "derived cutoff)")
+    root = root.add_subparsers(dest="method", required=True)
+    for methods, handler in ((bound, _cmd_bound), (root, _cmd_threshold)):
+        methods.add_parser("sunflower").add_argument(
+            "--dmax", dest="d_max", type=int, metavar="D",
+            help="degree cutoff (default: derived from alpha and k)")
+        methods.add_parser("nosegay").add_argument(
+            "--trunc", dest="truncation", type=int, metavar="T",
+            help="degree truncation (default: the same derived cutoff)")
+        methods.add_parser("general-k")
+        for q in methods.choices.values():
+            q.add_argument("--k", type=int, default=3)
+            q.set_defaults(handler=handler)
+    for q in bound.choices.values():
+        q.add_argument("--alpha", type=_finite_float, required=True)
+    q = bound.add_parser("single-clause")
+    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--alpha", type=_finite_float)
+    q.set_defaults(handler=_cmd_single_clause)
     return parser
 
 

@@ -58,15 +58,8 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be below 2^63")
 
 
-def _vertex_factors(dvec, k: int, logs: bool = False):
-    """(prod a(d_i), prod b(d_i)) at arity k; with logs, never building M, the
-    float sums of log10 a(d) = d log10 M + log10(2 + x) and log10(b(d)/a(d)) =
-    log10(1 - 1/(2 + x)), x = d/M."""
-    if logs:  # log10 M must be exactly 0 at k = 2: sum(dvec) reaches 2^64
-        xs = [ldexp(d, 1 - k) / (1 - ldexp(1.0, 1 - k)) for d in dvec]
-        log10_m = (k - 1) * log10(2) + log10(1 - ldexp(1.0, 1 - k))
-        return (sum(dvec) * log10_m + sum(log10(2 + x) for x in xs),
-                sum(log1p(-1 / (2 + x)) for x in xs) / LN10)
+def _vertex_factors(dvec, k: int) -> tuple[int, int]:
+    """(prod a(d_i), prod b(d_i)) at arity k."""
     m = (1 << (k - 1)) - 1 if any(dvec) else 0     # no M without hanging edges
     power = m ** sum(d - 1 for d in dvec if d)      # the M^(d-1) of each d > 0
     return (power * prod(d + 2 * m if d else 2 for d in dvec),
@@ -163,13 +156,19 @@ FAMILIES = {
 
 def _refuse_unprintable(family: str, params: dict) -> None:
     """Refuse, unbuilt, a sunflower or nosegay-k rank too long to print, counting
-    digits from its factors' logs; bad arguments are left to the closed form."""
+    digits from the float sums, never building M, of log10 a(d) = d log10 M +
+    log10(2 + x) and log10(b(d)/a(d)) = log10(1 - 1/(2 + x)), x = d/M; bad
+    arguments are left to the closed form."""
     dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
     if (family not in ("sunflower", "nosegay-k") or k < 2
             or len(dvec) != (1 if family == "sunflower" else k)
             or min(dvec) < 0 or max(dvec) >= MAX_COUNT):
         return
-    log_a, log_ratio = _vertex_factors(dvec, k, logs=True)
+    # log10 M must be exactly 0 at k = 2: sum(dvec) reaches 2^64
+    xs = [ldexp(d, 1 - k) / (1 - ldexp(1.0, 1 - k)) for d in dvec]
+    log10_m = (k - 1) * log10(2) + log10(1 - ldexp(1.0, 1 - k))
+    log_a = sum(dvec) * log10_m + sum(log10(2 + x) for x in xs)
+    log_ratio = sum(log1p(-1 / (2 + x)) for x in xs) / LN10
     # a nosegay's rank is prod a(d_i) times (1 - prod b(d_i)/a(d_i))
     tail = log10(-expm1(LN10 * log_ratio)) if family == "nosegay-k" else 0
     digits, limit = floor(log_a + tail) + 1, sys.get_int_max_str_digits()

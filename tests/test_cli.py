@@ -119,6 +119,25 @@ def test_bound_single_clause(capsys):
     assert below["verdict"] == "inconclusive"
 
 
+def test_bound_single_clause_at_the_edge_of_float_range(capsys):
+    # the verdict only compares alpha with the threshold, which is finite at
+    # k = 1024 though 2^k overflows a float
+    for alpha, verdict in (("1e308", "inconclusive"), ("1.3e308", "unsat-whp")):
+        payload = run_json(capsys, "bound", "single-clause", "--k", "1024",
+                           "--alpha", alpha)
+        assert payload["threshold"] == 1.2460659279417838e+308
+        assert payload["verdict"] == verdict, alpha
+    for k, alpha, message in [
+            ("1025", "2", "overflows a float at k = 1025"),
+            ("1024", "0", "alpha must be positive, got 0.0"),
+            ("1024", "-1", "alpha must be positive, got -1.0"),
+            ("1024", "nan", "argument --alpha: expects a finite number")]:
+        code, out, err = run_cli(capsys, "bound", "single-clause", "--k", k,
+                                 "--alpha", alpha)
+        assert code == 2 and out == "", alpha
+        assert message in err, alpha
+
+
 def test_bound_general_k(capsys):
     payload = run_json(capsys, "bound", "general-k", "--alpha", "9.0",
                        "--k", "4")
@@ -300,6 +319,63 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         assert out == ""
 
 
+def test_negative_seeds_are_refused_by_name(tmp_path, capsys):
+    graph = tmp_path / "edge.hg"
+    write_hypergraph(Hypergraph(2, [(0, 1)]), graph)
+    for argv, seed in [
+            (("rank", "--graph", str(graph), "--seed", "-1"), -1),
+            (("rank", "--graph", str(graph), "--mode", "float", "--seed", "-1"),
+             -1),
+            (("verify", "gadgets", "--seed", "-1"), -1),
+            (("peel", "--n", "20", "--alpha", "1.0", "--gadget", "sunflower",
+              "--seed", "-5"), -5),
+            (("peel", "--n", "20", "--alpha", "1.0", "--gadget", "nosegay",
+              "--seed", "-5"), -5)]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"seed must be nonnegative, got {seed}" in err, argv
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argv = ("threshold", "general-k", "--k", "4")
+    first = run_cli(capsys, *argv)
+    # one argv that argparse rejects and one that a handler rejects
+    assert run_cli(capsys, "bound", "nosegay", "--alpha", "3.7",
+                   "--dmax", "50")[:2] == (2, "")
+    assert run_cli(capsys, "bound", "sunflower", "--alpha", "0")[:2] == (2, "")
+    again = run_cli(capsys, *argv)
+    assert first[0] == again[0] == 0 and first[1] == again[1]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_builds_no_parser():
+    # importing the CLI constructs no parser: the first main call builds it,
+    # and later calls reuse it
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import qksat.cli as cli
+print(len(built))
+cli.main(["threshold", "general-k", "--k", "4"])
+print(len(built))
+cli.main(["threshold", "general-k", "--k", "4"])
+print(len(built))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, _, after_one, _, after_two = proc.stdout.splitlines()
+    assert at_import == "0"
+    assert int(after_one) > 0 and after_two == after_one
+
+
 def test_options_a_method_never_reads_exit_two(capsys):
     ignored = [
         ("bound", "nosegay", "--alpha", "3.7", "--dmax", "50"),
@@ -315,7 +391,14 @@ def test_options_a_method_never_reads_exit_two(capsys):
     for argv in ignored:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
-        assert out == "" and "does not read" in err
+        # argparse names the option and its value
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err, argv
+    # every bound method but single-clause needs a density
+    for method in ("sunflower", "nosegay", "general-k"):
+        code, out, err = run_cli(capsys, "bound", method, "--k", "4")
+        assert code == 2 and out == "", method
+        assert "required: --alpha" in err, method
     # params echoes only what the method reads, defaults filled in
     assert run_json(capsys, "threshold", "general-k", "--k", "4")["params"] == {}
     assert run_json(capsys, "threshold", "sunflower", "--dmax", "60")[

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from qksat.hypergraph import Hypergraph
+from qksat.peeling import nosegay_peel, sunflower_peel
+from qksat.rank_oracle import generic_rank_field, min_rank_float
 from qksat.rng import child_rng, make_rng
 
 
@@ -43,3 +46,17 @@ def test_make_rng_rejects_junk():
             make_rng(bad)
         with pytest.raises(TypeError):
             child_rng(bad, 0)
+
+
+def test_negative_seeds_raise_value_error_naming_them():
+    g = Hypergraph(3, [(0, 1, 2)])
+    for seed in (-1, -(2 ** 70)):
+        # the generators, both peels and both rank oracles refuse it alike
+        for call in (lambda: make_rng(seed), lambda: child_rng(seed, 0),
+                     lambda: sunflower_peel(g, seed),
+                     lambda: nosegay_peel(g, seed),
+                     lambda: generic_rank_field(g, seed=seed),
+                     lambda: min_rank_float(g, seed=seed)):
+            with pytest.raises(ValueError,
+                               match=f"seed must be nonnegative, got {seed}$"):
+                call()
