@@ -518,6 +518,13 @@ GOLDEN_TRACES = [
     ("2000", "nosegay", "7.6", "4", "9f19714cdb6b8148"),
     ("20000", "nosegay", "3.594", "3", "0d47d926b21c352a"),
     ("20000", "nosegay", "7.6", "4", "d02fe39fc9c3826e"),
+    ("2000", "sunflower", "1.0", "2", "fcadbf017722dac0"),
+    ("2000", "sunflower", "7.6", "4", "1665432e21b3cd71"),
+    ("2000", "nosegay", "1.0", "2", "265e02886a61ac04"),
+    # every step has d = 0
+    ("2000", "sunflower", "0", "3", "d89ca76d3c7502ef"),
+    # the peel benchmark's sunflower op
+    ("20000", "sunflower", "3.894", "3", "eee5f0ae2b74b199"),
 ]
 
 
