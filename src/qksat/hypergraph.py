@@ -68,7 +68,8 @@ class Hypergraph:
         return tuple(tuple(vertices[a:b]) for a, b in zip(offsets, offsets[1:]))
 
     def arities(self) -> set[int]:
-        return set(np.unique(np.diff(self.offsets)).tolist())
+        # no arity exceeds len(vertices), which bounds the count array
+        return set(np.flatnonzero(np.bincount(np.diff(self.offsets))).tolist())
 
 
 def check_arity(k: int) -> None:

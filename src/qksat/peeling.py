@@ -15,11 +15,9 @@ sunflower, its `d_1, ..., d_k` for a nosegay) and `anomalies`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -47,16 +45,24 @@ class PeelTrace:
 
     @cached_property
     def gadgets(self):
-        """The distinct params rows, the log-weight and step count of each,
-        and the row index of each step."""
-        rows, inverse, counts = np.unique(self.steps["params"], axis=0,
-                                          return_inverse=True,
-                                          return_counts=True)
-        family, params = GADGETS[self.algorithm]
-        rows = rows.tolist()
-        weights = [gadget_log_weight(family, **params(row, self.k))
+        """The distinct params rows in lexicographic order, the log-weight
+        and step count of each, and the row index of each step (an int64
+        array). One lexsort groups the rows: a sorted row that differs from
+        the one before it starts a group."""
+        params = self.steps["params"]
+        order = np.lexsort(params.T[::-1])
+        ranked = params[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+        counts = np.diff(starts, append=len(order))
+        family, row_params = GADGETS[self.algorithm]
+        rows = ranked[starts].tolist()
+        weights = [gadget_log_weight(family, **row_params(row, self.k))
                    for row in rows]
-        return rows, weights, counts.tolist(), inverse.tolist()
+        return rows, weights, counts.tolist(), inverse
 
 
 def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
@@ -170,18 +176,21 @@ def empirical_log_rank(trace: PeelTrace) -> float:
 
 def write_trace_csv(trace: PeelTrace, path) -> None:
     """One row per step: step index, remaining sizes, gadget, params joined
-    by ';', log-weight, per-step anomaly count."""
+    by ';', log-weight, per-step anomaly count. Rows end in CRLF, and no
+    field needs quoting: params are ints and family names hold no comma."""
     rows, weights, _, inverse = trace.gadgets
-    params = [";".join(map(str, row)) for row in rows]
-    weights = [repr(w) for w in weights]
+    family = GADGETS[trace.algorithm][0]
+    gadget = [f"{family},{';'.join(map(str, row))},{weight!r}"
+              for row, weight in zip(rows, weights)]
     steps = trace.steps
+    s = len(steps)
+    cells = [None] * (5 * s)
+    cells[0::5] = range(s)
+    cells[1::5] = steps["vertices_remaining"].tolist()
+    cells[2::5] = steps["edges_remaining"].tolist()
+    cells[3::5] = [gadget[i] for i in inverse.tolist()]
+    cells[4::5] = steps["anomalies"].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "vertices_remaining", "edges_remaining",
-                         "gadget", "params", "log_weight", "anomaly"])
-        writer.writerows(zip(
-            range(len(steps)), steps["vertices_remaining"].tolist(),
-            steps["edges_remaining"].tolist(),
-            repeat(GADGETS[trace.algorithm][0]),
-            [params[i] for i in inverse], [weights[i] for i in inverse],
-            steps["anomalies"].tolist()))
+        fh.write("step,vertices_remaining,edges_remaining,gadget,params,"
+                 "log_weight,anomaly\r\n")
+        fh.write("%d,%d,%d,%s,%d\r\n" * s % tuple(cells))

@@ -1,5 +1,6 @@
 """Independent reference routes and graph utilities that only the tests use."""
 
+import csv
 from fractions import Fraction
 from math import comb
 
@@ -9,8 +10,10 @@ from scipy.sparse.csgraph import connected_components
 
 from qksat import analysis
 from qksat.analysis import nosegay_ode
-from qksat.gadgets import nosegay_hang_graph, nosegay_hang_rank
+from qksat.gadgets import (gadget_log_weight, nosegay_hang_graph,
+                           nosegay_hang_rank)
 from qksat.hypergraph import Hypergraph
+from qksat.peeling import GADGETS
 from qksat.rank_oracle import generic_rank_float
 from qksat.rng import child_rng
 
@@ -181,3 +184,24 @@ def format_hypergraph(g: Hypergraph) -> str:
 def write_hypergraph(g: Hypergraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_hypergraph(g))
+
+
+def write_trace_csv_reference(trace, path) -> None:
+    """The `--trace` CSV written row by row through csv.writer, one
+    log-weight per distinct params row: the reference for write_trace_csv."""
+    family, params = GADGETS[trace.algorithm]
+    weights = {}
+    steps = trace.steps
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "vertices_remaining", "edges_remaining",
+                         "gadget", "params", "log_weight", "anomaly"])
+        for i, (v, e, row, a) in enumerate(zip(
+                steps["vertices_remaining"].tolist(),
+                steps["edges_remaining"].tolist(),
+                steps["params"].tolist(), steps["anomalies"].tolist())):
+            key = tuple(row)
+            if key not in weights:
+                weights[key] = gadget_log_weight(family, **params(row, trace.k))
+            writer.writerow([i, v, e, family, ";".join(map(str, row)),
+                             repr(weights[key]), a])

@@ -26,6 +26,14 @@ def test_edge_normalization():
     assert g.arities() == {3, 2}
 
 
+@pytest.mark.parametrize("g", [
+    Hypergraph(0, []), Hypergraph(7, []),
+    Hypergraph(6, [(0, 1), (2, 3, 4, 5), (1, 2, 3)]),
+    Hypergraph(9, [tuple(range(9)), (0, 8), (1, 7), tuple(range(5))])])
+def test_arities_match_unique(g):
+    assert g.arities() == set(np.unique(np.diff(g.offsets)).tolist())
+
+
 def graph_key(g):
     return g.n, g.edges
 

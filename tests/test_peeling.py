@@ -18,6 +18,7 @@ from qksat.peeling import (
     write_trace_csv,
 )
 from qksat.rng import make_rng
+from support import write_trace_csv_reference
 
 
 def columns(trace):
@@ -322,3 +323,60 @@ def test_trace_csv_nosegay_params(tmp_path):
         assert row[4] == f"{a};{b};{c}"
         assert float(row[5]) == gadget_log_weight("nosegay-k", dvec=(a, b, c),
                                                   k=3)
+
+
+def hand_built_traces():
+    """A zero-step trace and traces with params, sizes and anomaly counts
+    far beyond what a peel at test scale produces."""
+    big = 1 << 40
+    yield PeelTrace("sunflower", 0, 0, 3, 0, trace_steps(
+        [], [], np.zeros((0, 1), dtype=np.int64), []))
+    yield PeelTrace("nosegay", 0, 0, 4, 0, trace_steps(
+        [], [], np.zeros((0, 4), dtype=np.int64), []))
+    yield PeelTrace("sunflower", big, big, 3, 0, trace_steps(
+        [big - 1, big - 2, big - 3], [big, 10**9, 0],
+        np.array([[10**6], [0], [10**6]]), [big, 0, 123456789]))
+    yield PeelTrace("nosegay", big, big, 3, 0, trace_steps(
+        [big - 3, big - 6], [big, 0],
+        np.array([[10**5, 0, 77], [0, 0, 0]]), [0, big]))
+
+
+def check_trace_csv(tmp_path, trace):
+    write_trace_csv(trace, tmp_path / "bulk.csv")
+    write_trace_csv_reference(trace, tmp_path / "reference.csv")
+    assert ((tmp_path / "bulk.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("peel", [sunflower_peel, nosegay_peel])
+def test_trace_csv_matches_csv_writer(tmp_path, peel, k):
+    check_trace_csv(tmp_path, peel(random_hypergraph(300, 300 * k, k, seed=k),
+                                   11))
+
+
+def test_hand_built_trace_csv_matches_csv_writer(tmp_path):
+    for trace in hand_built_traces():
+        check_trace_csv(tmp_path, trace)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 500])
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_gadget_grouping_matches_unique(monkeypatch, rows, width):
+    monkeypatch.setattr(peeling, "gadget_log_weight", lambda family, **_: 0.0)
+    rng = np.random.default_rng(rows * 10 + width)
+    info = np.iinfo(np.int64)
+    for params in (rng.integers(-2, 3, size=(rows, width)),
+                   rng.integers(info.min, info.max, size=(rows, width),
+                                endpoint=True)):
+        algorithm = "sunflower" if width == 1 else "nosegay"
+        zeros = np.zeros(rows, dtype=np.int64)
+        trace = PeelTrace(algorithm, rows, rows, width, 0,
+                          trace_steps(zeros, zeros, params, zeros))
+        got_rows, _, got_counts, got_inverse = trace.gadgets
+        want_rows, want_inverse, want_counts = np.unique(
+            params, axis=0, return_inverse=True, return_counts=True)
+        assert got_rows == want_rows.tolist()
+        assert got_counts == want_counts.tolist()
+        assert got_inverse.dtype == np.int64
+        assert got_inverse.tolist() == want_inverse.reshape(-1).tolist()
