@@ -56,6 +56,9 @@ class Hypergraph:
             raise ValueError(f"vertices {vertices.min()}..{vertices.max()} out of "
                              f"range for n={n}")
         self.n, self.vertices, self.offsets = n, vertices, offsets
+        # counted once, on the arity array the checks above hold, so that a
+        # peel allocates no array of m arities to learn its arity
+        self._arities = tuple(np.flatnonzero(np.bincount(arity)).tolist())
 
     @property
     def m(self) -> int:
@@ -68,8 +71,7 @@ class Hypergraph:
         return tuple(tuple(vertices[a:b]) for a, b in zip(offsets, offsets[1:]))
 
     def arities(self) -> set[int]:
-        # no arity exceeds len(vertices), which bounds the count array
-        return set(np.flatnonzero(np.bincount(np.diff(self.offsets))).tolist())
+        return set(self._arities)
 
 
 def check_arity(k: int) -> None:
