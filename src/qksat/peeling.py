@@ -25,6 +25,9 @@ from .gadgets import LN2, gadget_log_weight
 from .hypergraph import Hypergraph
 from .rng import make_rng, require_int_seed
 
+# steps per write of the trace CSV: bounds the writer's memory whatever n is
+TRACE_BLOCK = 1 << 16
+
 # each algorithm's gadget family, and the family's params of one params row
 GADGETS = {"sunflower": ("sunflower", lambda row, k: {"d": row[0], "k": k}),
            "nosegay": ("nosegay-k", lambda row, k: {"dvec": tuple(row), "k": k})}
@@ -177,20 +180,23 @@ def empirical_log_rank(trace: PeelTrace) -> float:
 def write_trace_csv(trace: PeelTrace, path) -> None:
     """One row per step: step index, remaining sizes, gadget, params joined
     by ';', log-weight, per-step anomaly count. Rows end in CRLF, and no
-    field needs quoting: params are ints and family names hold no comma."""
+    field needs quoting: params are ints and family names hold no comma.
+    Each block of TRACE_BLOCK steps is written with one format call."""
     rows, weights, _, inverse = trace.gadgets
     family = GADGETS[trace.algorithm][0]
     gadget = [f"{family},{';'.join(map(str, row))},{weight!r}"
               for row, weight in zip(rows, weights)]
     steps = trace.steps
-    s = len(steps)
-    cells = [None] * (5 * s)
-    cells[0::5] = range(s)
-    cells[1::5] = steps["vertices_remaining"].tolist()
-    cells[2::5] = steps["edges_remaining"].tolist()
-    cells[3::5] = [gadget[i] for i in inverse.tolist()]
-    cells[4::5] = steps["anomalies"].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,vertices_remaining,edges_remaining,gadget,params,"
                  "log_weight,anomaly\r\n")
-        fh.write("%d,%d,%d,%s,%d\r\n" * s % tuple(cells))
+        for a in range(0, len(steps), TRACE_BLOCK):
+            block = steps[a:a + TRACE_BLOCK]
+            s = len(block)
+            cells = [None] * (5 * s)
+            cells[0::5] = range(a, a + s)
+            cells[1::5] = block["vertices_remaining"].tolist()
+            cells[2::5] = block["edges_remaining"].tolist()
+            cells[3::5] = [gadget[i] for i in inverse[a:a + s].tolist()]
+            cells[4::5] = block["anomalies"].tolist()
+            fh.write("%d,%d,%d,%s,%d\r\n" * s % tuple(cells))

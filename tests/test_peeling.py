@@ -10,6 +10,7 @@ import qksat.peeling as peeling
 from qksat.gadgets import gadget_log_weight
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.peeling import (
+    TRACE_BLOCK,
     PeelTrace,
     empirical_log_rank,
     nosegay_peel,
@@ -341,23 +342,27 @@ def hand_built_traces():
         np.array([[10**5, 0, 77], [0, 0, 0]]), [0, big]))
 
 
-def check_trace_csv(tmp_path, trace):
-    write_trace_csv(trace, tmp_path / "bulk.csv")
+def check_trace_csv(tmp_path, monkeypatch, trace):
+    """The bulk writer equals the csv.writer reference, in one block and
+    in blocks of 1 and 7 steps."""
     write_trace_csv_reference(trace, tmp_path / "reference.csv")
-    assert ((tmp_path / "bulk.csv").read_bytes()
-            == (tmp_path / "reference.csv").read_bytes())
+    want = (tmp_path / "reference.csv").read_bytes()
+    for block in (TRACE_BLOCK, 1, 7):
+        monkeypatch.setattr(peeling, "TRACE_BLOCK", block)
+        write_trace_csv(trace, tmp_path / "bulk.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == want, block
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("peel", [sunflower_peel, nosegay_peel])
-def test_trace_csv_matches_csv_writer(tmp_path, peel, k):
-    check_trace_csv(tmp_path, peel(random_hypergraph(300, 300 * k, k, seed=k),
-                                   11))
+def test_trace_csv_matches_csv_writer(tmp_path, monkeypatch, peel, k):
+    trace = peel(random_hypergraph(300, 300 * k, k, seed=k), 11)
+    check_trace_csv(tmp_path, monkeypatch, trace)
 
 
-def test_hand_built_trace_csv_matches_csv_writer(tmp_path):
+def test_hand_built_trace_csv_matches_csv_writer(tmp_path, monkeypatch):
     for trace in hand_built_traces():
-        check_trace_csv(tmp_path, trace)
+        check_trace_csv(tmp_path, monkeypatch, trace)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 500])
