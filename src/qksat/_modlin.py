@@ -25,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 P = 8388593
+H = (P - 1) // 2
 NB = 128
-if not NB * ((P - 1) // 2) ** 2 + P < 2 ** 52:
+if not NB * H ** 2 + P < 2 ** 52:
     raise ImportError(f"NB = {NB} products modulo {P} are not exact in float64")
 
 
@@ -106,23 +107,20 @@ def _rank(a: np.ndarray) -> int:
 
 
 def rank_mod(a) -> int:
-    """Exact rank over GF(P) of an integer matrix (float input must hold
-    integers below 2^52 in magnitude)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"rank_mod expects a matrix, got shape {a.shape}")
+    """Exact rank over GF(P) of a float64 matrix of centered residues, which
+    it consumes: every entry must be an integer with |x| <= (P-1)/2."""
+    if a.dtype != np.float64 or a.ndim != 2:
+        raise ValueError("rank_mod takes a float64 matrix of centered residues, "
+                         f"got {a.dtype} of shape {a.shape}")
     if a.size == 0:
         return 0
-    if a.dtype.kind != "f":
-        a = (a % P).astype(np.float64)
-    elif not (np.abs(a) < 2.0 ** 52).all() or (a != np.rint(a)).any():
-        raise ValueError("rank_mod needs integer entries below 2^52")
-    # eliminate along the shorter side, on a column-major copy: the panels
-    # read columns (a C-order matrix transposes to one without a copy)
-    return _rank(np.asfortranarray(_reduce(a if a.shape[0] >= a.shape[1] else a.T)))
+    if not -H <= a.min() <= a.max() <= H or (a != np.rint(a)).any():
+        raise ValueError(f"rank_mod needs integer entries with |x| <= {H}")
+    # eliminate along the shorter side; the panels read columns, so a
+    # column-major tall or row-major wide matrix needs no copy
+    return _rank(a if a.shape[0] >= a.shape[1] else a.T)
 
 
 def rand_mod(rng: np.random.Generator, size) -> np.ndarray:
     """Uniform field elements as centered float64 residues."""
-    half = P // 2
-    return rng.integers(-half, half + 1, size=size).astype(np.float64)
+    return rng.integers(-H, H + 1, size=size).astype(np.float64)

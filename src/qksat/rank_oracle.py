@@ -17,8 +17,9 @@ builder, `constraint_matrix`; only the entries and the rank kernel differ:
   Gaussian w attains the generic row rank with probability 1. The price is
   a heavier tail of small singular values, P(sigma < eps) ~ eps, not eps^2
   (README, "Numerical notes");
-- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`),
-  the independent check of the float rank.
+- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`)
+  of the matrix in place, which it consumes: the independent check of the
+  float rank.
 
 Field trials fail only one way. A nonzero minor mod P is a nonzero integer,
 so a trial's row rank is a deterministic lower bound on the complex generic
@@ -117,8 +118,10 @@ def field_trials(rows: int, n: int) -> int:
 def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
     """float64 constraint matrix of g with vectors[i] spread over the rows of
     edge i at the columns layout[i] = clause_columns(edge i); its kernel is
-    the satisfying subspace."""
-    a = np.zeros((constraint_rows(g), 1 << g.n))
+    the satisfying subspace. Column-major when tall, row-major when wide, so
+    `rank_mod` eliminates it in place."""
+    rows = constraint_rows(g)
+    a = np.zeros((rows, 1 << g.n), order="F" if rows >= 1 << g.n else "C")
     r = 0
     for cols, v in zip(layout, vectors):
         a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
@@ -126,20 +129,21 @@ def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
     return a
 
 
-def _trial_ranks(g: Hypergraph, trials: int, seed, cap: int, matrices: int,
-                 draw, rank) -> list:
+def _trial_ranks(g: Hypergraph, trials: int, seed, cap: int, draw, rank) -> list:
     """rank(constraint matrix) of each of `trials` independent adornments;
     trial t draws each clause's entries, in edge order, as
-    draw(child_rng(seed, t), 2^k). One matrix is alive at a time. Refuses,
-    before any draw, a seed that is not an int, trials < 1, n above cap and
-    `matrices` float64 copies of the matrix beyond physical memory."""
+    draw(child_rng(seed, t), 2^k). Refuses, before any draw, a seed that is
+    not an int, trials < 1, n above cap and two matrices beyond physical
+    memory: one is alive at a time, and either rank adds about one more (the
+    first block-update product of `rank_mod`, or LAPACK's copy)."""
     seed = require_int_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds the cap {cap}; pass a larger cap to force")
-    check_memory(matrices * 8 * constraint_rows(g) << g.n,
-                 f"a rank trial ({matrices} copies of the constraint matrix)")
+        raise ValueError(f"n={g.n} exceeds the cap {cap}; pass --force (or a "
+                         "larger cap= from Python) to lift it")
+    check_memory(2 * 8 * constraint_rows(g) << g.n,
+                 "a rank trial (two copies of the constraint matrix)")
     # the same clause layout serves every trial
     layout = [clause_columns(e, g.n) for e in g.edges]
     ranks = []
@@ -177,9 +181,7 @@ def min_rank_float(g: Hypergraph, samples: int = 3, seed=0,
                    cap: int = DEFAULT_CAP) -> RankResult:
     """Least generic_rank_float over independently adorned samples; a
     degenerate sample can only overstate the dimension."""
-    # two matrices: the float64 matrix and the copy that LAPACK factors
-    results = _trial_ranks(g, samples, seed, cap, 2, _unit_vector,
-                           generic_rank_float)
+    results = _trial_ranks(g, samples, seed, cap, _unit_vector, generic_rank_float)
     return min(results, key=lambda res: res.rank)
 
 
@@ -197,9 +199,7 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     rows = constraint_rows(g)
     if trials is None:
         trials = field_trials(rows, g.n)
-    # three matrices: the float64 matrix, the elimination's working copy and
-    # the product of its first block update
-    ranks = _trial_ranks(g, trials, seed, cap, 3, rand_mod, rank_mod)
+    ranks = _trial_ranks(g, trials, seed, cap, rand_mod, rank_mod)
     best = max(ranks)
     d = min(rows, 1 << g.n)
     return RankResult((1 << g.n) - best, "field", float(ranks.count(best)),

@@ -17,7 +17,7 @@ import qksat.cli as cli
 import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P
 from qksat.analysis import general_k_bound
-from qksat.hypergraph import Hypergraph
+from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import RankInstabilityError
 from qksat.rng import make_rng
 from support import random_mixed_graph, write_hypergraph
@@ -456,6 +456,38 @@ def test_oracles_refuse_matrices_beyond_memory(tmp_path, capsys, monkeypatch):
                                  "--mode", mode, "--force")
         assert code == 2, mode
         assert out == "" and "physical memory" in err
+
+
+def test_rank_cap_refusal_names_force(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial was drawn before the refusal")
+
+    monkeypatch.setattr(rank_oracle, "child_rng", unreachable)
+    path = tmp_path / "fourteen.hg"
+    write_hypergraph(Hypergraph(14, [(0, 1)]), path)
+    for mode in ("field", "float"):
+        code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                 "--mode", mode)
+        assert code == 2, mode
+        assert out == "" and "--force" in err
+
+
+def test_rank_preflight_counts_two_matrices(tmp_path, capsys, monkeypatch):
+    # either oracle holds the matrix and one more (a block-update product or
+    # LAPACK's copy): 2.5 matrices of physical memory suffice, 1.5 do not
+    g = random_hypergraph(9, 9, 3, 0)
+    path = tmp_path / "g.hg"
+    write_hypergraph(g, path)
+    matrix = 8 * (64 * 9) << 9
+    real = os.sysconf
+    for share, want in [(2.5, 0), (1.5, 2)]:
+        fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": int(share * matrix)}
+        monkeypatch.setattr(rank_oracle.os, "sysconf",
+                            lambda name: fake[name] if name in fake else real(name))
+        for mode in ("field", "float"):
+            code, _, err = run_cli(capsys, "rank", "--graph", str(path),
+                                   "--mode", mode)
+            assert code == want, (share, mode, err)
 
 
 def test_peel_refuses_graphs_beyond_memory(capsys, monkeypatch):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import qksat._modlin as _modlin
-from qksat._modlin import (NB, P, _rank, _reduce, inv_mod, matmul_mod,
-                           rand_mod, rank_mod)
+from qksat._modlin import (NB, H, P, _reduce, inv_mod, matmul_mod, rand_mod,
+                           rank_mod)
 
-H = (P - 1) // 2
 # a prime just above 2^60, for checking the reference itself
 OTHER_PRIME = 1152921504606847009
 
@@ -124,11 +123,9 @@ def test_matmul_mod_shape_checks():
 
 
 def _kernel_rank(monkeypatch, a, nb):
-    """_rank with panels nb wide, on a column-major copy, tall side down, as
-    rank_mod calls it."""
+    """rank_mod of a copy of a, with panels nb wide."""
     monkeypatch.setattr(_modlin, "NB", nb)
-    a = np.asarray(a, dtype=np.float64)
-    return _rank(np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T))
+    return rank_mod(a.copy())
 
 
 def test_rank_paths_agree_on_planted_rank():
@@ -137,8 +134,9 @@ def test_rank_paths_agree_on_planted_rank():
     for rows, cols, r in [(150, 100, 40), (100, 150, 99), (90, 90, 90),
                           (70, 130, 1), (300, 260, 200), (140, 300, 139)]:
         a = _planted(rng, rows, cols, r)
-        assert rank_mod(a) == r
-        assert rank_mod(a.T) == r
+        # rank_mod consumes its argument
+        assert rank_mod(a.copy()) == r
+        assert rank_mod(a.T.copy()) == r
         if rows * cols <= 15000:
             assert _rank_object(a) == r
 
@@ -149,8 +147,8 @@ def test_rank_panel_widths_around_nb(monkeypatch):
     for width in (NB - 1, NB, NB + 1):
         for r in (width, width - 3):
             a = _planted(rng, width + 20, width, r)
-            assert rank_mod(a) == r
-            assert rank_mod(a.T) == r
+            assert rank_mod(a.copy()) == r
+            assert rank_mod(a.T.copy()) == r
     for nb in (7, 8, 9):
         for r in (8, 5):
             a = _planted(rng, 40, 8, r)
@@ -170,7 +168,7 @@ def test_rank_full_block_worst_case_magnitudes():
     rng = np.random.default_rng(12)
     for shape in [(NB + 10, NB), (NB + 1, NB + 1)]:
         a = H * rng.choice([-1.0, 1.0], size=shape)
-        assert rank_mod(a) == _rank_object(a)
+        assert rank_mod(a.copy()) == _rank_object(a)
     dup = H * rng.choice([-1.0, 1.0], size=(NB, 40))
     assert rank_mod(np.hstack([dup, -dup, dup])) == _rank_object(dup) == 40
 
@@ -196,7 +194,7 @@ def test_rank_degenerate_entry_distribution(monkeypatch):
         shape = tuple(int(s) for s in rng.integers(1, 60, size=2))
         a = vals[rng.integers(0, len(vals), size=shape)]
         want = _rank_object(a)
-        assert rank_mod(a) == want
+        assert rank_mod(a.copy()) == want
         for nb in (1, 3):
             assert _kernel_rank(monkeypatch, a, nb) == want
 
@@ -214,18 +212,44 @@ def test_rank_object_path_other_prime():
 
 
 def test_rank_mod_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape"):
         rank_mod(np.zeros(5))
     assert rank_mod(np.zeros((0, 4))) == 0
-    with pytest.raises(ValueError):
-        rank_mod(np.array([[0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        rank_mod(np.array([[2.0 ** 52, 1.0]]))
-    # integer input of any size is reduced exactly
-    assert rank_mod(np.array([[P, 2 * P], [1, 5]], dtype=np.int64)) == 1
-    big = np.array([[P * (1 << 70) + 1, 2], [3, 6]], dtype=object)
-    assert rank_mod(big) == 1
-    assert rank_mod(np.array([[1, 2], [3, 6 + P]], dtype=np.uint64)) == 1
+    # one input form: float64 centered residues, never reduced on entry
+    for dtype, rows in [(np.int64, [[P, 2 * P], [1, 5]]),
+                        (np.uint64, [[1, 2], [3, 6 + P]]),
+                        (object, [[P * (1 << 70) + 1, 2], [3, 6]]),
+                        (np.float32, [[1, 2], [3, 6]])]:
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            rank_mod(np.array(rows, dtype=dtype))
+    for bad in ([[0.5, 1.0]], [[1.0, H - 0.5]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            rank_mod(np.array(bad))
+    for bad in (H + 1.0, -H - 1.0, P, 2.0 ** 52, np.inf):
+        with pytest.raises(ValueError, match="integer entries"):
+            rank_mod(np.array([[1.0, 2.0], [3.0, bad]]))
+    assert rank_mod(np.array([[H, -H], [-H, H]], dtype=np.float64)) == 1
+
+
+def test_rank_mod_refuses_float32_planted_ranks():
+    # float32 holds these residues exactly, but a block update would round
+    # its products into a float32 buffer: rank 300 and 232 were read here
+    rng = np.random.default_rng(13)
+    for rows, cols, r in [(400, 300, 200), (500, 260, 100)]:
+        a = _planted(rng, rows, cols, r)
+        with pytest.raises(ValueError, match="float32"):
+            rank_mod(a.astype(np.float32))
+        assert rank_mod(a) == r
+
+
+def test_rank_mod_any_layout_and_orientation():
+    # one matrix given in C and F order, tall and wide: the kernel works in
+    # place on whichever layout it gets
+    rng = np.random.default_rng(14)
+    a = _planted(rng, 300, 170, 150)
+    for m in (a, a.T):
+        for order in "CF":
+            assert rank_mod(np.array(m, order=order)) == 150
 
 
 def test_rand_mod_bounds():

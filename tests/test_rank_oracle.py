@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,32 @@ def test_constraint_matrix_matches_kron_reference():
         want = np.concatenate([clause_rows_by_kron(e, g.n, v)
                                for e, v in zip(g.edges, vectors)])
         assert np.array_equal(a, want), g.n
+
+
+def test_constraint_matrix_layout_follows_the_shape():
+    # column-major when tall (rows >= 2^n), row-major when wide: the layouts
+    # in which rank_mod eliminates without a copy
+    for m, order in [(9, "F"), (8, "F"), (7, "C"), (1, "C")]:
+        g = random_hypergraph(9, m, 3, m)
+        a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges],
+                              [np.ones(8)] * m)
+        assert a.shape == (64 * m, 512)
+        assert a.flags[f"{order}_CONTIGUOUS"], m
+
+
+def test_field_trial_peak_is_about_two_matrices():
+    # the matrix is eliminated in place: a trial holds it, the first
+    # block-update product and the panel buffers
+    g = random_hypergraph(9, 9, 3, 0)
+    matrix = 8 * constraint_rows(g) << g.n
+    assert matrix == 9 * 2 ** 18
+    tracemalloc.start()
+    try:
+        generic_rank_field(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * matrix
 
 
 def test_empty_formula_rank():
