@@ -29,6 +29,11 @@ H = (P - 1) // 2
 NB = 128
 if not NB * H ** 2 + P < 2 ** 52:
     raise ImportError(f"NB = {NB} products modulo {P} are not exact in float64")
+# entries per block of rank_mod's entry check: 4 MB of float64 temporaries.
+# A matrix up to n = 9 (2.4 MB) is still checked in one block, whose freed
+# temporary raises glibc's dynamic mmap threshold as before; with 512 KB
+# blocks the float trial that followed peaked 2.3 MB higher in RSS
+_CHECK_CELLS = 1 << 19
 
 
 def _reduce(x, out=None):
@@ -114,8 +119,14 @@ def rank_mod(a) -> int:
                          f"got {a.dtype} of shape {a.shape}")
     if a.size == 0:
         return 0
-    if not -H <= a.min() <= a.max() <= H or (a != np.rint(a)).any():
-        raise ValueError(f"rank_mod needs integer entries with |x| <= {H}")
+    # block by block over the memory order (a view for either contiguous
+    # layout), so the check's temporaries stay a small fraction of a
+    flat = a.ravel(order="K")
+    for start in range(0, flat.size, _CHECK_CELLS):
+        block = flat[start:start + _CHECK_CELLS]
+        if (not -H <= block.min() <= block.max() <= H
+                or (block != np.rint(block)).any()):
+            raise ValueError(f"rank_mod needs integer entries with |x| <= {H}")
     # eliminate along the shorter side; the panels read columns, so a
     # column-major tall or row-major wide matrix needs no copy
     return _rank(a if a.shape[0] >= a.shape[1] else a.T)

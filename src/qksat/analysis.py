@@ -244,22 +244,73 @@ def general_k_bound(alpha: float, k: int) -> BoundReport:
 
 
 def bisect_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Shrink [lo, hi] by bisection until it is at most `width` wide.
+    """Plain bisection's bracket of a non-increasing f, from few
+    evaluations of f.
 
-    f must be positive at lo and negative at hi; the returned bracket keeps
-    f(lo) >= 0 > f(hi), so hi is a point where f was evaluated negative (or
-    the given hi).
+    f must be positive at lo, negative at hi and non-increasing on [lo, hi].
+    Plain bisection replaces hi by the midpoint 0.5 (lo + hi) where f is
+    negative there, and lo otherwise, until hi - lo <= width. This returns
+    the same (lo, hi), bit for bit:
+
+    1. Illinois false position (Dowell and Jarratt, BIT 1971) shrinks an
+       evaluated bracket a < b, f(a) >= 0 > f(b), to width / 16, to adjacent
+       floats, or until it has made as many evaluations as plain bisection.
+    2. Plain bisection's midpoints are replayed from (lo, hi). Since f does
+       not increase, a midpoint <= a has f >= 0 and one >= b has f < 0, so
+       each takes the branch that plain bisection takes; only midpoints
+       strictly between a and b are evaluated.
+    3. The returned hi is evaluated if it was not yet, and f must be
+       negative there. So hi is always a point where f was evaluated
+       negative, and an f found non-negative there, which cannot be
+       non-increasing, is refused with ValueError rather than trusted.
+
+    So f is evaluated at most about twice as often as by plain bisection,
+    and for the roots of this module's bounds a third to a half as often
+    (6 evaluations against 18 for the sunflower at k = 3). ValueError is
+    also raised where the bracket closes on adjacent floats still wider
+    than `width`, where plain bisection would loop forever.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    if not f_lo > 0 > f_hi:
+    values = {lo: f(lo), hi: f(hi)}
+    a, fa, b, fb = lo, values[lo], hi, values[hi]
+    if not fa > 0 > fb:
         raise ValueError(f"no sign change on [{lo}, {hi}]: "
-                         f"f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}")
+                         f"f(lo)={fa:.3g}, f(hi)={fb:.3g}")
+    # phase 1 stops once plain bisection would have ended: span is its
+    # bracket's width after as many evaluations
+    side, span = 0, hi - lo
+    while b - a > width / 16 and span > width:
+        span *= 0.5
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = values[x] = f(x)
+        # Illinois: an end kept twice in a row has its value halved
+        if fx < 0:
+            if side < 0:
+                fa *= 0.5
+            b, fb, side = x, fx, -1
+        else:
+            if side > 0:
+                fb *= 0.5
+            a, fa, side = x, fx, 1
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
+        if not lo < mid < hi:
+            raise ValueError(f"bisection cannot narrow [{lo!r}, {hi!r}] to "
+                             f"width {width}: no float lies between them")
+        if a < mid < b:
+            values[mid] = f(mid)
+        if mid >= b or (mid > a and values[mid] < 0):
             hi = mid
         else:
             lo = mid
+    if hi not in values:
+        values[hi] = f(hi)
+    if not values[hi] < 0:
+        raise ValueError(f"f is not non-increasing on [{lo!r}, {hi!r}]: "
+                         f"f(hi)={values[hi]:.3g} at the returned hi")
     return lo, hi
 
 
@@ -298,12 +349,18 @@ _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 def threshold_root(method: str, k: int = 3, **options) -> float:
     """A density at most ROOT_PRECISION above the zero crossing of the
     selected bound plus its quad_error, at which that sum was evaluated
-    negative: the right end of the final bisection bracket. The bisection
-    starts from 0.5 and a density known to certify, _NEGATIVE_AT or else
-    2^k b plus max(1, 2^k 1e-10), a margin that covers solve_b's bisection
-    width; tests find the general-k bound negative there for k = 3..39. From
-    k = 40 on, floats near the root are spaced wider than ROOT_PRECISION, so
-    the bisection could not close, and the arity is refused."""
+    negative: the right end of the bracket that bisection ends with. The
+    bound falls as alpha grows (gadget log-weights fall with degree, and
+    the Poisson means rise with alpha), and bisect_bracket rests on that to
+    return plain bisection's bracket from few bound evaluations. The
+    quad_error estimate has no such proof, so bisect_bracket evaluates the
+    right end if it had not and refuses a sum that is not negative there.
+    The bracket starts from 0.5 and a density
+    known to certify, _NEGATIVE_AT or else 2^k b plus max(1, 2^k 1e-10), a
+    margin that covers solve_b's bisection width; tests find the general-k
+    bound negative there for k = 3..39. From k = 40 on, floats near the root
+    are spaced wider than ROOT_PRECISION, so the bracket could not close,
+    and the arity is refused before any bound is evaluated."""
     check_model(0.5, k)     # the left end; refuses k before 2^k is built
     right = _NEGATIVE_AT.get((method, k))
     if right is None:

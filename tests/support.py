@@ -58,6 +58,26 @@ def sunflower_degree_densities(d_max: int, alpha: float,
                                       d_max, lambda pmf: pmf)[0]
 
 
+def bisect_reference(f, lo: float, hi: float, width: float):
+    """Plain bisection of [lo, hi] down to at most `width`, the reference
+    for analysis.bisect_bracket: f(lo) > 0 > f(hi), then the midpoint
+    0.5 (lo + hi) replaces hi where f is negative there and lo otherwise.
+    Where no float lies strictly between lo and hi the loop could not end,
+    and ValueError is raised instead."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0 > f_hi:
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ValueError(f"no float lies between {lo!r} and {hi!r}")
+        if f(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def nosegay_mu(alpha: float, nu: float, k: int = 3) -> float:
     """Edges per original vertex at nu on the nosegay peel's trajectory,
     nu(c nu^(k-1) - 1)/(k(k-1)), c from nosegay_ode."""

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import qksat.analysis as analysis
@@ -21,7 +23,7 @@ from qksat.analysis import (
     threshold_root,
 )
 from qksat.gadgets import gadget_log_weight, nosegay_k_rank
-from support import nosegay_mu, sunflower_degree_densities
+from support import bisect_reference, nosegay_mu, sunflower_degree_densities
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3) -> float:
@@ -311,6 +313,107 @@ def test_solve_b():
     lo, hi = bisect_bracket(lambda x: math.log(2) - 2 * x + math.log1p(x),
                             0.0, 2.0, 1e-6)
     assert hi - lo <= 1e-6 and lo <= b <= hi
+
+
+def _recorded(f):
+    """f, and the list of (x, f(x)) pairs it is called with, in order."""
+    calls = []
+
+    def g(x):
+        calls.append((x, f(x)))
+        return calls[-1][1]
+    return g, calls
+
+
+@st.composite
+def non_increasing_problems(draw):
+    """(f, lo, hi, width) with f non-increasing on [lo, hi]."""
+    if draw(st.booleans()):
+        # floats near 1.5e12 are 2^-12 apart: the ends become adjacent
+        # floats, wider than some of these widths
+        lo, hi = 1e12, 2e12
+        width = math.ulp(1.5e12) * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0, 1e3]))
+    else:
+        lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.5, 3.894), (-2.0, 7.5)]))
+        width = draw(st.floats(1e-12, hi - lo))
+    inner = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    kind = draw(st.sampled_from(["step", "kink", "cubic", "midpoint", "flat"]))
+    if kind == "step":
+        breaks = sorted(draw(st.lists(inner, min_size=1, max_size=6)))
+        levels = st.sampled_from([-3.0, -1.0, -1e-300, 0.0, 1e-300, 2.0, 5.0])
+        values = sorted(draw(st.lists(levels, min_size=len(breaks) - 1,
+                                      max_size=len(breaks) - 1)) + [-1.0, 1.0],
+                        reverse=True)
+        return (lambda x: values[bisect_right(breaks, x)]), lo, hi, width
+    if kind == "kink":
+        # slopes far apart on the two sides of the root
+        r = draw(inner)
+        left, right = draw(st.sampled_from([1e-3, 1.0, 1e6])), draw(
+            st.sampled_from([1e-3, 1.0, 1e6]))
+        return (lambda x: (left if x < r else right) * (r - x)), lo, hi, width
+    if kind == "cubic":
+        r = draw(inner)
+        return (lambda x: (r - x) * (r - x) * (r - x)), lo, hi, width
+    # a root at one of plain bisection's midpoints, with f == 0 exactly there
+    a, b = lo, hi
+    for go_right in draw(st.lists(st.booleans(), min_size=1, max_size=60)):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if go_right else (a, mid)
+    r = 0.5 * (a + b)
+    if kind == "midpoint":
+        return (lambda x: r - x), lo, hi, width
+    # flat at exactly 0 on [r, s]
+    s = draw(st.floats(r, hi))
+    return (lambda x: max(r - x, 0.0) + min(s - x, 0.0)), lo, hi, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(non_increasing_problems())
+def test_bisect_bracket_returns_plain_bisections_bracket(problem):
+    f, lo, hi, width = problem
+    g, calls = _recorded(f)
+    reference, reference_calls = _recorded(f)
+    try:
+        want = bisect_reference(reference, lo, hi, width)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bisect_bracket(g, lo, hi, width)
+        return
+    got = bisect_bracket(g, lo, hi, width)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # the returned hi was evaluated, and negative
+    assert dict(calls)[got[1]] < 0
+    assert len(calls) <= 2 * len(reference_calls)
+
+
+def test_bisect_bracket_evaluates_few_points():
+    # solve_b's root: plain bisection evaluates f at 37 points
+    def f(x):
+        return math.log(2) - 2 * x + math.log1p(x)
+    g, calls = _recorded(f)
+    assert bisect_bracket(g, 0.0, 2.0, 1e-10) == bisect_reference(f, 0.0, 2.0, 1e-10)
+    assert len(calls) <= 24
+
+
+def test_bisect_bracket_refuses_adjacent_floats_wider_than_width():
+    # floats near 1.5e12 are 2.4e-4 apart: plain bisection never ends here
+    with pytest.raises(ValueError, match="no float lies between"):
+        bisect_bracket(lambda x: 1.5e12 - x, 1e12, 2e12, 1e-6)
+
+
+def test_bisect_bracket_refuses_an_increasing_f():
+    def base(x):
+        return 0.3 - x
+    g, calls = _recorded(base)
+    lo, hi = bisect_bracket(g, 0.0, 1.0, 1e-3)
+    # hi was inferred negative and evaluated only by the final check
+    assert calls[-1] == (hi, base(hi))
+    assert hi not in [x for x, _ in calls[:-1]]
+
+    def spiked(x):
+        return 1.0 if x == hi else base(x)
+    with pytest.raises(ValueError, match="not non-increasing"):
+        bisect_bracket(spiked, 0.0, 1.0, 1e-3)
 
 
 def test_single_clause_threshold():

@@ -610,6 +610,26 @@ def test_threshold_general_k(capsys):
         assert general_k_bound(root, k).value < 0, k
 
 
+@pytest.mark.parametrize("argv, root", [
+    (("sunflower",), 3.8933785400390626),
+    (("nosegay", "--trunc", "25"), 3.5934334716796874),
+])
+def test_threshold_evaluates_few_bounds(capsys, monkeypatch, argv, root):
+    import qksat.analysis as analysis
+
+    calls = []
+    bound = analysis.bound
+
+    def counted(*args, **options):
+        calls.append(args)
+        return bound(*args, **options)
+
+    monkeypatch.setattr(analysis, "bound", counted)
+    # plain bisection evaluates 18 and 17 bounds for the same root
+    assert run_json(capsys, "threshold", *argv)["root"] == root
+    assert 3 <= len(calls) <= 8
+
+
 def test_threshold_refuses_arities_it_cannot_resolve(capsys, monkeypatch):
     import qksat.analysis as analysis
 

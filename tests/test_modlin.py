@@ -1,5 +1,7 @@
 """Tests for the float64 GF(P) kernels, against a Python-integer reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,24 @@ def test_rank_mod_input_validation():
         with pytest.raises(ValueError, match="integer entries"):
             rank_mod(np.array([[1.0, 2.0], [3.0, bad]]))
     assert rank_mod(np.array([[H, -H], [-H, H]], dtype=np.float64)) == 1
+
+
+def test_rank_mod_entry_check_allocates_a_small_fraction():
+    # the check runs block by block: a whole-matrix rint would allocate a
+    # float64 copy plus a mask, 1.125 matrices on top of the matrix
+    for order in "CF":
+        # 64 MB, 16 of the check's blocks
+        a = np.zeros((4096, 2048), order=order)
+        # the last entry in memory order lies in the check's last block
+        a[-1, -1] = 0.5
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="integer entries"):
+                rank_mod(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 8, (order, peak)
 
 
 def test_rank_mod_refuses_float32_planted_ranks():
