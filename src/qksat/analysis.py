@@ -28,6 +28,7 @@ import numpy as np
 
 from .hypergraph import check_arity
 from .rank_oracle import check_memory
+from .rng import require_int
 
 LN2 = log(2.0)
 # pmf entries per block of the Poisson integrator: about 8 MB of float64
@@ -123,8 +124,7 @@ def sunflower_bound(alpha: float, k: int = 3,
     check_model(alpha, k)
     if d_max is None:
         d_max = _auto_dmax(alpha, k)
-    if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
+    require_int(d_max, "d_max", 1)
     # the table, one pmf row and their temporaries: 65 B per degree measured
     check_memory(80 * (d_max + 1), "the sunflower degree table")
     ds = np.arange(d_max + 1)
@@ -139,7 +139,7 @@ def sunflower_bound(alpha: float, k: int = 3,
         method="sunflower", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
-            "d_max": int(d_max),
+            "d_max": d_max,
             "quadrature_points": SUNFLOWER_PANELS,
             "density_mass": float(mass),
             "density_edge_mass": float(edge_mass),
@@ -208,8 +208,7 @@ def nosegay_bound(alpha: float, k: int = 3,
     check_model(alpha, k)
     if truncation is None:
         truncation = _auto_dmax(alpha, k)
-    if truncation < 10:
-        raise ValueError(f"truncation must be >= 10, got {truncation}")
+    require_int(truncation, "truncation", 10)
     expectation = _nosegay_expectation(k, truncation)
     c, nu0 = nosegay_ode(alpha, k)
     nus = np.linspace(nu0, 1.0, NOSEGAY_PANELS + 1)
@@ -223,7 +222,7 @@ def nosegay_bound(alpha: float, k: int = 3,
         method="nosegay", alpha=float(alpha), k=k, value=value,
         verdict=_verdict(value + quad_error), quad_error=quad_error,
         params={
-            "truncation": int(truncation),
+            "truncation": truncation,
             "quadrature_points": NOSEGAY_PANELS,
             "nu0": nu0,
             # 1 - (1 - tail)^k, accurate at both ends

@@ -30,6 +30,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph, check_arity, components
 from .rank_oracle import DEFAULT_CAP
+from .rng import require_int
 
 LN2, LN10 = log(2.0), log(10.0)
 
@@ -43,7 +44,7 @@ class GadgetRank:
 
 def _as_rank(rank: int, t: int) -> GadgetRank:
     w = log(rank) - t * LN2 if rank > 0 else -inf
-    return GadgetRank(int(rank), t, w)
+    return GadgetRank(rank, t, w)
 
 
 # a gadget's counts index the int64 arrays of its graph
@@ -52,9 +53,7 @@ MAX_COUNT = 2 ** 63
 
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-        if value >= MAX_COUNT:
+        if require_int(value, name) >= MAX_COUNT:
             raise ValueError(f"{name} must be below 2^63")
 
 
@@ -81,8 +80,8 @@ def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
 
 
 def _check_dvec(dvec, k: int) -> tuple[int, ...]:
-    """dvec as a tuple of k nonnegative ints, for arity k >= 2."""
-    dvec = tuple(int(d) for d in dvec)
+    """dvec as a tuple of k ints d0, d1, ... that pass require_int; k >= 2."""
+    dvec = tuple(dvec)
     check_arity(k)
     if len(dvec) != k:
         raise ValueError(f"dvec must have length k={k}, got {len(dvec)}")
@@ -107,7 +106,7 @@ def nosegay3_rank(a: int, b: int, c: int) -> GadgetRank:
     return nosegay_k_rank((a, b, c), 3)
 
 
-def k2_component_rank(vertex_count: int, edge_count: int) -> int:
+def k2_component_rank(vertices: int, edges: int) -> int:
     """Generic rank of one connected arity-2 component.
 
     Trees give n+1; one independent cycle (m = n, including a doubled edge)
@@ -115,8 +114,8 @@ def k2_component_rank(vertex_count: int, edge_count: int) -> int:
     orthocomplement of m generic vectors in the 4-dimensional two-qubit
     space; anything denser gives 0.
     """
-    _check_counts(vertices=vertex_count, edges=edge_count)
-    n, m = vertex_count, edge_count
+    _check_counts(vertices=vertices, edges=edges)
+    n, m = vertices, edges
     if n < 1 or m < max(0, n - 1):
         raise ValueError(f"not a connected component: n={n}, m={m}")
     if m == n - 1:
@@ -160,8 +159,8 @@ def _refuse_unprintable(family: str, params: dict) -> None:
     log10(2 + x) and log10(b(d)/a(d)) = log10(1 - 1/(2 + x)), x = d/M; bad
     arguments are left to the closed form."""
     dvec, k = params.get("dvec", (params.get("d", -1),)), params.get("k", 0)
-    if (family not in ("sunflower", "nosegay-k") or k < 2
-            or len(dvec) != (1 if family == "sunflower" else k)
+    if (family not in ("sunflower", "nosegay-k") or not isinstance(k, int)
+            or k < 2 or len(dvec) != (1 if family == "sunflower" else k)
             or min(dvec) < 0 or max(dvec) >= MAX_COUNT):
         return
     # log10 M must be exactly 0 at k = 2: sum(dvec) reaches 2^64
@@ -242,8 +241,7 @@ def verification_cases(max_size: int):
     arity-2 multigraphs on 2 to 4 vertices with at most max_size edges, one
     per multiset of vertex pairs. Graphs above the oracle's qubit cap are
     skipped."""
-    if max_size < 0:
-        raise ValueError(f"max_size must be nonnegative, got {max_size}")
+    require_int(max_size, "max_size")
     cases = [("sunflower", {"d": d, "k": k})
              for k in (3, 4) for d in range(max_size + 1)]
     for total in range(max_size + 1):

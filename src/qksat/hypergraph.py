@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import make_rng, require_int
 
 
 class Hypergraph:
@@ -23,8 +23,7 @@ class Hypergraph:
     vertices in any order. An int64 array with ascending rows is kept as is."""
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        require_int(n, "vertex count n")
         if isinstance(edges, np.ndarray):
             if edges.ndim != 2 or edges.dtype.kind not in "iu":
                 raise ValueError(f"an edge array must hold (m, k) integers, "
@@ -75,8 +74,7 @@ class Hypergraph:
 
 
 def check_arity(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    require_int(k, "arity k", 2)
 
 
 def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
@@ -88,10 +86,9 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
     seed, a plain int or a Generator; a float or bool seed raises TypeError.
     """
     check_arity(k)
-    if n < k:
+    if require_int(n, "vertex count n") < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if m < 0:
-        raise ValueError(f"edge count must be nonnegative, got {m}")
+    require_int(m, "edge count m")
     if (p := math.prod(1 - i / n for i in range(k))) < 2 ** -12:
         raise ValueError(f"k={k} of n={n} vertices are all distinct with "
                          f"probability p={p:.3g} < 2^-12: too rare to draw by rejection")

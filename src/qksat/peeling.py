@@ -23,7 +23,7 @@ import numpy as np
 
 from .gadgets import LN2, gadget_log_weight
 from .hypergraph import Hypergraph
-from .rng import make_rng, require_int_seed
+from .rng import make_rng, require_int
 
 # steps per write of the trace CSV: bounds the writer's memory whatever n is
 TRACE_BLOCK = 1 << 16
@@ -102,7 +102,7 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     degree-0 vertices included. A step's anomaly count is the number of
     petal pairs sharing a vertex besides the center.
     """
-    seed = require_int_seed(seed)
+    require_int(seed, "seed")
     k = _uniform_arity(g, "sunflower")
     order = make_rng(seed).permutation(g.n)
     edges = g.vertices.reshape(g.m, k)
@@ -137,7 +137,7 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     it holds the least rank at each of its vertices, then every alive edge
     touching an entered one leaves.
     """
-    seed = require_int_seed(seed)
+    require_int(seed, "seed")
     k = _uniform_arity(g, "nosegay")
     edges = g.vertices.reshape(g.m, k)
     order = make_rng(seed).permutation(g.m)

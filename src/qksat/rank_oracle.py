@@ -44,7 +44,7 @@ import numpy as np
 
 from ._modlin import P, rand_mod, rank_mod
 from .hypergraph import Hypergraph
-from .rng import child_rng, require_int_seed
+from .rng import child_rng, require_int
 
 DEFAULT_CAP = 13
 TOLERANCE = 1e-9
@@ -132,14 +132,12 @@ def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
 def _trial_ranks(g: Hypergraph, trials: int, seed, cap: int, draw, rank) -> list:
     """rank(constraint matrix) of each of `trials` independent adornments;
     trial t draws each clause's entries, in edge order, as
-    draw(child_rng(seed, t), 2^k). Refuses, before any draw, a seed that is
-    not an int, trials < 1, n above cap and two matrices beyond physical
+    draw(child_rng(seed, t), 2^k). Refuses, before any draw, a seed or cap
+    that require_int refuses, n above cap and two matrices beyond physical
     memory: one is alive at a time, and either rank adds about one more (the
     first block-update product of `rank_mod`, or LAPACK's copy)."""
-    seed = require_int_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if g.n > cap:
+    require_int(seed, "seed")
+    if g.n > require_int(cap, "cap"):
         raise ValueError(f"n={g.n} exceeds the cap {cap}; pass --force (or a "
                          "larger cap= from Python) to lift it")
     check_memory(2 * 8 * constraint_rows(g) << g.n,
@@ -181,7 +179,8 @@ def min_rank_float(g: Hypergraph, samples: int = 3, seed=0,
                    cap: int = DEFAULT_CAP) -> RankResult:
     """Least generic_rank_float over independently adorned samples; a
     degenerate sample can only overstate the dimension."""
-    results = _trial_ranks(g, samples, seed, cap, _unit_vector, generic_rank_float)
+    results = _trial_ranks(g, require_int(samples, "samples", 1), seed, cap,
+                           _unit_vector, generic_rank_float)
     return min(results, key=lambda res: res.rank)
 
 
@@ -199,7 +198,8 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     rows = constraint_rows(g)
     if trials is None:
         trials = field_trials(rows, g.n)
-    ranks = _trial_ranks(g, trials, seed, cap, rand_mod, rank_mod)
+    ranks = _trial_ranks(g, require_int(trials, "trials", 1), seed, cap,
+                         rand_mod, rank_mod)
     best = max(ranks)
     d = min(rows, 1 << g.n)
     return RankResult((1 << g.n) - best, "field", float(ranks.count(best)),
