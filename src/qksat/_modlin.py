@@ -132,6 +132,39 @@ def rank_mod(a) -> int:
     return _rank(a if a.shape[0] >= a.shape[1] else a.T)
 
 
+def _grouped(m, x: int, lo: int):
+    """(rows, hi, x, lo) view of a C- or F-contiguous matrix whose column
+    index is (h * x + j) * lo + l."""
+    rows, cols = m.shape
+    hi = cols // (x * lo)
+    if m.flags.c_contiguous:
+        return m.reshape(rows, hi, x, lo)
+    return m.T.reshape(hi, x, lo, rows).transpose(3, 0, 1, 2)
+
+
+def quotient_mod(a, v, lo: int, work):
+    """The rows of a modulo span(v) in one tensor factor, written over a.
+
+    a's column index is (h * len(v) + j) * lo + l, and v is a nonzero vector
+    of residues with first nonzero entry v[j0]. Column (h, j, l) of the
+    result, for j != j0 in order, is a[:, (h, j, l)] - a[:, (h, j0, l)] *
+    v[j] / v[j0] mod P: the coordinates of a's rows in the quotient by the
+    span of v in the j-factor. Every entry formed is below H + H^2 < 2^52.
+    work is a matrix of the result's shape; it holds the unreduced entries,
+    and the result, in work's layout, is a view of a's memory. Both
+    matrices are C- or F-contiguous."""
+    j0 = int(np.flatnonzero(v)[0])
+    w = _reduce(v * inv_mod(v[j0]))
+    src, dst = _grouped(a, w.size, lo), _grouped(work, w.size - 1, lo)
+    pivot = src[:, :, j0:j0 + 1]
+    for s, d, ws in ((src[:, :, :j0], dst[:, :, :j0], w[:j0]),
+                     (src[:, :, j0 + 1:], dst[:, :, j0:], w[j0 + 1:])):
+        np.multiply(pivot, ws[:, None], out=d)
+        np.subtract(s, d, out=d)
+    return _reduce(work, out=a.ravel(order="K")[:work.size].reshape(
+        work.shape, order="C" if work.flags.c_contiguous else "F"))
+
+
 def rand_mod(rng: np.random.Generator, size) -> np.ndarray:
     """Uniform field elements as centered float64 residues."""
     return rng.integers(-H, H + 1, size=size).astype(np.float64)

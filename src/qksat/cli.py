@@ -18,8 +18,8 @@ from math import isfinite
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
 from .rank_oracle import (DEFAULT_CAP, TOLERANCE, P, RankInstabilityError,
-                          check_memory, constraint_rows, field_trials,
-                          generic_rank_field, min_rank_float)
+                          check_cap, check_memory, constraint_rows,
+                          field_trials, generic_rank_field, min_rank_float)
 from .rng import child_rng
 
 
@@ -44,6 +44,9 @@ def _cmd_rank(args) -> tuple[int, dict]:
         "seed": args.seed,
     }
     if args.mode == "field":
+        # before field_trials, whose refusal of a large row count names no
+        # remedy
+        check_cap(g.n, cap)
         trials = (args.trials if args.trials is not None
                   else field_trials(constraint_rows(g), g.n))
         result = generic_rank_field(g, trials=trials, seed=args.seed, cap=cap)

@@ -6,20 +6,25 @@ the other qubits, whose nonzeros are the clause's 2^k entries spread over the
 matching global basis states. The generic rank 2^n - rowrank is the minimum
 over clause vectors, attained with probability 1, so adorning the clauses at
 random and keeping the best row rank of a few trials gives the generic value.
-Both backends run one trial loop, `_trial_ranks`, through one float64
-builder, `constraint_matrix`; only the entries and the rank kernel differ:
+Both backends run one trial loop, `_trial_ranks`, and build float64 rows
+with `constraint_matrix`; the entries and what is built and eliminated differ:
 
-- float: a clause's entries are a real Gaussian vector, normalized; singular
-  values above the fixed cut TOLERANCE = 1e-9 times the largest count the
-  rows. Real entries reach the generic rank over C: with entries w = conj(v),
-  a nonzero R x R minor is a nonzero polynomial p(w) over C, which cannot
-  vanish on all of R^N, so its real zero set has measure zero, and a real
-  Gaussian w attains the generic row rank with probability 1. The price is
-  a heavier tail of small singular values, P(sigma < eps) ~ eps, not eps^2
-  (README, "Numerical notes");
-- field: uniform entries of GF(P), P = 8388593; exact elimination (`_modlin`)
-  of the matrix in place, which it consumes: the independent check of the
-  float rank.
+- float: a clause's entries are a real Gaussian vector, normalized, and
+  the SVD sees the whole matrix; singular values above the fixed cut
+  TOLERANCE = 1e-9 times the largest count the rows. Real entries reach
+  the generic rank over C: with entries w = conj(v), a nonzero R x R minor
+  is a nonzero polynomial p(w) over C, which cannot vanish on all of R^N,
+  so its real zero set has measure zero, and a real Gaussian w attains the
+  generic row rank with probability 1. The price is a heavier tail of
+  small singular values, P(sigma < eps) ~ eps, not eps^2 (README,
+  "Numerical notes");
+- field: uniform entries of GF(P), P = 8388593, and exact elimination
+  (`_modlin`): the independent check of the float rank. The clauses of a
+  matching on disjoint qubits (`clause_matching`) leave the product space
+  of their v_i^perp with the other qubits, so they are eliminated in closed
+  form, and only the other clauses' rows, taken to that space by
+  `quotient_mod`, reach `rank_mod`, which consumes them. The exact rank of
+  each trial is the same as that of the whole matrix.
 
 Field trials fail only one way. A nonzero minor mod P is a nonzero integer,
 so a trial's row rank is a deterministic lower bound on the complex generic
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._modlin import P, rand_mod, rank_mod
+from ._modlin import P, quotient_mod, rand_mod, rank_mod
 from .hypergraph import Hypergraph
 from .rng import child_rng, require_int
 
@@ -99,6 +104,13 @@ def check_memory(nbytes: int, what: str) -> None:
                          f"than the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
+def check_cap(n: int, cap: int) -> None:
+    """Refuse a cap that require_int refuses, and n above cap."""
+    if n > require_int(cap, "cap"):
+        raise ValueError(f"n={n} exceeds the cap {cap}; pass --force (or a "
+                         "larger cap= from Python) to lift it")
+
+
 def constraint_rows(g: Hypergraph) -> int:
     """Row count of the constraint matrix: 2^(n-k) per clause of arity k."""
     return sum(1 << (g.n - len(e)) for e in g.edges)
@@ -115,13 +127,15 @@ def field_trials(rows: int, n: int) -> int:
     return t
 
 
-def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
-    """float64 constraint matrix of g with vectors[i] spread over the rows of
-    edge i at the columns layout[i] = clause_columns(edge i); its kernel is
-    the satisfying subspace. Column-major when tall, row-major when wide, so
-    `rank_mod` eliminates it in place."""
-    rows = constraint_rows(g)
-    a = np.zeros((rows, 1 << g.n), order="F" if rows >= 1 << g.n else "C")
+def constraint_matrix(g: Hypergraph, layout, vectors, order=None) -> np.ndarray:
+    """float64 matrix, over g's n qubits, of the clauses with vectors[i]
+    spread over the rows of edge i at the columns layout[i] =
+    clause_columns(edge i); for all of g's edges its kernel is the satisfying
+    subspace. Unless order is given, column-major when tall and row-major
+    when wide, so `rank_mod` eliminates it in place."""
+    rows = sum(cols.shape[0] for cols in layout)
+    a = np.zeros((rows, 1 << g.n),
+                 order=order or ("F" if rows >= 1 << g.n else "C"))
     r = 0
     for cols, v in zip(layout, vectors):
         a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
@@ -129,26 +143,90 @@ def constraint_matrix(g: Hypergraph, layout, vectors) -> np.ndarray:
     return a
 
 
-def _trial_ranks(g: Hypergraph, trials: int, seed, cap: int, draw, rank) -> list:
-    """rank(constraint matrix) of each of `trials` independent adornments;
-    trial t draws each clause's entries, in edge order, as
-    draw(child_rng(seed, t), 2^k). Refuses, before any draw, a seed or cap
-    that require_int refuses, n above cap and two matrices beyond physical
-    memory: one is alive at a time, and either rank adds about one more (the
-    first block-update product of `rank_mod`, or LAPACK's copy)."""
+def clause_matching(g: Hypergraph) -> list[int]:
+    """Indices of pairwise vertex-disjoint edges of g, picked greedily from
+    the graph alone: edges meeting the fewest other edges first, then lower
+    arity, then edge order."""
+    edges = [set(e) for e in g.edges]
+    meets = [sum(not e.isdisjoint(f) for f in edges) for e in edges]
+    picked, used = [], set()
+    for i in sorted(range(g.m), key=lambda i: (meets[i], len(edges[i]), i)):
+        if used.isdisjoint(edges[i]):
+            picked.append(i)
+            used |= edges[i]
+    return picked
+
+
+def _field_rank(g: Hypergraph):
+    """Exact GF(P) row rank of g's constraint matrix, as a function of the
+    clause vectors. The rows of the `clause_matching` clauses are eliminated
+    in closed form: vertices are relabelled so that matched group i holds
+    the bits above group i - 1, the other clauses' rows are built once in
+    that layout, and `quotient_mod` takes them, group by group, to the
+    2^k - 1 columns per group outside the matched rows' span. A matched
+    clause with v_i = 0 has no rows and is skipped."""
+    matched = clause_matching(g)
+    rest = [i for i in range(g.m) if i not in matched]
+    perm = [v for i in matched for v in g.edges[i]]
+    perm += [v for v in range(g.n) if v not in perm]
+    label = {v: p for p, v in enumerate(perm)}
+    layout = [clause_columns(tuple(label[v] for v in g.edges[i]), g.n)
+              for i in rest]
+    # every step keeps the layout in which rank_mod takes the result
+    # without a copy (when every matched v_i is nonzero)
+    cols = 1 << g.n
+    for i in matched:
+        cols -= cols >> len(g.edges[i])
+    order = "F" if sum(c.shape[0] for c in layout) >= cols else "C"
+
+    def row_rank(vectors) -> int:
+        a = constraint_matrix(g, layout, [vectors[i] for i in rest], order)
+        # a's own size keeps the work buffer, like a, above glibc's dynamic
+        # mmap threshold, so both go back to the system when the trial ends
+        # instead of staying in the heap
+        work, lo = np.empty(a.size), 1
+        for i in matched:
+            size = vectors[i].size
+            if vectors[i].any():
+                shape = (a.shape[0], a.shape[1] // size * (size - 1))
+                a = quotient_mod(a, vectors[i], lo, work[:shape[0] * shape[1]]
+                                 .reshape(shape, order=order))
+                size -= 1
+            lo *= size
+        del work            # freed before rank_mod allocates
+        return (1 << g.n) - a.shape[1] + rank_mod(a)
+    return row_rank
+
+
+def _float_rank(g: Hypergraph):
+    """generic_rank_float of g's constraint matrix, as a function of the
+    clause vectors."""
+    layout = [clause_columns(e, g.n) for e in g.edges]
+    return lambda vectors: generic_rank_float(
+        constraint_matrix(g, layout, vectors))
+
+
+def _trial_ranks(g: Hypergraph, trials, seed, cap: int, draw, rank_of) -> list:
+    """rank_of(g)(vectors) of each of `trials` independent adornments, or of
+    field_trials(rows, n) of them when trials is None; trial t draws each
+    clause's entries, in edge order, as draw(child_rng(seed, t), 2^k).
+    Refuses, before any draw, a seed or cap that require_int refuses, n above
+    cap, a field too small for the default trial count and two matrices
+    beyond physical memory, which bounds either backend's peak: the float
+    holds the matrix and LAPACK's copy, and a field trial two buffers of
+    its unmatched rows, then the one it eliminates and the first
+    block-update product of `rank_mod`."""
     require_int(seed, "seed")
-    if g.n > require_int(cap, "cap"):
-        raise ValueError(f"n={g.n} exceeds the cap {cap}; pass --force (or a "
-                         "larger cap= from Python) to lift it")
+    check_cap(g.n, cap)
+    if trials is None:
+        trials = field_trials(constraint_rows(g), g.n)
     check_memory(2 * 8 * constraint_rows(g) << g.n,
                  "a rank trial (two copies of the constraint matrix)")
-    # the same clause layout serves every trial
-    layout = [clause_columns(e, g.n) for e in g.edges]
+    rank = rank_of(g)       # one clause layout serves every trial
     ranks = []
     for t in range(trials):
         rng = child_rng(seed, t)
-        vectors = [draw(rng, 1 << len(e)) for e in g.edges]
-        ranks.append(rank(constraint_matrix(g, layout, vectors)))
+        ranks.append(rank([draw(rng, 1 << len(e)) for e in g.edges]))
     return ranks
 
 
@@ -180,7 +258,7 @@ def min_rank_float(g: Hypergraph, samples: int = 3, seed=0,
     """Least generic_rank_float over independently adorned samples; a
     degenerate sample can only overstate the dimension."""
     results = _trial_ranks(g, require_int(samples, "samples", 1), seed, cap,
-                           _unit_vector, generic_rank_float)
+                           _unit_vector, _float_rank)
     return min(results, key=lambda res: res.rank)
 
 
@@ -195,12 +273,10 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     field_trials(rows, n), which makes that at most 2^-40. Confidence
     reports how many trials attained the maximum.
     """
-    rows = constraint_rows(g)
-    if trials is None:
-        trials = field_trials(rows, g.n)
-    ranks = _trial_ranks(g, require_int(trials, "trials", 1), seed, cap,
-                         rand_mod, rank_mod)
-    best = max(ranks)
-    d = min(rows, 1 << g.n)
+    if trials is not None:
+        require_int(trials, "trials", 1)
+    ranks = _trial_ranks(g, trials, seed, cap, rand_mod, _field_rank)
+    best, t = max(ranks), len(ranks)
+    d = min(constraint_rows(g), 1 << g.n)
     return RankResult((1 << g.n) - best, "field", float(ranks.count(best)),
-                      failure_bound=d ** trials / P ** trials)
+                      failure_bound=d ** t / P ** t)

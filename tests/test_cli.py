@@ -463,13 +463,16 @@ def test_rank_cap_refusal_names_force(tmp_path, capsys, monkeypatch):
         raise AssertionError("a trial was drawn before the refusal")
 
     monkeypatch.setattr(rank_oracle, "child_rng", unreachable)
-    path = tmp_path / "fourteen.hg"
-    write_hypergraph(Hypergraph(14, [(0, 1)]), path)
-    for mode in ("field", "float"):
-        code, out, err = run_cli(capsys, "rank", "--graph", str(path),
-                                 "--mode", mode)
-        assert code == 2, mode
-        assert out == "" and "--force" in err
+    path = tmp_path / "big.hg"
+    # at n = 30 the default trial count would refuse the 2^28 rows as too
+    # large for the field, a reason that names no remedy: the cap comes first
+    for n in (14, 30):
+        write_hypergraph(Hypergraph(n, [(0, 1)]), path)
+        for mode in ("field", "float"):
+            code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                     "--mode", mode)
+            assert code == 2, (n, mode)
+            assert out == "" and "exceeds the cap 13; pass --force" in err
 
 
 def test_rank_preflight_counts_two_matrices(tmp_path, capsys, monkeypatch):

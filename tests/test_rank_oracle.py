@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import qksat.rank_oracle as rank_oracle
-from qksat._modlin import P
+from qksat._modlin import P, rand_mod, rank_mod
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
     RankInstabilityError,
+    _field_rank,
     _unit_vector,
     clause_columns,
+    clause_matching,
     constraint_matrix,
     constraint_rows,
     field_trials,
@@ -124,6 +126,49 @@ def test_field_trial_peak_is_about_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * matrix
+
+
+def test_clause_matching_order():
+    # edges meeting the fewest others first, then lower arity, then edge
+    # order; a repeated edge meets its copy
+    assert clause_matching(Hypergraph(6, [(0, 1), (0, 2), (0, 3),
+                                          (3, 4, 5)])) == [3, 0]
+    assert clause_matching(Hypergraph(5, [(0, 1, 2), (2, 3, 4), (0, 1),
+                                          (0, 1)])) == [1, 2]
+    assert clause_matching(Hypergraph(3, [])) == []
+
+
+def test_matched_rank_equals_full_elimination():
+    # eliminating the matched clauses in closed form leaves each trial's
+    # exact rank unchanged: random graphs of arity 2-4 with repeated edges,
+    # a matched vector that is zero, and one whose first nonzero entry x0
+    # is not entry 0
+    rng = make_rng(31)
+    seen = set()
+    for i in range(300):
+        n = int(rng.integers(2, 10))
+        edges = []
+        for _ in range(int(rng.integers(1, 13))):
+            k = int(rng.integers(2, min(n, 4) + 1))
+            edges.append(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        g = Hypergraph(n, edges)
+        vectors = [rand_mod(rng, 1 << len(e)) for e in g.edges]
+        picked = clause_matching(g)
+        matched = vectors[picked[i % len(picked)]]
+        if i % 3 == 1:
+            matched[:] = 0
+        elif i % 3 == 2:
+            matched[:int(rng.integers(1, matched.size))] = 0
+        full = constraint_matrix(g, [clause_columns(e, n) for e in g.edges],
+                                 vectors)
+        row_rank = rank_mod(full)
+        assert _field_rank(g)(vectors) == row_rank, (i, g.edges)
+        seen.add((int(np.flatnonzero(matched)[0]) if matched.any() else -1,
+                  row_rank < min(full.shape)))
+    assert {-1, 0, 1} <= {x0 for x0, _ in seen}
+    assert {True, False} <= {deficient for _, deficient in seen}
 
 
 def test_empty_formula_rank():
@@ -329,6 +374,10 @@ def test_cap_and_parameter_validation(monkeypatch):
     big = Hypergraph(14, [(0, 1)])
     with pytest.raises(ValueError):
         generic_rank_field(big)
+    # the cap is checked before the default trial count, whose refusal of
+    # 2^28 rows names no remedy
+    with pytest.raises(ValueError, match="exceeds the cap 13; pass --force"):
+        generic_rank_field(Hypergraph(30, [(0, 1)]))
     with pytest.raises(ValueError):
         min_rank_float(big)
     g = Hypergraph(2, [(0, 1)])
