@@ -76,8 +76,6 @@ def _rank(a: np.ndarray) -> int:
     rows, cols = a.shape
     r = 0
     for c0 in range(0, cols, NB):
-        if r == rows:
-            break
         c1 = min(c0 + NB, cols)
         r0 = r
         # negated multipliers of the panel's pivots, rows r0.. of a
@@ -103,8 +101,6 @@ def _rank(a: np.ndarray) -> int:
                 col[i] = col[0]
             lmul[j + 1:, j] = -col[1:]
             r += 1
-            if r == rows:
-                break
         pc = r - r0
         if pc and r < rows and c1 < cols:
             matmul_mod(lmul[pc:, :pc], urow[:pc, c1 - c0:], a[r:, c1:])

@@ -18,8 +18,8 @@ from math import isfinite
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
 from .rank_oracle import (DEFAULT_CAP, TOLERANCE, P, RankInstabilityError,
-                          check_cap, check_memory, constraint_rows,
-                          field_trials, generic_rank_field, min_rank_float)
+                          check_memory, generic_rank_field, min_rank_float,
+                          trial_count)
 from .rng import child_rng
 
 
@@ -44,11 +44,7 @@ def _cmd_rank(args) -> tuple[int, dict]:
         "seed": args.seed,
     }
     if args.mode == "field":
-        # before field_trials, whose refusal of a large row count names no
-        # remedy
-        check_cap(g.n, cap)
-        trials = (args.trials if args.trials is not None
-                  else field_trials(constraint_rows(g), g.n))
+        trials = trial_count(g, args.trials, args.seed, cap)
         result = generic_rank_field(g, trials=trials, seed=args.seed, cap=cap)
         payload.update(trials=trials, prime=P,
                        failure_bound=result.failure_bound)
@@ -97,8 +93,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     for family, params, formula_rank, graph in gadgets.verification_cases(
             args.max_size):
         oracle = generic_rank_field(
-            graph, trials=field_trials(constraint_rows(graph), graph.n),
-            seed=args.seed)
+            graph, trials=trial_count(graph, seed=args.seed), seed=args.seed)
         equal = oracle.rank == formula_rank
         failures += not equal
         cases.append({"family": family, "params": params,
@@ -122,6 +117,8 @@ PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
 
 
 def _cmd_peel(args) -> tuple[int, dict]:
+    if args.alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {args.alpha}")
     m = round(args.alpha * args.n)
     check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k * m,
                  "the peel")

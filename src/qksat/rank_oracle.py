@@ -6,8 +6,9 @@ the other qubits, whose nonzeros are the clause's 2^k entries spread over the
 matching global basis states. The generic rank 2^n - rowrank is the minimum
 over clause vectors, attained with probability 1, so adorning the clauses at
 random and keeping the best row rank of a few trials gives the generic value.
-Both backends run one trial loop, `_trial_ranks`, and build float64 rows
-with `constraint_matrix`; the entries and what is built and eliminated differ:
+Both backends run one trial loop, `_trial_ranks`, after one preflight,
+`trial_count`, and build float64 rows with `constraint_matrix`; the entries
+and what is built and eliminated differ:
 
 - float: a clause's entries are a real Gaussian vector, normalized, and
   the SVD sees the whole matrix; singular values above the fixed cut
@@ -104,13 +105,6 @@ def check_memory(nbytes: int, what: str) -> None:
                          f"than the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
-def check_cap(n: int, cap: int) -> None:
-    """Refuse a cap that require_int refuses, and n above cap."""
-    if n > require_int(cap, "cap"):
-        raise ValueError(f"n={n} exceeds the cap {cap}; pass --force (or a "
-                         "larger cap= from Python) to lift it")
-
-
 def constraint_rows(g: Hypergraph) -> int:
     """Row count of the constraint matrix: 2^(n-k) per clause of arity k."""
     return sum(1 << (g.n - len(e)) for e in g.edges)
@@ -127,15 +121,36 @@ def field_trials(rows: int, n: int) -> int:
     return t
 
 
-def constraint_matrix(g: Hypergraph, layout, vectors, order=None) -> np.ndarray:
-    """float64 matrix, over g's n qubits, of the clauses with vectors[i]
-    spread over the rows of edge i at the columns layout[i] =
-    clause_columns(edge i); for all of g's edges its kernel is the satisfying
-    subspace. Unless order is given, column-major when tall and row-major
-    when wide, so `rank_mod` eliminates it in place."""
+def trial_count(g: Hypergraph, trials: int | None = None, seed=0,
+                cap: int = DEFAULT_CAP) -> int:
+    """The preflight of a rank run on g: trials, or field_trials(rows, n)
+    when trials is None. Refuses, in this order, a trial count below 1, a
+    seed or cap that require_int refuses, n above cap, a field too small for
+    the default count and two matrices beyond physical memory, which bounds
+    either backend's peak: the float holds the matrix and LAPACK's copy, and
+    a field trial two buffers of its unmatched rows, then the one it
+    eliminates and the first block-update product of `rank_mod`."""
+    if trials is not None:
+        require_int(trials, "trials", 1)
+    require_int(seed, "seed")
+    if g.n > require_int(cap, "cap"):
+        raise ValueError(f"n={g.n} exceeds the cap {cap}; pass --force (or a "
+                         "larger cap= from Python) to lift it")
+    rows = constraint_rows(g)
+    if trials is None:
+        trials = field_trials(rows, g.n)
+    check_memory(2 * 8 * rows << g.n,
+                 "a rank trial (two copies of the constraint matrix)")
+    return trials
+
+
+def constraint_matrix(g: Hypergraph, layout, vectors, order) -> np.ndarray:
+    """float64 matrix, in the given memory order, over g's n qubits, of the
+    clauses with vectors[i] spread over the rows of edge i at the columns
+    layout[i] = clause_columns(edge i); for all of g's edges its kernel is
+    the satisfying subspace."""
     rows = sum(cols.shape[0] for cols in layout)
-    a = np.zeros((rows, 1 << g.n),
-                 order=order or ("F" if rows >= 1 << g.n else "C"))
+    a = np.zeros((rows, 1 << g.n), order=order)
     r = 0
     for cols, v in zip(layout, vectors):
         a[np.arange(r, r + cols.shape[0])[:, None], cols] = v[None, :]
@@ -172,8 +187,8 @@ def _field_rank(g: Hypergraph):
     label = {v: p for p, v in enumerate(perm)}
     layout = [clause_columns(tuple(label[v] for v in g.edges[i]), g.n)
               for i in rest]
-    # every step keeps the layout in which rank_mod takes the result
-    # without a copy (when every matched v_i is nonzero)
+    # F when tall, C when wide: each step keeps the layout in which rank_mod
+    # eliminates the result in place (when every matched v_i is nonzero)
     cols = 1 << g.n
     for i in matched:
         cols -= cols >> len(g.edges[i])
@@ -200,28 +215,19 @@ def _field_rank(g: Hypergraph):
 
 def _float_rank(g: Hypergraph):
     """generic_rank_float of g's constraint matrix, as a function of the
-    clause vectors."""
+    clause vectors. The matrix is column-major, LAPACK's own layout; the
+    singular values do not depend on it."""
     layout = [clause_columns(e, g.n) for e in g.edges]
     return lambda vectors: generic_rank_float(
-        constraint_matrix(g, layout, vectors))
+        constraint_matrix(g, layout, vectors, "F"))
 
 
 def _trial_ranks(g: Hypergraph, trials, seed, cap: int, draw, rank_of) -> list:
-    """rank_of(g)(vectors) of each of `trials` independent adornments, or of
-    field_trials(rows, n) of them when trials is None; trial t draws each
-    clause's entries, in edge order, as draw(child_rng(seed, t), 2^k).
-    Refuses, before any draw, a seed or cap that require_int refuses, n above
-    cap, a field too small for the default trial count and two matrices
-    beyond physical memory, which bounds either backend's peak: the float
-    holds the matrix and LAPACK's copy, and a field trial two buffers of
-    its unmatched rows, then the one it eliminates and the first
-    block-update product of `rank_mod`."""
-    require_int(seed, "seed")
-    check_cap(g.n, cap)
-    if trials is None:
-        trials = field_trials(constraint_rows(g), g.n)
-    check_memory(2 * 8 * constraint_rows(g) << g.n,
-                 "a rank trial (two copies of the constraint matrix)")
+    """rank_of(g)(vectors) of each of trial_count(g, trials, seed, cap)
+    independent adornments, whose refusals come before any draw; trial t
+    draws each clause's entries, in edge order, as draw(child_rng(seed, t),
+    2^k)."""
+    trials = trial_count(g, trials, seed, cap)
     rank = rank_of(g)       # one clause layout serves every trial
     ranks = []
     for t in range(trials):
@@ -273,8 +279,6 @@ def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
     field_trials(rows, n), which makes that at most 2^-40. Confidence
     reports how many trials attained the maximum.
     """
-    if trials is not None:
-        require_int(trials, "trials", 1)
     ranks = _trial_ranks(g, trials, seed, cap, rand_mod, _field_rank)
     best, t = max(ranks), len(ranks)
     d = min(constraint_rows(g), 1 << g.n)

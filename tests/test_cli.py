@@ -317,6 +317,23 @@ def test_argument_errors_exit_two(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+    # a negative density is named, not the edge count derived from it
+    for alpha in ("-0.004", "-1"):
+        code, out, err = run_cli(capsys, "peel", "--n", "100", "--alpha", alpha,
+                                 "--gadget", "nosegay", "--seed", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must be nonnegative, got {float(alpha)}\n"
+
+
+def test_rank_refuses_malformed_graph_files(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    for text, message in [("", "empty hypergraph file"),
+                          (" \n\n\t\n", "empty hypergraph file"),
+                          ("3\n0 1\n", "header must be 'n m', got '3'"),
+                          ("3 1 1\n0 1\n", "header must be 'n m', got '3 1 1'")]:
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "rank", "--graph", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
 
 
 def test_negative_seeds_are_refused_by_name(tmp_path, capsys):
@@ -473,6 +490,16 @@ def test_rank_cap_refusal_names_force(tmp_path, capsys, monkeypatch):
                                      "--mode", mode)
             assert code == 2, (n, mode)
             assert out == "" and "exceeds the cap 13; pass --force" in err
+    # both modes name a bad seed or trial count before the cap, with the
+    # library's messages (test_cap_and_parameter_validation)
+    seed = "seed must be nonnegative, got -1"
+    for flags, want in [(("--seed", "-1"), (seed, seed)),
+                        (("--trials", "0"), ("trials must be >= 1, got 0",
+                                             "samples must be >= 1, got 0"))]:
+        for mode, message in zip(("field", "float"), want):
+            code, out, err = run_cli(capsys, "rank", "--graph", str(path),
+                                     "--mode", mode, *flags)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), mode
 
 
 def test_rank_preflight_counts_two_matrices(tmp_path, capsys, monkeypatch):

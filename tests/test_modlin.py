@@ -132,9 +132,11 @@ def _kernel_rank(monkeypatch, a, nb):
 
 def test_rank_paths_agree_on_planted_rank():
     rng = np.random.default_rng(5)
-    # tall, wide, square full rank, rank one, rank deficient across panels
+    # tall, wide, square full rank (within one panel and across panels),
+    # rank one, rank deficient across panels
     for rows, cols, r in [(150, 100, 40), (100, 150, 99), (90, 90, 90),
-                          (70, 130, 1), (300, 260, 200), (140, 300, 139)]:
+                          (NB + 40, NB + 40, NB + 40), (70, 130, 1),
+                          (300, 260, 200), (140, 300, 139)]:
         a = _planted(rng, rows, cols, r)
         # rank_mod consumes its argument
         assert rank_mod(a.copy()) == r

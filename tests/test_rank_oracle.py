@@ -9,6 +9,7 @@ import pytest
 
 import qksat.rank_oracle as rank_oracle
 from qksat._modlin import P, rand_mod, rank_mod
+from qksat.gadgets import nosegay_k_graph
 from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
     RankInstabilityError,
@@ -68,7 +69,7 @@ def test_constraint_matrix_single_full_clause():
     # a clause on every qubit is a single row holding its entries
     g = Hypergraph(2, [(0, 1)])
     v = _unit_vector(make_rng(9), 4)
-    a = constraint_matrix(g, [clause_columns((0, 1), 2)], [v])
+    a = constraint_matrix(g, [clause_columns((0, 1), 2)], [v], "C")
     assert a.shape == (1, 4)
     assert np.array_equal(a[0], v)
 
@@ -77,7 +78,7 @@ def test_constraint_matrix_row_layout():
     # one clause spread over 2^(n-k) rows at its clause_columns
     g = Hypergraph(3, [(0, 2)])
     v = _unit_vector(make_rng(4), 4)
-    a = constraint_matrix(g, [clause_columns((0, 2), 3)], [v])
+    a = constraint_matrix(g, [clause_columns((0, 2), 3)], [v], "C")
     assert a.dtype == np.float64
     want = np.zeros((2, 8))
     want[0, [0, 1, 4, 5]] = v
@@ -96,21 +97,28 @@ def test_constraint_matrix_matches_kron_reference():
     for g in [random_mixed_graph(6, 7, make_rng(8)), *every_subset]:
         vectors = [_unit_vector(rng, 1 << len(e)) for e in g.edges]
         a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges],
-                              vectors)
+                              vectors, "C")
         want = np.concatenate([clause_rows_by_kron(e, g.n, v)
                                for e, v in zip(g.edges, vectors)])
         assert np.array_equal(a, want), g.n
 
 
-def test_constraint_matrix_layout_follows_the_shape():
-    # column-major when tall (rows >= 2^n), row-major when wide: the layouts
-    # in which rank_mod eliminates without a copy
-    for m, order in [(9, "F"), (8, "F"), (7, "C"), (1, "C")]:
-        g = random_hypergraph(9, m, 3, m)
-        a = constraint_matrix(g, [clause_columns(e, g.n) for e in g.edges],
-                              [np.ones(8)] * m)
-        assert a.shape == (64 * m, 512)
-        assert a.flags[f"{order}_CONTIGUOUS"], m
+def test_field_rank_hands_rank_mod_its_layout(monkeypatch):
+    # column-major when tall, row-major when wide: the layouts in which
+    # rank_mod eliminates the unmatched rows in place, without a copy
+    seen = []
+
+    def recording(a):
+        seen.append((a.shape, a.flags.f_contiguous, a.flags.c_contiguous))
+        return rank_mod(a)
+
+    monkeypatch.setattr(rank_oracle, "rank_mod", recording)
+    rng = make_rng(3)
+    for g, want in [(random_hypergraph(9, 9, 3, 0), ((448, 392), True, False)),
+                    (nosegay_k_graph((1, 1, 1), 3), ((64, 343), False, True))]:
+        seen.clear()
+        _field_rank(g)([rand_mod(rng, 1 << len(e)) for e in g.edges])
+        assert seen == [want]
 
 
 def test_field_trial_peak_is_about_two_matrices():
@@ -162,7 +170,7 @@ def test_matched_rank_equals_full_elimination():
         elif i % 3 == 2:
             matched[:int(rng.integers(1, matched.size))] = 0
         full = constraint_matrix(g, [clause_columns(e, n) for e in g.edges],
-                                 vectors)
+                                 vectors, "C")
         row_rank = rank_mod(full)
         assert _field_rank(g)(vectors) == row_rank, (i, g.edges)
         seen.add((int(np.flatnonzero(matched)[0]) if matched.any() else -1,
@@ -385,6 +393,15 @@ def test_cap_and_parameter_validation(monkeypatch):
         generic_rank_field(g, trials=0)
     with pytest.raises(ValueError):
         min_rank_float(g, samples=0)
+    # above the cap, a bad seed or trial count is named first, as by the CLI
+    huge = Hypergraph(30, [(0, 1)])
+    for call in (generic_rank_field, min_rank_float):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            call(huge, seed=-1)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        generic_rank_field(huge, trials=0)
+    with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
+        min_rank_float(huge, samples=0)
 
 
 @pytest.mark.parametrize("seed", [2.7, True, make_rng(0)])
