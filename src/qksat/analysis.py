@@ -9,14 +9,14 @@ pmf in log space, so that terms survive large degrees, a block of grid rows
 at a time: one float64 array of at most _BLOCK_CELLS = 2^20 entries (8 MB),
 built in place. Its grids are fixed: SUNFLOWER_PANELS = 4096 Simpson panels
 over peel time t, NOSEGAY_PANELS = 1000 over nu. On those grids the Simpson
-rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15) that is
-reported, never silently trusted.
+rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15), quad_error,
+that is never silently trusted: BoundReport.upper adds it to the value.
 
 Truncations are one-sided by construction: every gadget log-weight is
 negative, so cutting the degree sum or the Poisson expectation only raises
 the reported value, and a negative truncated bound still certifies. The
 nosegay bound reports the Poisson mass it drops (max_poisson_tail). Both
-refuse a cutoff whose tables cannot fit in memory before building them.
+refuse unbuilt, by rng.check_memory, a cutoff whose tables cannot fit.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from math import ceil, inf, log, log1p, sqrt, ulp
 import numpy as np
 
 from .hypergraph import check_arity
-from .rank_oracle import check_memory
-from .rng import require_int
+from .rng import check_memory, require_int
 
 LN2 = log(2.0)
 # pmf entries per block of the Poisson integrator: about 8 MB of float64
@@ -42,13 +41,23 @@ SUNFLOWER_PANELS, NOSEGAY_PANELS = 4096, 1000
 
 @dataclass(frozen=True)
 class BoundReport:
+    """verdict is unsat-whp exactly when upper = value + quad_error < 0: it
+    is derived, never passed in, and threshold_root bisects upper too."""
     method: str
     alpha: float
     k: int
     value: float
-    verdict: str
     quad_error: float = 0.0
     params: dict = field(default_factory=dict)
+    verdict: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", "unsat-whp" if self.upper < 0
+                           else "inconclusive")
+
+    @property
+    def upper(self) -> float:
+        return self.value + self.quad_error
 
 
 def check_model(alpha: float, k: int = 3) -> None:
@@ -58,12 +67,6 @@ def check_model(alpha: float, k: int = 3) -> None:
     check_arity(k)
     if k >= 1024:
         raise ValueError(f"arity k = {k} is too large: 2^k overflows a float")
-
-
-def _verdict(upper: float) -> str:
-    """unsat-whp when the bound is negative even with its error estimate
-    (value + quad_error) added."""
-    return "unsat-whp" if upper < 0 else "inconclusive"
 
 
 def _simpson_weights(points: int, h: float) -> np.ndarray:
@@ -108,23 +111,23 @@ def _poisson_integral(lam: np.ndarray, lo: float, hi: float, d_max: int,
     return sums[0], abs(sums[0] - sums[1]) / 15.0
 
 
-def _auto_dmax(alpha: float, k: int) -> int:
-    """Both bounds' degree cutoff: 12 sd plus 20 above their top mean."""
-    mean = k * alpha
-    return int(ceil(mean + 12.0 * sqrt(mean))) + 20
+def _cutoff(alpha: float, k: int, cutoff, name: str, least: int) -> int:
+    """check_model, then the degree cutoff given (require_int, >= least) or,
+    for None, 12 sd plus 20 above both Poisson bounds' top mean, k alpha."""
+    check_model(alpha, k)
+    if cutoff is None:
+        cutoff = int(ceil(k * alpha + 12.0 * sqrt(k * alpha))) + 20
+    return require_int(cutoff, name, least)
 
 
 def sunflower_bound(alpha: float, k: int = 3,
                     d_max: int | None = None) -> BoundReport:
     """ln 2 + sum_{d<=d_max} a_d (d ln(1 - 2^(1-k)) + ln(d/(2^k-2) + 1)).
 
-    d_max=None takes _auto_dmax(alpha, k), far into the Poisson tail. The
+    d_max=None takes _cutoff's default, far into the Poisson tail. The
     omitted terms are negative, so the value is an upper bound regardless.
     """
-    check_model(alpha, k)
-    if d_max is None:
-        d_max = _auto_dmax(alpha, k)
-    require_int(d_max, "d_max", 1)
+    d_max = _cutoff(alpha, k, d_max, "d_max", 1)
     # the table, one pmf row and their temporaries: 65 B per degree measured
     check_memory(80 * (d_max + 1), "the sunflower degree table")
     ds = np.arange(d_max + 1)
@@ -137,7 +140,7 @@ def sunflower_bound(alpha: float, k: int = 3,
     value, quad_error = LN2 + float(total), float(errors[0])
     return BoundReport(
         method="sunflower", alpha=float(alpha), k=k, value=value,
-        verdict=_verdict(value + quad_error), quad_error=quad_error,
+        quad_error=quad_error,
         params={
             "d_max": d_max,
             "quadrature_points": SUNFLOWER_PANELS,
@@ -201,14 +204,11 @@ def nosegay_bound(alpha: float, k: int = 3,
     Poisson of mean k mu/nu along nosegay_ode.
 
     Vectors with some d_i above `truncation` are dropped; truncation=None
-    takes _auto_dmax(alpha, k), as sunflower_bound does. max_poisson_tail
+    takes _cutoff's default, as sunflower_bound does. max_poisson_tail
     is the dropped mass 1 - P(d <= T)^k at nu = 1, where the mean (k alpha)
     and with it the tail are largest, summed from the upper tail itself.
     """
-    check_model(alpha, k)
-    if truncation is None:
-        truncation = _auto_dmax(alpha, k)
-    require_int(truncation, "truncation", 10)
+    truncation = _cutoff(alpha, k, truncation, "truncation", 10)
     expectation = _nosegay_expectation(k, truncation)
     c, nu0 = nosegay_ode(alpha, k)
     nus = np.linspace(nu0, 1.0, NOSEGAY_PANELS + 1)
@@ -220,7 +220,7 @@ def nosegay_bound(alpha: float, k: int = 3,
     tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
     return BoundReport(
         method="nosegay", alpha=float(alpha), k=k, value=value,
-        verdict=_verdict(value + quad_error), quad_error=quad_error,
+        quad_error=quad_error,
         params={
             "truncation": truncation,
             "quadrature_points": NOSEGAY_PANELS,
@@ -238,8 +238,7 @@ def general_k_bound(alpha: float, k: int) -> BoundReport:
     """
     check_model(alpha, k)
     value = LN2 + alpha * log1p(-(2.0 ** (1 - k))) + log1p(alpha / ((1 << k) - 2))
-    return BoundReport(method="general_k", alpha=float(alpha), k=k,
-                       value=value, verdict=_verdict(value))
+    return BoundReport(method="general_k", alpha=float(alpha), k=k, value=value)
 
 
 def bisect_bracket(f, lo: float, hi: float, width: float) -> tuple[float, float]:
@@ -347,13 +346,13 @@ _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 
 def threshold_root(method: str, k: int = 3, **options) -> float:
     """A density at most ROOT_PRECISION above the zero crossing of the
-    selected bound plus its quad_error, at which that sum was evaluated
+    selected bound's upper (value + quad_error), at which upper was evaluated
     negative: the right end of the bracket that bisection ends with. The
     bound falls as alpha grows (gadget log-weights fall with degree, and
     the Poisson means rise with alpha), and bisect_bracket rests on that to
     return plain bisection's bracket from few bound evaluations. The
     quad_error estimate has no such proof, so bisect_bracket evaluates the
-    right end if it had not and refuses a sum that is not negative there.
+    right end if it had not and refuses an upper not negative there.
     The bracket starts from 0.5 and a density
     known to certify, _NEGATIVE_AT or else 2^k b plus max(1, 2^k 1e-10), a
     margin that covers solve_b's bisection width; tests find the general-k
@@ -367,9 +366,5 @@ def threshold_root(method: str, k: int = 3, **options) -> float:
     if ulp(right) > ROOT_PRECISION:
         raise ValueError(f"at k = {k} floats near the root are {ulp(right):.3g} "
                          f"apart, wider than ROOT_PRECISION = {ROOT_PRECISION}")
-
-    def f(alpha: float) -> float:
-        report = bound(method, alpha, k, **options)
-        return report.value + report.quad_error
-
-    return bisect_bracket(f, 0.5, right, ROOT_PRECISION)[1]
+    return bisect_bracket(lambda alpha: bound(method, alpha, k, **options).upper,
+                          0.5, right, ROOT_PRECISION)[1]

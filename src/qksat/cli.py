@@ -17,10 +17,10 @@ from math import isfinite
 
 from . import analysis, gadgets, peeling
 from .hypergraph import random_hypergraph, read_hypergraph
-from .rank_oracle import (DEFAULT_CAP, TOLERANCE, P, RankInstabilityError,
-                          check_memory, generic_rank_field, min_rank_float,
-                          trial_count)
-from .rng import child_rng
+from .rank_oracle import (DEFAULT_CAP, FLOAT_SAMPLES, TOLERANCE, P,
+                          RankInstabilityError, generic_rank_field,
+                          min_rank_float, trial_count)
+from .rng import check_memory, child_rng
 
 
 def _json_float(x: float):
@@ -49,7 +49,7 @@ def _cmd_rank(args) -> tuple[int, dict]:
         payload.update(trials=trials, prime=P,
                        failure_bound=result.failure_bound)
     else:
-        samples = args.trials if args.trials is not None else 3
+        samples = args.trials if args.trials is not None else FLOAT_SAMPLES
         result = min_rank_float(g, samples=samples, seed=args.seed, cap=cap)
         payload.update(trials=samples, tolerance=TOLERANCE)
     payload.update(rank=result.rank, backend=result.backend,
@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="field trials (default: the fewest whose "
                         "failure_bound is <= 2^-40) / float samples "
-                        "(default 3)")
+                        f"(default {FLOAT_SAMPLES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="lift the qubit cap (memory grows as m*4^n)")

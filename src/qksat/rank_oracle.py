@@ -43,17 +43,17 @@ smallest vertex of the edge.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._modlin import P, quotient_mod, rand_mod, rank_mod
 from .hypergraph import Hypergraph
-from .rng import child_rng, require_int
+from .rng import check_memory, child_rng, require_int
 
 DEFAULT_CAP = 13
 TOLERANCE = 1e-9
+FLOAT_SAMPLES = 3
 # default field trials make a wrong rank at most 2^-FAILURE_LOG2 likely
 FAILURE_LOG2 = 40
 CONFIDENCE_FLOOR = 10.0
@@ -95,14 +95,6 @@ def clause_columns(edge, n: int) -> np.ndarray:
     axes = [n - 1 - v for v in (*rest[::-1], *edge[::-1])]
     return (np.arange(1 << n).reshape((2,) * n).transpose(axes)
             .reshape(1 << (n - k), 1 << k))
-
-
-def check_memory(nbytes: int, what: str) -> None:
-    """Refuse a computation estimated to need more than physical memory."""
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > total:
-        raise ValueError(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more "
-                         f"than the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
 def constraint_rows(g: Hypergraph) -> int:
@@ -259,7 +251,7 @@ def generic_rank_float(a: np.ndarray) -> RankResult:
     return RankResult(a.shape[1] - row_rank, "float", confidence)
 
 
-def min_rank_float(g: Hypergraph, samples: int = 3, seed=0,
+def min_rank_float(g: Hypergraph, samples: int = FLOAT_SAMPLES, seed=0,
                    cap: int = DEFAULT_CAP) -> RankResult:
     """Least generic_rank_float over independently adorned samples; a
     degenerate sample can only overstate the dimension."""

@@ -1,10 +1,12 @@
-"""Seedable random generators with reproducible derived streams, and
-`require_int`, the one guard of every seed, stream, count, arity and size in
-the package: a plain int, not a bool, at least its least value. Floats, bools
-and numpy scalars are refused by name, never truncated or overflowed; callers
-convert with int(). Every module can import this one without a cycle."""
+"""Seedable random generators with derived streams, and the package's shared
+guards: `require_int` refuses any seed, stream, count, arity or size that is
+not a plain int at least its least value (floats, bools and numpy scalars by
+name, never truncated), and `check_memory` any work estimated to exceed
+physical memory. It imports no qksat module, so every module can import it."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -18,6 +20,14 @@ def require_int(value, name: str, least: int = 0) -> int:
         raise ValueError(f"{name} must be nonnegative, got {value}" if least == 0
                          else f"{name} must be >= {least}, got {value}")
     return value
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse a computation estimated to need more than physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ValueError(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more "
+                         f"than the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
 def make_rng(seed) -> np.random.Generator:

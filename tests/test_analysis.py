@@ -11,6 +11,7 @@ from scipy import integrate
 
 import qksat.analysis as analysis
 from qksat.analysis import (
+    ROOT_PRECISION,
     BoundReport,
     bisect_bracket,
     bound,
@@ -456,6 +457,28 @@ def test_verdict_and_root_count_quad_error(monkeypatch):
     at_root = bound("sunflower", root)
     assert at_root.value + at_root.quad_error < 0
     assert at_root.verdict == "unsat-whp"
+
+
+@pytest.mark.parametrize("method", ["sunflower", "nosegay", "general_k"])
+def test_verdict_is_upper_below_zero_around_each_root(method, monkeypatch):
+    # coarse grids make quad_error large, so just left of each Poisson
+    # bound's root the value is negative while value + quad_error is not
+    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 4)
+    monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 4)
+    if method != "general_k":
+        monkeypatch.setitem(analysis._NEGATIVE_AT, (method, 3), 4.0)
+    root = threshold_root(method, 3)
+    left, right = (bound(method, alpha)
+                   for alpha in (root - 4 * ROOT_PRECISION, root))
+    for report in (left, right):
+        assert report.upper == report.value + report.quad_error
+        assert report.verdict == ("unsat-whp" if report.value
+                                  + report.quad_error < 0 else "inconclusive")
+    assert (left.verdict, right.verdict) == ("inconclusive", "unsat-whp")
+    if method == "general_k":
+        assert left.quad_error == right.quad_error == 0.0
+    else:
+        assert left.value < 0 <= left.upper
 
 
 def test_threshold_root_validation(monkeypatch):

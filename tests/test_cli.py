@@ -40,7 +40,7 @@ def test_bound_nosegay_example(capsys):
     assert payload["method"] == "nosegay"
     assert payload["value"] == pytest.approx(-1.601e-4, abs=2e-5)
     assert payload["verdict"] == "unsat-whp"
-    # the derived cutoff _auto_dmax(3.594, 3)
+    # the derived cutoff ceil(k alpha + 12 sqrt(k alpha)) + 20, k = 3
     assert payload["params"]["truncation"] == 71
 
 
@@ -424,7 +424,7 @@ def test_options_a_method_never_reads_exit_two(capsys):
                        "--trunc", "20")
     assert nosegay["params"]["truncation"] == 20
     sunflower = run_json(capsys, "bound", "sunflower", "--alpha", "3.9")
-    # the derived cutoff _auto_dmax(3.9, 3)
+    # the derived cutoff ceil(k alpha + 12 sqrt(k alpha)) + 20, k = 3
     assert sunflower["params"]["d_max"] == 73
 
 
@@ -512,7 +512,7 @@ def test_rank_preflight_counts_two_matrices(tmp_path, capsys, monkeypatch):
     real = os.sysconf
     for share, want in [(2.5, 0), (1.5, 2)]:
         fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": int(share * matrix)}
-        monkeypatch.setattr(rank_oracle.os, "sysconf",
+        monkeypatch.setattr(os, "sysconf",
                             lambda name: fake[name] if name in fake else real(name))
         for mode in ("field", "float"):
             code, _, err = run_cli(capsys, "rank", "--graph", str(path),

@@ -35,3 +35,24 @@ def test_modules_reach_no_private_names_of_others():
              for hit in private_reach_ins(path)]
     assert found == []
 
+
+def qksat_imports(stem: str) -> set[str]:
+    """The qksat modules that module `stem` imports, directly or through
+    other qksat modules."""
+    seen, todo = set(), [stem]
+    while todo:
+        tree = ast.parse((SRC / f"{todo.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = ({node.module} if node.module else
+                         {alias.name for alias in node.names} & MODULES)
+                todo.extend(names - seen)
+                seen |= names
+    return seen
+
+
+def test_bounds_load_no_rank_oracle():
+    # the analytic bounds need only rng's shared guards, not the oracle
+    oracle = {"rank_oracle", "_modlin"}
+    assert qksat_imports("analysis").isdisjoint(oracle)
+    assert oracle <= qksat_imports("cli")     # the walk does find them
