@@ -29,7 +29,7 @@ class Hypergraph:
                 raise ValueError(f"an edge array must hold (m, k) integers, "
                                  f"got {edges.dtype} of shape {edges.shape}")
             edges = edges.astype(np.int64, copy=False)
-            if (np.diff(edges, axis=1) <= 0).any():
+            if not ascending_rows(edges).all():
                 edges = np.sort(edges, axis=1)
             offsets = np.arange(len(edges) + 1) * edges.shape[1]
         else:
@@ -55,8 +55,7 @@ class Hypergraph:
             raise ValueError(f"vertices {vertices.min()}..{vertices.max()} out of "
                              f"range for n={n}")
         self.n, self.vertices, self.offsets = n, vertices, offsets
-        # counted once, on the arity array the checks above hold, so that a
-        # peel allocates no array of m arities to learn its arity
+        # counted once here, so that a peel needs no array of m arities
         self._arities = tuple(np.flatnonzero(np.bincount(arity)).tolist())
 
     @property
@@ -71,6 +70,24 @@ class Hypergraph:
 
     def arities(self) -> set[int]:
         return set(self._arities)
+
+
+def row_reduce(ufunc, rows: np.ndarray, dtype=None) -> np.ndarray:
+    """ufunc.reduce(rows, axis=1, dtype) of an (m, k) array, k >= 1, as k - 1
+    calls on its columns into one m-array, updated in place: numpy reduces a
+    short axis one row at a time, at about 25 ns a row, and a column in bulk."""
+    out = np.array(rows[:, 0], dtype=dtype)
+    for j in range(1, rows.shape[1]):
+        ufunc(out, rows[:, j], out=out)
+    return out
+
+
+def ascending_rows(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of an (m, k) array strictly ascends, by column pairs."""
+    ok = np.ones(len(rows), dtype=bool)
+    for j in range(1, rows.shape[1]):
+        ok &= rows[:, j - 1] < rows[:, j]
+    return ok
 
 
 def check_arity(k: int) -> None:
@@ -94,11 +111,11 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
                          f"probability p={p:.3g} < 2^-12: too rare to draw by rejection")
     rng = make_rng(seed)
     edges = np.sort(rng.integers(0, n, size=(m, k)), axis=1)
-    bad = np.flatnonzero((np.diff(edges, axis=1) == 0).any(axis=1))
+    bad = np.flatnonzero(~ascending_rows(edges))
     while bad.size:     # only the redrawn rows are sorted and checked again
         redrawn = np.sort(rng.integers(0, n, size=(bad.size, k)), axis=1)
         edges[bad] = redrawn
-        bad = bad[(np.diff(redrawn, axis=1) == 0).any(axis=1)]
+        bad = bad[~ascending_rows(redrawn)]
     return Hypergraph(n, edges)
 
 

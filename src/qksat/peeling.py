@@ -10,7 +10,9 @@ hanging edges of one nosegay sharing a fresh vertex (ROADMAP item 3): the graph
 
 A trace's steps are one structured array with the columns
 `vertices_remaining`, `edges_remaining`, `params` (the gadget's `d` for a
-sunflower, its `d_1, ..., d_k` for a nosegay) and `anomalies`.
+sunflower, its `d_1, ..., d_k` for a nosegay) and `anomalies`. Per-edge
+(m, k) arrays are reduced by column (`row_reduce`): numpy walks a short axis
+row by row, which cost about a quarter of the `peel` benchmark's time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .gadgets import LN2, gadget_log_weight
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, row_reduce
 from .rng import make_rng, require_int
 
 # steps per write of the trace CSV: bounds the writer's memory whatever n is
@@ -56,7 +58,7 @@ class PeelTrace:
         order = np.lexsort(params.T[::-1])
         ranked = params[order]
         new = np.ones(len(order), dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        new[1:] = row_reduce(np.logical_or, ranked[1:] != ranked[:-1])
         starts = np.flatnonzero(new)
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(new) - 1
@@ -88,7 +90,7 @@ def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
 def _consuming_step(step: np.ndarray, edges: np.ndarray):
     """Each edge's least vertex step, and the mask of its vertices at it."""
     at_vertex = step[edges]
-    at = at_vertex.min(axis=1)
+    at = row_reduce(np.minimum, at_vertex)
     return at, at_vertex == at[:, None]
 
 
@@ -146,22 +148,23 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     while alive.size:
         rows, first = edges[alive], np.full(g.n, g.m)
         np.minimum.at(first, rows, rank[alive, None])
-        enter = alive[first[rows].min(axis=1) == rank[alive]]
+        enter = alive[row_reduce(np.minimum, first[rows]) == rank[alive]]
         packed[enter], used[edges[enter]] = True, True
-        alive = alive[~used[rows].any(axis=1)]
+        alive = alive[~row_reduce(np.logical_or, used[rows])]
     central = order[packed[order]]
     s = len(central)
 
     # k * step + position on its center for each vertex, k s off the packing
     key = np.full(g.n, k * s, dtype=np.int64)
     key[edges[central]] = k * np.arange(s)[:, None] + np.arange(k)
-    hanging = np.delete(edges, central, axis=0)
+    hanging = edges[~packed]
     at, meets = _consuming_step(key // k, hanging)
-    params = np.bincount(key[hanging].min(axis=1),
+    params = np.bincount(row_reduce(np.minimum, key[hanging]),
                          minlength=k * s).reshape(s, k)
-    anomalies = np.bincount(at, weights=meets.sum(axis=1) - 1, minlength=s)
+    anomalies = np.bincount(at, weights=row_reduce(np.add, meets, np.int64) - 1,
+                            minlength=s)
     steps = trace_steps(g.n - k * np.arange(1, s + 1),
-                        g.m - np.cumsum(1 + params.sum(axis=1)), params,
+                        g.m - np.cumsum(1 + row_reduce(np.add, params)), params,
                         anomalies)
     return PeelTrace("nosegay", g.n, g.m, k, seed, steps)
 

@@ -587,6 +587,9 @@ GOLDEN_TRACES = [
     ("2000", "sunflower", "0", "3", "d89ca76d3c7502ef"),
     # the peel benchmark's sunflower op
     ("20000", "sunflower", "3.894", "3", "eee5f0ae2b74b199"),
+    # wide rows: every per-edge reduction runs over 8 columns
+    ("2000", "sunflower", "40", "8", "62fb8e148fcdc633"),
+    ("2000", "nosegay", "40", "8", "d50bb421b0dd9002"),
 ]
 
 

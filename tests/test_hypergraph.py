@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from qksat.hypergraph import (
     Hypergraph,
+    ascending_rows,
     components,
     parse_hypergraph,
     random_hypergraph,
     read_hypergraph,
+    row_reduce,
 )
 from qksat.rng import make_rng
 from support import attach, format_hypergraph, write_hypergraph
@@ -143,6 +146,56 @@ def test_random_hypergraph_rejects():
     # a Generator passes through: seed 2's generator draws seed 2's graph
     assert random_hypergraph(10, 5, 3, make_rng(2)).edges == \
         random_hypergraph(10, 5, 3, 2).edges
+
+
+WIDTHS = [*range(1, 9), 16]
+
+
+@pytest.mark.parametrize("m", [0, 1, 257])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_row_reduce_matches_axis_reduce(m, width):
+    rng = make_rng(width * 1000 + m)
+    ints = rng.integers(-50, 50, size=(m, width))
+    bools = rng.random((m, width)) < 0.2
+    for ufunc, rows, dtype in [(np.minimum, ints, None), (np.add, ints, None),
+                               (np.logical_or, bools, None),
+                               (np.add, bools, np.int64)]:
+        want = ufunc.reduce(rows, axis=1, dtype=dtype)
+        got = row_reduce(ufunc, rows, dtype)
+        assert got.dtype == want.dtype and got.shape == (m,)
+        assert np.array_equal(got, want)
+    # a view with a negative row stride reduces alike
+    assert np.array_equal(row_reduce(np.minimum, ints[::-1]),
+                          ints[::-1].min(axis=1))
+
+
+@pytest.mark.parametrize("m", [0, 1, 257])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_ascending_rows_matches_diff(m, width):
+    rng = make_rng(width * 1000 + m)
+    # small values: rows with ties, descents and strict ascents all occur
+    rows = np.sort(rng.integers(0, 3 * width, size=(m, width)), axis=1)
+    rows[::3] = rng.integers(0, 3 * width, size=rows[::3].shape)
+    got = ascending_rows(rows)
+    assert got.dtype == bool
+    assert np.array_equal(got, (np.diff(rows, axis=1) > 0).all(axis=1))
+
+
+def test_row_reduce_holds_one_m_array():
+    # the column passes accumulate in place: the traced peak is the result
+    # itself, not one further temporary per column
+    m = 200_000
+    rows = make_rng(0).integers(0, 1 << 40, size=(m, 3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        out = row_reduce(np.minimum, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * m
+    assert peak < 1.5 * out.nbytes
 
 
 def test_degree_distribution_binomial():
