@@ -112,9 +112,13 @@ def _poisson_integral(lam: np.ndarray, lo: float, hi: float, d_max: int,
 
 
 def _cutoff(alpha: float, k: int, cutoff, name: str, least: int) -> int:
-    """check_model, then the degree cutoff given (require_int, >= least) or,
-    for None, 12 sd plus 20 above both Poisson bounds' top mean, k alpha."""
+    """check_model and a finite top mean k alpha of both Poisson bounds, then
+    the degree cutoff given (require_int, >= least) or, for None, 12 sd plus
+    20 above that mean."""
     check_model(alpha, k)
+    if not k * alpha < inf:
+        raise ValueError(f"alpha = {alpha} is too large: the top Poisson mean "
+                         f"k alpha overflows a float at k = {k}")
     if cutoff is None:
         cutoff = int(ceil(k * alpha + 12.0 * sqrt(k * alpha))) + 20
     return require_int(cutoff, name, least)
@@ -160,6 +164,9 @@ def nosegay_ode(alpha: float, k: int = 3) -> tuple[float, float]:
     """
     check_model(alpha, k)
     c = k * (k - 1) * alpha + 1.0
+    if c == inf:
+        raise ValueError(f"alpha = {alpha} is too large: the nosegay's "
+                         f"c = k(k-1) alpha + 1 overflows a float at k = {k}")
     return c, c ** (-1.0 / (k - 1))
 
 
@@ -206,7 +213,9 @@ def nosegay_bound(alpha: float, k: int = 3,
     Vectors with some d_i above `truncation` are dropped; truncation=None
     takes _cutoff's default, as sunflower_bound does. max_poisson_tail
     is the dropped mass 1 - P(d <= T)^k at nu = 1, where the mean (k alpha)
-    and with it the tail are largest, summed from the upper tail itself.
+    and with it the tail are largest. Below that mean, T < lam, the mass
+    dropped per vertex is above about 1/2 and is read as 1 - P(d <= T) from
+    T + 1 pmf columns; from it on, it is summed from the upper tail itself.
     """
     truncation = _cutoff(alpha, k, truncation, "truncation", 10)
     expectation = _nosegay_expectation(k, truncation)
@@ -215,9 +224,11 @@ def nosegay_bound(alpha: float, k: int = 3,
     lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
     integral, error = _poisson_integral(lam, nu0, 1.0, truncation, expectation)
     value, quad_error = LN2 + float(integral) / k, float(error) / k
-    # past max(T, 2 lam[-1]) each pmf term is at most half the one before
-    pmf = _poisson_pmf(lam[-1:], max(truncation, ceil(2 * lam[-1])) + 60)
-    tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
+    if truncation < lam[-1]:
+        tail = max(1.0 - float(_poisson_pmf(lam[-1:], truncation).sum()), 0.0)
+    else:   # past max(T, 2 lam[-1]) each term is at most half the one before
+        pmf = _poisson_pmf(lam[-1:], max(truncation, ceil(2 * lam[-1])) + 60)
+        tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
     return BoundReport(
         method="nosegay", alpha=float(alpha), k=k, value=value,
         quad_error=quad_error,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -119,9 +120,15 @@ PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
 def _cmd_peel(args) -> tuple[int, dict]:
     if args.alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {args.alpha}")
-    m = round(args.alpha * args.n)
-    check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k * m,
-                 "the peel")
+    edges = args.alpha * args.n     # a float, so that an overflow is refused
+    check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k
+                 * edges, f"the peel of alpha * n = {edges:.4g} edges")
+    if args.trace and os.path.isdir(args.trace):
+        raise ValueError(f"the trace path {args.trace!r} is a directory")
+    if args.trace and not os.path.isdir(os.path.dirname(args.trace) or "."):
+        raise ValueError(f"the trace path {args.trace!r} lies in a missing "
+                         f"directory")
+    m = round(edges)
     # graph comes from a child stream, the peel order from the master seed
     g = random_hypergraph(args.n, m, args.k, child_rng(args.seed, 0))
     if args.gadget == "sunflower":

@@ -2,19 +2,23 @@
 
 Every rank is an exact integer, so cross-formula identities can be tested
 bit-exactly; log-weights ln(rank) - t*ln2 are derived from it afterward.
-A vertex with d hanging edges of arity h brings integer factors a(d) and b(d):
-M^(d-1) (d + 2M) and M^(d-1) (d + M), M = 2^(h-1) - 1, a(0) = 2, b(0) = 1.
-A sunflower's rank is a(d), a nosegay's prod_i a(d_i) - prod_i b(d_i).
+
+The sunflower and both nosegays are stars, with one closed form, _star, and
+one builder, _star_graph. A star has c centers; center i carries d_i hanging
+edges of arity h, each on h - 1 fresh vertices, so t = c + sum_i d_i (h - 1).
+The centers share a central c-edge exactly when c >= 2: that is the only
+difference between a sunflower and a nosegay. A center brings integer
+factors a(d) = M^(d-1) (d + 2M) and b(d) = M^(d-1) (d + M), M = 2^(h-1) - 1,
+a(0) = 2, b(0) = 1; the rank is prod_i a(d_i), less prod_i b(d_i) if c >= 2.
 
 Families:
-  * (d,k)-sunflower: d edges of arity k sharing one center vertex.
-  * k-uniform d-vector nosegay: central k-edge, d_i hanging k-edges on vertex
-    i (each adding k - 1 fresh vertices). At k = 3 it is the paper's
+  * (d,k)-sunflower: one center, d edges of arity h = k.
+  * k-uniform d-vector nosegay: c = h = k. At k = 3 it is the paper's
     (a,b,c)-nosegay and its formula is exact; for k >= 4 it is an upper
     bound on the generic rank (exact for separable adornments), checked for
     equality at k = 4 by `verify gadgets` on sum d_i <= min(max_size - 2, 3).
-  * hanging-edge [a,b,c]-nosegay: a central 3-edge whose hanging edges have
-    arity 2 (one fresh vertex each), so M = 1.
+  * hanging-edge [a,b,c]-nosegay: c = 3 and h = 2 (one fresh vertex per
+    hanging edge), so M = 1.
   * k=2 connected components, classified by vertex and edge counts.
 """
 
@@ -25,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import expm1, floor, inf, ldexp, log, log1p, log10, prod
-
-import numpy as np
 
 from .hypergraph import Hypergraph, check_arity, components
 from .rank_oracle import DEFAULT_CAP
@@ -57,26 +59,28 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be below 2^63")
 
 
-def _vertex_factors(dvec, k: int) -> tuple[int, int]:
-    """(prod a(d_i), prod b(d_i)) at arity k."""
-    m = (1 << (k - 1)) - 1 if any(dvec) else 0     # no M without hanging edges
+def _star(dvec, h: int) -> GadgetRank:
+    """Rank and t of the star of the module docstring whose center i carries
+    d_i hanging h-edges."""
+    m = (1 << (h - 1)) - 1 if any(dvec) else 0     # no M without hanging edges
     power = m ** sum(d - 1 for d in dvec if d)      # the M^(d-1) of each d > 0
-    return (power * prod(d + 2 * m if d else 2 for d in dvec),
-            power * prod(d + m if d else 1 for d in dvec))
+    rank = power * prod(d + 2 * m if d else 2 for d in dvec)
+    if len(dvec) >= 2:                              # the central edge
+        rank -= power * prod(d + m if d else 1 for d in dvec)
+    return _as_rank(rank, len(dvec) + sum(dvec) * (h - 1))
 
 
 def sunflower_rank(d: int, k: int) -> GadgetRank:
     """S(d,k) = a(d) = M^(d-1) (d + 2M) with M = 2^(k-1) - 1; t = 1 + d(k-1)."""
     _check_counts(d=d)
     check_arity(k)
-    return _as_rank(_vertex_factors((d,), k)[0], 1 + d * (k - 1))
+    return _star((d,), k)
 
 
 def nosegay_hang_rank(a: int, b: int, c: int) -> GadgetRank:
     """(a+2)(b+2)(c+2) - (a+1)(b+1)(c+1): M = 1; t = 3 + a + b + c."""
     _check_counts(a=a, b=b, c=c)
-    top, bottom = _vertex_factors((a, b, c), 2)
-    return _as_rank(top - bottom, 3 + a + b + c)
+    return _star((a, b, c), 2)
 
 
 def _check_dvec(dvec, k: int) -> tuple[int, ...]:
@@ -90,14 +94,10 @@ def _check_dvec(dvec, k: int) -> tuple[int, ...]:
 
 
 def nosegay_k_rank(dvec, k: int) -> GadgetRank:
-    """N(d) = prod a(d_i) - prod b(d_i), the factors of the module docstring
-    at M = 2^(k-1) - 1, t = k + sum d_i (k - 1): an upper bound on the generic
-    rank of the k-uniform nosegay, exact at k = 3, where it is the paper's
-    3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)], and checked at k = 4 by
-    `verify gadgets` on sum d_i <= min(max_size - 2, 3)."""
-    dvec = _check_dvec(dvec, k)
-    top, bottom = _vertex_factors(dvec, k)
-    return _as_rank(top - bottom, k + sum(dvec) * (k - 1))
+    """N(d) = prod a(d_i) - prod b(d_i) at M = 2^(k-1) - 1; at k = 3 the
+    paper's exact 3^(a+b+c-3) [(a+6)(b+6)(c+6) - (a+3)(b+3)(c+3)], for
+    k >= 4 the upper bound of the module docstring."""
+    return _star(_check_dvec(dvec, k), k)
 
 
 # nosegay3_rank and nosegay3_graph have no caller here: perfbench/layers.py
@@ -169,7 +169,7 @@ def _refuse_unprintable(family: str, params: dict) -> None:
     log_a = sum(dvec) * log10_m + sum(log10(2 + x) for x in xs)
     log_ratio = sum(log1p(-1 / (2 + x)) for x in xs) / LN10
     # a nosegay's rank is prod a(d_i) times (1 - prod b(d_i)/a(d_i))
-    tail = log10(-expm1(LN10 * log_ratio)) if family == "nosegay-k" else 0
+    tail = log10(-expm1(LN10 * log_ratio)) if len(dvec) >= 2 else 0
     digits, limit = floor(log_a + tail) + 1, sys.get_int_max_str_digits()
     if 0 < limit < digits:
         raise ValueError(f"the {family} rank has about {digits} decimal "
@@ -194,25 +194,26 @@ def gadget_log_weight(family: str, **params) -> float:
     return FAMILIES[family][0](**params).log_weight
 
 
-def _hanging(centers: np.ndarray, k: int, first: int) -> np.ndarray:
-    """One k-edge per entry of centers: the center, then k - 1 fresh
-    vertices numbered on from `first`."""
-    fresh = first + np.arange(len(centers) * (k - 1)).reshape(-1, k - 1)
-    return np.column_stack([centers, fresh])
+def _star_graph(dvec, h: int) -> Hypergraph:
+    """The star of _star: the central edge on 0..c-1 when c = len(dvec) >= 2,
+    then center i's d_i hanging h-edges, on i and the next h - 1 from c on."""
+    c, centers = len(dvec), [i for i, d in enumerate(dvec) for _ in range(d)]
+    fresh = range(c, c + len(centers) * (h - 1))
+    hanging = [(i, *fresh[j * (h - 1):(j + 1) * (h - 1)])
+               for j, i in enumerate(centers)]
+    return Hypergraph(fresh.stop, ([range(c)] if c >= 2 else []) + hanging)
 
 
 def sunflower_graph(d: int, k: int) -> Hypergraph:
     """d petals of arity k around center 0; vertex count matches t."""
     _check_counts(d=d)
     check_arity(k)
-    return Hypergraph(1 + d * (k - 1), _hanging(np.zeros(d, np.int64), k, 1))
+    return _star_graph((d,), k)
 
 
 def nosegay_k_graph(dvec, k: int) -> Hypergraph:
     """Central k-edge on 0..k-1 with d_i hanging k-edges at vertex i."""
-    dvec = _check_dvec(dvec, k)
-    hanging = _hanging(np.repeat(np.arange(k), dvec), k, k)
-    return Hypergraph(k + sum(dvec) * (k - 1), np.vstack([np.arange(k), hanging]))
+    return _star_graph(_check_dvec(dvec, k), k)
 
 
 def nosegay3_graph(a: int, b: int, c: int) -> Hypergraph:
@@ -222,8 +223,7 @@ def nosegay3_graph(a: int, b: int, c: int) -> Hypergraph:
 def nosegay_hang_graph(a: int, b: int, c: int) -> Hypergraph:
     """Central 3-edge with arity-2 hanging edges; mixed-arity hypergraph."""
     _check_counts(a=a, b=b, c=c)
-    hanging = _hanging(np.repeat(np.arange(3), (a, b, c)), 2, 3)
-    return Hypergraph(3 + a + b + c, [(0, 1, 2), *hanging.tolist()])
+    return _star_graph((a, b, c), 2)
 
 
 def sorted_dvecs(total: int, k: int):

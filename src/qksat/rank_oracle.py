@@ -86,8 +86,9 @@ def clause_columns(edge, n: int) -> np.ndarray:
     """Column indices of one clause's rows: shape (2^(n-k), 2^k).
 
     Entry [y, x] is the global basis index whose edge qubits read x (local bit
-    j on the j-th smallest edge vertex) and whose remaining qubits read y (bit
-    j on the j-th smallest non-edge vertex).
+    j on edge[j], which need not be the j-th smallest: _field_rank passes
+    relabelled edges) and whose remaining qubits read y (bit j on the j-th
+    smallest non-edge vertex).
     """
     k = len(edge)
     rest = [v for v in range(n) if v not in edge]

@@ -100,6 +100,40 @@ def test_bound_sunflower_refuses_oversized_cutoff(capsys, monkeypatch):
     assert "sunflower degree table" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "sunflower", "--alpha", "1e308", "--dmax", "10"),
+    ("bound", "sunflower", "--alpha", "1e308"),
+    ("bound", "nosegay", "--alpha", "1e308"),
+    # k alpha is finite here, the nosegay's k(k-1) alpha is not
+    ("bound", "nosegay", "--alpha", "5.6e307", "--trunc", "20"),
+], ids=" ".join)
+def test_bounds_refuse_an_overflowing_mean_by_name(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"alpha = {float(argv[3])!r} is too large" in err
+
+
+def test_nosegay_tail_below_the_mean_takes_truncation_columns(capsys,
+                                                              monkeypatch):
+    # at T = 20 < k alpha the dropped mass is 1 - P(d <= T): no pmf of
+    # 2 k alpha columns, which at alpha = 1e200 numpy cannot allocate
+    import qksat.analysis as analysis
+
+    pmf, widths = analysis._poisson_pmf, set()
+
+    def recorded(lam, d_max):
+        widths.add(d_max + 1)
+        return pmf(lam, d_max)
+
+    monkeypatch.setattr(analysis, "_poisson_pmf", recorded)
+    for alpha in ("1e6", "1e200"):
+        payload = run_json(capsys, "bound", "nosegay", "--alpha", alpha,
+                           "--trunc", "20")
+        assert payload["params"]["max_poisson_tail"] == 1.0
+        assert payload["verdict"] == "inconclusive"
+    assert widths == {21}
+
+
 def test_bound_sunflower_headline(capsys):
     payload = run_json(capsys, "bound", "sunflower", "--alpha", "3.894",
                        "--dmax", "100")
@@ -529,6 +563,33 @@ def test_peel_refuses_graphs_beyond_memory(capsys, monkeypatch):
                              "3.894", "--gadget", "sunflower", "--seed", "0")
     assert code == 2
     assert out == "" and "physical memory" in err
+
+
+def test_peel_refuses_an_overflowing_edge_count(capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the peel drew a graph past its preflight")
+
+    monkeypatch.setattr(cli, "random_hypergraph", no_allocation)
+    code, out, err = run_cli(capsys, "peel", "--n", "10", "--alpha", "1e308",
+                             "--gadget", "sunflower", "--seed", "0")
+    assert code == 2 and out == ""
+    assert "alpha * n = inf edges" in err and "physical memory" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_peel_refuses_a_bad_trace_path_before_the_draw(tmp_path, capsys,
+                                                       monkeypatch, where):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the peel drew a graph before checking --trace")
+
+    monkeypatch.setattr(cli, "random_hypergraph", no_allocation)
+    path = tmp_path if where == "directory" else tmp_path / "no" / "steps.csv"
+    code, out, err = run_cli(capsys, "peel", "--n", "300000", "--alpha", "3",
+                             "--gadget", "sunflower", "--seed", "0",
+                             "--trace", str(path))
+    assert code == 2 and out == ""
+    assert f"the trace path {str(path)!r}" in err and where in err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_peel_refuses_draws_that_cannot_finish():

@@ -306,6 +306,20 @@ def test_graph_builders_match_loop_reference():
         assert (g.n, g.edges) == (n, ((0, 1, 2), *edges))
 
 
+def test_vertex_count_is_the_graph_size():
+    # the closed form's t and the builder's n, over every star of the grid
+    pairs = [((d, k), sunflower_rank(d, k), sunflower_graph(d, k))
+             for k in range(2, 9) for d in range(7)]
+    pairs += [((dvec, k), nosegay_k_rank(dvec, k), nosegay_k_graph(dvec, k))
+              for k in range(2, 6)
+              for dvec in itertools.product(range(3), repeat=k)]
+    pairs += [(abc, nosegay_hang_rank(*abc), nosegay_hang_graph(*abc))
+              for abc in itertools.product(range(4), repeat=3)]
+    assert len(pairs) == 49 + 9 + 27 + 81 + 243 + 64
+    assert [(params, rank.vertex_count, g.n) for params, rank, g in pairs
+            if rank.vertex_count != g.n] == []
+
+
 def test_builders_match_closed_forms_small():
     for d, k in [(0, 3), (1, 3), (2, 3), (1, 4)]:
         g = sunflower_graph(d, k)

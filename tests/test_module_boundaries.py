@@ -1,6 +1,7 @@
 """Source rules checked with ast: each qksat module uses only the public
-names of the others, the bounds load no rank oracle, and the peel path
-reduces no short axis row by row."""
+names of the others, the bounds load no rank oracle, the peel path
+reduces no short axis row by row, and the gadgets build M = 2^(h-1) - 1
+in their one star closed form."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,34 @@ def test_row_wise_check_sees_each_form():
     allowed = ["np.diff(offsets)", "x.min()", "(a == b).all()",
                "np.sort(x, axis=1)", "x.sum(axis=0)", "np.min(x, 0)", "x.any(k)"]
     assert row_wise_calls("\n".join(allowed)) == []
+
+
+def half_powers(source: str) -> list[str]:
+    """The top-level function (or "<module>") around each 2^(x - 1) of the
+    source, spelled `1 << (x - 1)` or `2 ** (x - 1)`."""
+    base = {ast.LShift: 1, ast.Pow: 2}
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.BinOp) and type(node.op) in base
+                    and literal(node.left) == base[type(node.op)]
+                    and isinstance(node.right, ast.BinOp)
+                    and isinstance(node.right.op, ast.Sub)
+                    and literal(node.right.right) == 1):
+                found.append(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_gadgets_build_m_in_the_star_only():
+    # every sunflower and nosegay rank goes through gadgets._star
+    source = (SRC / "gadgets.py").read_text(encoding="utf-8")
+    assert half_powers(source) == ["_star"]
+
+
+def test_half_power_check_sees_each_form():
+    source = ("def f(k):\n    return (1 << (k - 1)) - 1\n"
+              "FAMILIES = {3: lambda h: 2 ** (h - 1) - 1}\n")
+    assert half_powers(source) == ["f", "<module>"]
+    allowed = ["x = 1 << k", "y = 2 ** (1 - k)", "z = ldexp(1.0, 1 - k)",
+               "w = (1 << k) - 1", "v = 1 << (k - 2)"]
+    assert half_powers("\n".join(allowed)) == []
