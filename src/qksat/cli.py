@@ -120,6 +120,8 @@ PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
 def _cmd_peel(args) -> tuple[int, dict]:
     if args.alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {args.alpha}")
+    if abs(args.n) > sys.float_info.max:
+        raise ValueError("vertex count n is too large for a float")
     edges = args.alpha * args.n     # a float, so that an overflow is refused
     check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k
                  * edges, f"the peel of alpha * n = {edges:.4g} edges")

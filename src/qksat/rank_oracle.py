@@ -7,11 +7,14 @@ matching global basis states. The generic rank 2^n - rowrank is the minimum
 over clause vectors, attained with probability 1, so adorning the clauses at
 random and keeping the best row rank of a few trials gives the generic value.
 Both backends run one trial loop, `_trial_ranks`, after one preflight,
-`trial_count`, and build float64 rows with `constraint_matrix`; the entries
-and what is built and eliminated differ:
+`trial_count`. The clauses of a matching on disjoint qubits
+(`clause_matching`) leave the product space of their v_i^perp with the
+other qubits, so both build float64 rows with `constraint_matrix` for the
+other clauses only, map them to that space and rank the result, which in
+exact arithmetic has the whole matrix's rank. Entries and map differ:
 
-- float: a clause's entries are a real Gaussian vector, normalized, and
-  the SVD sees the whole matrix; singular values above the fixed cut
+- float: a clause's entries are a real Gaussian vector, normalized; the
+  map is an orthonormal basis, and singular values above the fixed cut
   TOLERANCE = 1e-9 times the largest count the rows. Real entries reach
   the generic rank over C: with entries w = conj(v), a nonzero R x R minor
   is a nonzero polynomial p(w) over C, which cannot vanish on all of R^N,
@@ -20,12 +23,8 @@ and what is built and eliminated differ:
   small singular values, P(sigma < eps) ~ eps, not eps^2 (README,
   "Numerical notes");
 - field: uniform entries of GF(P), P = 8388593, and exact elimination
-  (`_modlin`): the independent check of the float rank. The clauses of a
-  matching on disjoint qubits (`clause_matching`) leave the product space
-  of their v_i^perp with the other qubits, so they are eliminated in closed
-  form, and only the other clauses' rows, taken to that space by
-  `quotient_mod`, reach `rank_mod`, which consumes them. The exact rank of
-  each trial is the same as that of the whole matrix.
+  (`_modlin`): the independent check of the float rank. `quotient_mod` is
+  the map, and `rank_mod` consumes its result.
 
 Field trials fail only one way. A nonzero minor mod P is a nonzero integer,
 so a trial's row rank is a deterministic lower bound on the complex generic
@@ -86,7 +85,7 @@ def clause_columns(edge, n: int) -> np.ndarray:
     """Column indices of one clause's rows: shape (2^(n-k), 2^k).
 
     Entry [y, x] is the global basis index whose edge qubits read x (local bit
-    j on edge[j], which need not be the j-th smallest: _field_rank passes
+    j on edge[j], which need not be the j-th smallest: _matched_layout passes
     relabelled edges) and whose remaining qubits read y (bit j on the j-th
     smallest non-edge vertex).
     """
@@ -120,8 +119,8 @@ def trial_count(g: Hypergraph, trials: int | None = None, seed=0,
     when trials is None. Refuses, in this order, a trial count below 1, a
     seed or cap that require_int refuses, n above cap, a field too small for
     the default count and two matrices beyond physical memory, which bounds
-    either backend's peak: the float holds the matrix and LAPACK's copy, and
-    a field trial two buffers of its unmatched rows, then the one it
+    either backend's peak: a trial holds two buffers of its unmatched rows,
+    then the float OQ and LAPACK's copy, or the matrix that the field
     eliminates and the first block-update product of `rank_mod`."""
     if trials is not None:
         require_int(trials, "trials", 1)
@@ -165,21 +164,23 @@ def clause_matching(g: Hypergraph) -> list[int]:
     return picked
 
 
-def _field_rank(g: Hypergraph):
-    """Exact GF(P) row rank of g's constraint matrix, as a function of the
-    clause vectors. The rows of the `clause_matching` clauses are eliminated
-    in closed form: vertices are relabelled so that matched group i holds
-    the bits above group i - 1, the other clauses' rows are built once in
-    that layout, and `quotient_mod` takes them, group by group, to the
-    2^k - 1 columns per group outside the matched rows' span. A matched
-    clause with v_i = 0 has no rows and is skipped."""
+def _matched_layout(g: Hypergraph):
+    """clause_matching(g), the other clauses and their clause_columns, the
+    vertices relabelled so that matched group i holds the bits above i - 1."""
     matched = clause_matching(g)
     rest = [i for i in range(g.m) if i not in matched]
     perm = [v for i in matched for v in g.edges[i]]
-    perm += [v for v in range(g.n) if v not in perm]
-    label = {v: p for p, v in enumerate(perm)}
-    layout = [clause_columns(tuple(label[v] for v in g.edges[i]), g.n)
-              for i in rest]
+    label = np.argsort(perm + [v for v in range(g.n) if v not in perm])
+    return matched, rest, [clause_columns(label[list(g.edges[i])], g.n)
+                           for i in rest]
+
+
+def _field_rank(g: Hypergraph):
+    """Exact GF(P) row rank of g's constraint matrix, as a function of the
+    clause vectors: `quotient_mod` takes the other clauses' rows of
+    `_matched_layout`, group by group, to the 2^k - 1 columns per group
+    outside the matched rows' span; a matched v_i = 0 is skipped."""
+    matched, rest, layout = _matched_layout(g)
     # F when tall, C when wide: each step keeps the layout in which rank_mod
     # eliminates the result in place (when every matched v_i is nonzero)
     cols = 1 << g.n
@@ -190,8 +191,7 @@ def _field_rank(g: Hypergraph):
     def row_rank(vectors) -> int:
         a = constraint_matrix(g, layout, [vectors[i] for i in rest], order)
         # a's own size keeps the work buffer, like a, above glibc's dynamic
-        # mmap threshold, so both go back to the system when the trial ends
-        # instead of staying in the heap
+        # mmap threshold, so both go back to the system after the trial
         work, lo = np.empty(a.size), 1
         for i in matched:
             size = vectors[i].size
@@ -208,11 +208,23 @@ def _field_rank(g: Hypergraph):
 
 def _float_rank(g: Hypergraph):
     """generic_rank_float of g's constraint matrix, as a function of the
-    clause vectors. The matrix is column-major, LAPACK's own layout; the
-    singular values do not depend on it."""
-    layout = [clause_columns(e, g.n) for e in g.edges]
-    return lambda vectors: generic_rank_float(
-        constraint_matrix(g, layout, vectors, "F"))
+    clause vectors: the other clauses' rows O of `_matched_layout` times
+    Q = (x)Q_i (x) I, Q_i^T the rows 1.. of the Householder reflector taking
+    v_i to -+|v_i| e_0 (README, "Numerical notes"); v_i = 0 is skipped."""
+    matched, rest, layout = _matched_layout(g)
+
+    def rank(vectors) -> RankResult:
+        a, lo = constraint_matrix(g, layout, [vectors[i] for i in rest], "F"), 1
+        for v in (vectors[i] for i in matched):
+            if v.any():     # a.T's rows (h * v.size + j) * lo + l, by (h, j)
+                u = np.r_[v[0] + np.copysign(np.linalg.norm(v), v[0]), v[1:]]
+                a = a.T.reshape(a.shape[1] // (v.size * lo), v.size, -1)
+                y = u[1:, None] * np.matmul(u * (2 / (u @ u)), a)[:, None]
+                a = np.subtract(a[:, 1:], y, out=y).reshape(
+                    len(y) * (v.size - 1) * lo, a.shape[2] // lo).T
+            lo *= v.size - bool(v.any())
+        return generic_rank_float(a)
+    return rank
 
 
 def _trial_ranks(g: Hypergraph, trials, seed, cap: int, draw, rank_of) -> list:
@@ -263,15 +275,11 @@ def min_rank_float(g: Hypergraph, samples: int = FLOAT_SAMPLES, seed=0,
 
 def generic_rank_field(g: Hypergraph, trials: int | None = None, seed=0,
                        cap: int = DEFAULT_CAP) -> RankResult:
-    """Satisfying-subspace dimension via exact elimination over GF(P).
-
-    Each trial adorns every clause with uniform field entries (shared across
-    that clause's rows) and computes the exact row rank; the maximum over
-    trials is the generic row rank except with probability at most
-    failure_bound = (min(rows, 2^n) / P)^trials. By default trials is
-    field_trials(rows, n), which makes that at most 2^-40. Confidence
-    reports how many trials attained the maximum.
-    """
+    """Satisfying-subspace dimension via exact elimination over GF(P): the
+    best exact row rank of `trials` adornments by uniform field entries,
+    which misses the generic row rank with probability at most failure_bound
+    = (min(rows, 2^n) / P)^trials, at most 2^-40 for the default
+    field_trials(rows, n). Confidence counts the trials at the maximum."""
     ranks = _trial_ranks(g, trials, seed, cap, rand_mod, _field_rank)
     best, t = max(ranks), len(ranks)
     d = min(constraint_rows(g), 1 << g.n)

@@ -576,6 +576,20 @@ def test_peel_refuses_an_overflowing_edge_count(capsys, monkeypatch):
     assert "alpha * n = inf edges" in err and "physical memory" in err
 
 
+@pytest.mark.parametrize("n", ["1" + "0" * 400, "-1" + "0" * 400],
+                         ids=["10^400", "-10^400"])
+def test_peel_names_an_n_beyond_float_range(capsys, monkeypatch, n):
+    # alpha * n is a float, so such an n is refused before the product
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the peel drew a graph past its preflight")
+
+    monkeypatch.setattr(cli, "random_hypergraph", no_allocation)
+    code, out, err = run_cli(capsys, "peel", "--n", n, "--alpha", "0",
+                             "--gadget", "sunflower", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == "error: vertex count n is too large for a float\n"
+
+
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
 def test_peel_refuses_a_bad_trace_path_before_the_draw(tmp_path, capsys,
                                                        monkeypatch, where):
@@ -796,8 +810,8 @@ RANK_GRAPHS = {
 }
 GOLDEN_RANKS = [
     (("--mode", "field"), "ef5afeaf0198eea0"),
-    (("--mode", "float"), "e9dec344d3e14173"),
-    (("--mode", "float", "--seed", "3", "--trials", "5"), "de9522418052ca10"),
+    (("--mode", "float"), "4165e3b3052ca29d"),
+    (("--mode", "float", "--seed", "3", "--trials", "5"), "b279e47e4cbf6609"),
 ]
 
 

@@ -14,6 +14,7 @@ from qksat.hypergraph import Hypergraph, random_hypergraph
 from qksat.rank_oracle import (
     RankInstabilityError,
     _field_rank,
+    _float_rank,
     _unit_vector,
     clause_columns,
     clause_matching,
@@ -177,6 +178,71 @@ def test_matched_rank_equals_full_elimination():
                   row_rank < min(full.shape)))
     assert {-1, 0, 1} <= {x0 for x0, _ in seen}
     assert {True, False} <= {deficient for _, deficient in seen}
+
+
+def test_matched_float_rank_equals_whole_matrix(monkeypatch):
+    # taking the matched clauses' columns to orthonormal bases of their
+    # v_i^perp leaves each sample's rank unchanged and can only widen the
+    # margin sigma_(r-1) / sigma_0 that the 1e-9 cut tests, r the row rank:
+    # random graphs of arity 2-4 with repeated edges, a matched vector that
+    # is zero, and one whose leading entries are zero. Rounding moves each
+    # computed singular value by a few hundred eps * sigma_0 at most, so the
+    # margins are compared up to 1e-12
+    seen_by_svd = []
+    monkeypatch.setattr(rank_oracle, "generic_rank_float",
+                        lambda a: seen_by_svd.append(a) or generic_rank_float(a))
+
+    def margin(a, row_rank):
+        sv = np.linalg.svd(a, compute_uv=False)
+        return sv[row_rank - 1] / sv[0] if row_rank else 1.0
+
+    rng = make_rng(32)
+    seen = set()
+    for i in range(300):
+        n = int(rng.integers(2, 10))
+        edges = []
+        for _ in range(int(rng.integers(1, 13))):
+            k = int(rng.integers(2, min(n, 4) + 1))
+            edges.append(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        g = Hypergraph(n, edges)
+        vectors = [_unit_vector(rng, 1 << len(e)) for e in g.edges]
+        picked = clause_matching(g)
+        matched = vectors[picked[i % len(picked)]]
+        if i % 3 == 1:
+            matched[:] = 0
+        elif i % 3 == 2:
+            matched[:int(rng.integers(1, matched.size))] = 0
+        full = constraint_matrix(g, [clause_columns(e, n) for e in g.edges],
+                                 vectors, "F")
+        whole = generic_rank_float(full)
+        assert _float_rank(g)(vectors).rank == whole.rank, (i, g.edges)
+        reduced = seen_by_svd.pop()
+        row_rank = (1 << n) - whole.rank
+        assert (margin(reduced, reduced.shape[1] - whole.rank)
+                >= margin(full, row_rank) - 1e-12), (i, g.edges)
+        seen.add((int(np.flatnonzero(matched)[0]) if matched.any() else -1,
+                  row_rank < min(full.shape)))
+    assert {-1, 0, 1} <= {x0 for x0, _ in seen}
+    assert {True, False} <= {deficient for _, deficient in seen}
+
+
+def test_float_sample_forms_no_complement_matrix():
+    # a matched clause of arity k is taken to v^perp by one reflector
+    # vector: an explicit 2^k x (2^k - 1) basis would hold 128 MiB at
+    # k = 12, beyond the preflight's two 2 x 4096 matrices (128 KiB)
+    g = Hypergraph(12, [tuple(range(12))] * 2)
+    vectors = [_unit_vector(make_rng(t), 1 << 12) for t in range(2)]
+    rank = _float_rank(g)
+    tracemalloc.start()
+    try:
+        res = rank(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rank == 4094
+    assert peak <= 16 * 8 << g.n
 
 
 def test_empty_formula_rank():
@@ -349,16 +415,16 @@ def test_tolerance_picks_the_scale():
 # (n, m, k, graph seed, oracle seed) -> (rank, repr(confidence)) of
 # min_rank_float: pins the float adornment draws bit for bit
 FLOAT_GOLDEN = [
-    ((4, 2, 2, 400, 0), (9, "1.433901924707863e+16")),
+    ((4, 2, 2, 400, 0), (9, "inf")),
     ((5, 5, 3, 401, 1), (12, "inf")),
     ((6, 8, 2, 402, 2), (0, "inf")),
     ((7, 4, 3, 403, 3), (64, "inf")),
-    ((8, 7, 2, 404, 4), (9, "102340958164375.38")),
+    ((8, 7, 2, 404, 4), (9, "382257183607223.0")),
     ((9, 3, 3, 405, 5), (320, "inf")),
     ((4, 6, 2, 406, 6), (0, "inf")),
     ((5, 2, 3, 407, 7), (24, "inf")),
-    ((6, 5, 2, 408, 8), (4, "629438762730699.8")),
-    ((7, 8, 3, 409, 9), (4, "20033516348945.562")),
+    ((6, 5, 2, 408, 8), (4, "1256967589288956.8")),
+    ((7, 8, 3, 409, 9), (4, "40424455752004.36")),
 ]
 
 
