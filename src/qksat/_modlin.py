@@ -128,16 +128,6 @@ def rank_mod(a) -> int:
     return _rank(a if a.shape[0] >= a.shape[1] else a.T)
 
 
-def _grouped(m, x: int, lo: int):
-    """(rows, hi, x, lo) view of a C- or F-contiguous matrix whose column
-    index is (h * x + j) * lo + l."""
-    rows, cols = m.shape
-    hi = cols // (x * lo)
-    if m.flags.c_contiguous:
-        return m.reshape(rows, hi, x, lo)
-    return m.T.reshape(hi, x, lo, rows).transpose(3, 0, 1, 2)
-
-
 def quotient_mod(a, v, lo: int, work):
     """The rows of a modulo span(v) in one tensor factor, written over a.
 
@@ -151,7 +141,10 @@ def quotient_mod(a, v, lo: int, work):
     matrices are C- or F-contiguous."""
     j0 = int(np.flatnonzero(v)[0])
     w = _reduce(v * inv_mod(v[j0]))
-    src, dst = _grouped(a, w.size, lo), _grouped(work, w.size - 1, lo)
+    # (rows, h, j, l) views: splitting the column axis copies in no layout
+    rows, hi = a.shape[0], a.shape[1] // (w.size * lo)
+    src = a.reshape(rows, hi, w.size, lo)
+    dst = work.reshape(rows, hi, w.size - 1, lo)
     pivot = src[:, :, j0:j0 + 1]
     for s, d, ws in ((src[:, :, :j0], dst[:, :, :j0], w[:j0]),
                      (src[:, :, j0 + 1:], dst[:, :, j0:], w[j0 + 1:])):

@@ -125,6 +125,8 @@ def _cmd_peel(args) -> tuple[int, dict]:
     edges = args.alpha * args.n     # a float, so that an overflow is refused
     check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k
                  * edges, f"the peel of alpha * n = {edges:.4g} edges")
+    if args.trace == "":
+        raise ValueError("the trace path '' is empty")
     if args.trace and os.path.isdir(args.trace):
         raise ValueError(f"the trace path {args.trace!r} is a directory")
     if args.trace and not os.path.isdir(os.path.dirname(args.trace) or "."):

@@ -187,11 +187,11 @@ def gadget_rank(family: str, **params) -> GadgetRank:
 
 
 @lru_cache(maxsize=None)
-def gadget_log_weight(family: str, **params) -> float:
-    """ln(rank) - t*ln2 in nats; -inf when the rank is 0. A dvec is passed
-    as a tuple, so that it can be hashed. Ranks too long to print are fine
+def gadget_log_weight(dvec: tuple[int, ...], h: int) -> float:
+    """ln(rank) - t*ln2 in nats of the star _star(dvec, h), unchecked; dvec
+    is a tuple, so that it can be hashed. Ranks too long to print are fine
     here: a nosegay peel at k = 8 takes ranks of some 16000 digits."""
-    return FAMILIES[family][0](**params).log_weight
+    return _star(dvec, h).log_weight
 
 
 def _star_graph(dvec, h: int) -> Hypergraph:

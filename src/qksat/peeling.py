@@ -6,13 +6,15 @@ step on top of the global ln 2. A gadget with a structure violation keeps its
 standard formula; anomalies count each pair of petals sharing a vertex besides
 the center, and each further center vertex a hanging edge touches, but not two
 hanging edges of one nosegay sharing a fresh vertex (ROADMAP item 3): the graph
-(0,1,2), (0,3,4), (1,3,5) peels to params [1, 1, 0] with 0 anomalies.
+(0,1,2), (0,3,4), (1,3,5) peels to hanging counts [1, 1, 0] with 0 anomalies.
 
-A trace's steps are one structured array with the columns
-`vertices_remaining`, `edges_remaining`, `params` (the gadget's `d` for a
-sunflower, its `d_1, ..., d_k` for a nosegay) and `anomalies`. Per-edge
-(m, k) arrays are reduced by column (`row_reduce`): numpy walks a short axis
-row by row, which cost about a quarter of the `peel` benchmark's time.
+Each step is a star of `gadgets._star`: a trace keeps its (s, c) int64
+hanging counts, the sunflower's `d` (c = 1) or the nosegay's `d_1..d_k`
+(c = k), and each step's anomaly count. A step takes its c centers, its
+hanging edges and, when c >= 2, a central edge: the remaining vertex and
+edge counts derive from that. Per-edge (m, k) arrays are reduced by column
+(`row_reduce`): numpy walks a short axis row by row, which cost about a
+quarter of the `peel` benchmark's time.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from .rng import make_rng, require_int
 # steps per write of the trace CSV: bounds the writer's memory whatever n is
 TRACE_BLOCK = 1 << 16
 
-# each algorithm's gadget family, and the family's params of one params row
-GADGETS = {"sunflower": ("sunflower", lambda row, k: {"d": row[0], "k": k}),
-           "nosegay": ("nosegay-k", lambda row, k: {"dvec": tuple(row), "k": k})}
+# each algorithm's gadget family, as the trace CSV names it
+GADGETS = {"sunflower": "sunflower", "nosegay": "nosegay-k"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,31 +43,40 @@ class PeelTrace:
     m: int
     k: int
     seed: int
-    steps: np.ndarray
+    steps: np.ndarray           # (s, c) hanging counts, one star per step
+    step_anomalies: np.ndarray  # (s,) anomaly count of each step
 
     @property
     def anomalies(self) -> int:
-        return int(self.steps["anomalies"].sum())
+        return int(self.step_anomalies.sum())
+
+    @cached_property
+    def vertices_remaining(self) -> np.ndarray:
+        """n - c (i + 1) after step i: each step takes its c centers."""
+        return self.n - self.steps.shape[1] * np.arange(1, len(self.steps) + 1)
+
+    @cached_property
+    def edges_remaining(self) -> np.ndarray:
+        """m less the cumulative hanging edges, and central edges if c >= 2."""
+        return self.m - np.cumsum(row_reduce(np.add, self.steps)
+                                  + (self.steps.shape[1] >= 2))
 
     @cached_property
     def gadgets(self):
-        """The distinct params rows in lexicographic order, the log-weight
+        """The distinct step rows in lexicographic order, the log-weight
         and step count of each, and the row index of each step (an int64
         array). One lexsort groups the rows: a sorted row that differs from
         the one before it starts a group."""
-        params = self.steps["params"]
-        order = np.lexsort(params.T[::-1])
-        ranked = params[order]
+        order = np.lexsort(self.steps.T[::-1])
+        ranked = self.steps[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = row_reduce(np.logical_or, ranked[1:] != ranked[:-1])
         starts = np.flatnonzero(new)
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(new) - 1
         counts = np.diff(starts, append=len(order))
-        family, row_params = GADGETS[self.algorithm]
         rows = ranked[starts].tolist()
-        weights = [gadget_log_weight(family, **row_params(row, self.k))
-                   for row in rows]
+        weights = [gadget_log_weight(tuple(row), self.k) for row in rows]
         return rows, weights, counts.tolist(), inverse
 
 
@@ -74,17 +84,6 @@ def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
     if len(ks := g.arities() or {2}) > 1:
         raise ValueError(f"{algorithm} peel requires uniform arity")
     return ks.pop()
-
-
-def trace_steps(vertices, edges, params, anomalies) -> np.ndarray:
-    """A trace's steps array from its four columns; params is 2-D."""
-    steps = np.empty(len(vertices), dtype=[
-        ("vertices_remaining", np.int64), ("edges_remaining", np.int64),
-        ("params", np.int64, (params.shape[1],)), ("anomalies", np.int64)])
-    for name, column in zip(steps.dtype.names,
-                            (vertices, edges, params, anomalies)):
-        steps[name] = column
-    return steps
 
 
 def _consuming_step(step: np.ndarray, edges: np.ndarray):
@@ -116,10 +115,8 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
                            return_counts=True)
     anomalies = np.bincount(keys // g.n, weights=seen * (seen - 1) // 2,
                             minlength=g.n)
-
-    steps = trace_steps(np.arange(g.n - 1, -1, -1), g.m - np.cumsum(degree),
-                        degree[:, None], anomalies)
-    return PeelTrace("sunflower", g.n, g.m, k, seed, steps)
+    return PeelTrace("sunflower", g.n, g.m, k, seed, degree[:, None],
+                     anomalies.astype(np.int64))
 
 
 def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
@@ -159,47 +156,45 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     key[edges[central]] = k * np.arange(s)[:, None] + np.arange(k)
     hanging = edges[~packed]
     at, meets = _consuming_step(key // k, hanging)
-    params = np.bincount(row_reduce(np.minimum, key[hanging]),
-                         minlength=k * s).reshape(s, k)
+    dvecs = np.bincount(row_reduce(np.minimum, key[hanging]),
+                        minlength=k * s).reshape(s, k)
     anomalies = np.bincount(at, weights=row_reduce(np.add, meets, np.int64) - 1,
                             minlength=s)
-    steps = trace_steps(g.n - k * np.arange(1, s + 1),
-                        g.m - np.cumsum(1 + row_reduce(np.add, params)), params,
-                        anomalies)
-    return PeelTrace("nosegay", g.n, g.m, k, seed, steps)
+    return PeelTrace("nosegay", g.n, g.m, k, seed, dvecs,
+                     anomalies.astype(np.int64))
 
 
 def empirical_log_rank(trace: PeelTrace) -> float:
     """ln 2 + (1/n) * sum of gadget log-weights over the trace's steps.
 
     A zero-rank gadget drives the value to -inf, certifying unsatisfiability
-    of the sampled instance outright.
+    of the sampled instance outright. There is no value per qubit at n = 0.
     """
+    if trace.n == 0:
+        raise ValueError("a peel of n = 0 vertices has no per-qubit log-rank")
     _, weights, counts, _ = trace.gadgets
     total = math.fsum(c * w for c, w in zip(counts, weights))
     return LN2 + total / trace.n
 
 
 def write_trace_csv(trace: PeelTrace, path) -> None:
-    """One row per step: step index, remaining sizes, gadget, params joined
-    by ';', log-weight, per-step anomaly count. Rows end in CRLF, and no
-    field needs quoting: params are ints and family names hold no comma.
+    """One row per step: step index, remaining sizes, gadget, hanging counts
+    joined by ';', log-weight, anomaly count. Rows end in CRLF, and no field
+    needs quoting: counts are ints and family names hold no comma.
     Each block of TRACE_BLOCK steps is written with one format call."""
     rows, weights, _, inverse = trace.gadgets
-    family = GADGETS[trace.algorithm][0]
+    family = GADGETS[trace.algorithm]
     gadget = [f"{family},{';'.join(map(str, row))},{weight!r}"
               for row, weight in zip(rows, weights)]
-    steps = trace.steps
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,vertices_remaining,edges_remaining,gadget,params,"
                  "log_weight,anomaly\r\n")
-        for a in range(0, len(steps), TRACE_BLOCK):
-            block = steps[a:a + TRACE_BLOCK]
-            s = len(block)
+        for a in range(0, len(inverse), TRACE_BLOCK):
+            s = min(TRACE_BLOCK, len(inverse) - a)
             cells = [None] * (5 * s)
             cells[0::5] = range(a, a + s)
-            cells[1::5] = block["vertices_remaining"].tolist()
-            cells[2::5] = block["edges_remaining"].tolist()
+            cells[1::5] = trace.vertices_remaining[a:a + s].tolist()
+            cells[2::5] = trace.edges_remaining[a:a + s].tolist()
             cells[3::5] = [gadget[i] for i in inverse[a:a + s].tolist()]
-            cells[4::5] = block["anomalies"].tolist()
+            cells[4::5] = trace.step_anomalies[a:a + s].tolist()
             fh.write("%d,%d,%d,%s,%d\r\n" * s % tuple(cells))

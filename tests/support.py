@@ -208,20 +208,23 @@ def write_hypergraph(g: Hypergraph, path) -> None:
 
 def write_trace_csv_reference(trace, path) -> None:
     """The `--trace` CSV written row by row through csv.writer, one
-    log-weight per distinct params row: the reference for write_trace_csv."""
-    family, params = GADGETS[trace.algorithm]
+    log-weight per distinct step row, with the remaining vertex and edge
+    counts kept as running totals: the reference for write_trace_csv."""
+    family = GADGETS[trace.algorithm]
     weights = {}
-    steps = trace.steps
+    vertices, edges = trace.n, trace.m
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "vertices_remaining", "edges_remaining",
                          "gadget", "params", "log_weight", "anomaly"])
-        for i, (v, e, row, a) in enumerate(zip(
-                steps["vertices_remaining"].tolist(),
-                steps["edges_remaining"].tolist(),
-                steps["params"].tolist(), steps["anomalies"].tolist())):
+        for i, (row, a) in enumerate(zip(trace.steps.tolist(),
+                                         trace.step_anomalies.tolist())):
             key = tuple(row)
+            # the step's centers; its hanging edges, and a central edge
+            # joining two or more centers
+            vertices -= len(key)
+            edges -= sum(key) + (len(key) >= 2)
             if key not in weights:
-                weights[key] = gadget_log_weight(family, **params(row, trace.k))
-            writer.writerow([i, v, e, family, ";".join(map(str, row)),
+                weights[key] = gadget_log_weight(key, trace.k)
+            writer.writerow([i, vertices, edges, family, ";".join(map(str, row)),
                              repr(weights[key]), a])

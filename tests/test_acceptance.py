@@ -196,8 +196,8 @@ def _nosegay_peel_problems(n, alpha, k, seeds):
         g = random_hypergraph(n, round(alpha * n), k, child_rng(seed, 0))
         trace = nosegay_peel(g, seed)
         sup = 0.0
-        for vertices, edges in zip(trace.steps["vertices_remaining"].tolist(),
-                                   trace.steps["edges_remaining"].tolist()):
+        for vertices, edges in zip(trace.vertices_remaining.tolist(),
+                                   trace.edges_remaining.tolist()):
             nu = vertices / n
             frac = edges / n
             err = abs(frac - nosegay_mu(alpha, nu, k)) if nu >= nu0 else frac
@@ -224,7 +224,7 @@ def test_criterion_5_peeling_matches_analytics(capsys):
     for seed in seeds:
         g = random_hypergraph(n, round(alpha_s * n), 3, child_rng(seed, 0))
         trace = sunflower_peel(g, seed)
-        counts = np.bincount(trace.steps["params"][:, 0], minlength=11)[:11]
+        counts = np.bincount(trace.steps[:, 0], minlength=11)[:11]
         hist_err = float(np.max(np.abs(counts / n - densities)))
         if hist_err > 0.01:
             problems.append(f"sunflower hist seed {seed}: {hist_err:.4f}")

@@ -169,7 +169,7 @@ def test_nosegay_expectation_matches_brute_force():
                for d in range(trunc + 1)]
         brute = sum(
             math.prod(pmf[d] for d in dvec)
-            * gadget_log_weight("nosegay-k", dvec=dvec, k=k)
+            * gadget_log_weight(dvec, k)
             for dvec in itertools.product(range(trunc + 1), repeat=k))
         fast = _nosegay_expectation(k, trunc)(np.array([pmf]))
         assert float(fast[0]) == pytest.approx(brute, rel=1e-12)

@@ -237,8 +237,7 @@ def test_gadget_refuses_ranks_too_long_to_print(capsys, monkeypatch):
     # 2^18003
     want = (8997 * math.log(3) + math.log(3006 ** 3 - 3003 ** 3)
             - 18003 * math.log(2))
-    assert gadgets.gadget_log_weight(
-        "nosegay-k", dvec=(3000, 3000, 3000), k=3) == pytest.approx(want)
+    assert gadgets.gadget_log_weight((3000,) * 3, 3) == pytest.approx(want)
 
 
 def test_readme_gadget_and_bound_examples_run(capsys):
@@ -590,14 +589,15 @@ def test_peel_names_an_n_beyond_float_range(capsys, monkeypatch, n):
     assert err == "error: vertex count n is too large for a float\n"
 
 
-@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("where", ["directory", "missing directory", "empty"])
 def test_peel_refuses_a_bad_trace_path_before_the_draw(tmp_path, capsys,
                                                        monkeypatch, where):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the peel drew a graph before checking --trace")
 
     monkeypatch.setattr(cli, "random_hypergraph", no_allocation)
-    path = tmp_path if where == "directory" else tmp_path / "no" / "steps.csv"
+    path = {"directory": tmp_path, "missing directory":
+            tmp_path / "no" / "steps.csv", "empty": ""}[where]
     code, out, err = run_cli(capsys, "peel", "--n", "300000", "--alpha", "3",
                              "--gadget", "sunflower", "--seed", "0",
                              "--trace", str(path))

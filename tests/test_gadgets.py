@@ -254,15 +254,17 @@ def test_gadget_rank_refuses_exactly_the_unprintable(data):
 
 
 def test_log_weights():
-    assert gadget_log_weight("sunflower", d=0, k=3) == 0.0
-    w = gadget_log_weight("sunflower", d=1, k=3)
+    assert gadget_log_weight((0,), 3) == 0.0
+    w = gadget_log_weight((1,), 3)
     assert w == pytest.approx(math.log(7 / 8))
-    assert gadget_log_weight("k2", vertices=2, edges=4) == -math.inf
+    assert gadget_rank("k2", vertices=2, edges=4).log_weight == -math.inf
     # every positive-rank gadget weight is at most 0 for these families
     for d in range(12):
-        assert gadget_log_weight("sunflower", d=d, k=3) <= 0.0
-    for a, b, c in itertools.product(range(4), repeat=3):
-        assert gadget_log_weight("nosegay-k", dvec=(a, b, c), k=3) <= 0.0
+        assert gadget_log_weight((d,), 3) == sunflower_rank(d, 3).log_weight
+        assert gadget_log_weight((d,), 3) <= 0.0
+    for dvec in itertools.product(range(4), repeat=3):
+        assert gadget_log_weight(dvec, 3) == nosegay_k_rank(dvec, 3).log_weight
+        assert gadget_log_weight(dvec, 3) <= 0.0
 
 
 def test_graph_builders_shape():

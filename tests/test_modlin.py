@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import qksat._modlin as _modlin
-from qksat._modlin import (NB, H, P, _reduce, inv_mod, matmul_mod, rand_mod,
-                           rank_mod)
+from qksat._modlin import (NB, H, P, _reduce, inv_mod, matmul_mod,
+                           quotient_mod, rand_mod, rank_mod)
 
 # a prime just above 2^60, for checking the reference itself
 OTHER_PRIME = 1152921504606847009
@@ -272,6 +272,34 @@ def test_rank_mod_any_layout_and_orientation():
     for m in (a, a.T):
         for order in "CF":
             assert rank_mod(np.array(m, order=order)) == 150
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lo", [1, 3])
+@pytest.mark.parametrize("j0", [0, 3, 7])
+def test_quotient_mod_is_the_product_with_the_quotient_basis(order, lo, j0):
+    # a @ B over the integers, B's column (h, j, l) for j != j0 being
+    # e_(h,j,l) - (v_j / v_j0) e_(h,j0,l) mod P
+    rng = np.random.default_rng(10 * j0 + lo)
+    x, hi, rows = 8, 2, 5
+    v = rand_mod(rng, x)
+    v[:j0], v[j0] = 0, v[j0] or 1
+    a = np.array(rand_mod(rng, (rows, hi * x * lo)), order=order)
+    scale = [int(v[j]) * inv_mod(v[j0]) for j in range(x)]
+    others = [j for j in range(x) if j != j0]
+    basis = np.zeros((hi * x * lo, hi * (x - 1) * lo), dtype=object)
+    for h in range(hi):
+        for c, j in enumerate(others):
+            for l in range(lo):
+                col = (h * (x - 1) + c) * lo + l
+                basis[(h * x + j) * lo + l, col] = 1
+                basis[(h * x + j0) * lo + l, col] = -scale[j]
+    want = [[(int(y) + H) % P - H for y in row]
+            for row in a.astype(np.int64).astype(object) @ basis]
+    work = np.empty((rows, hi * (x - 1) * lo), order=order)
+    got = quotient_mod(a, v, lo, work)
+    assert np.shares_memory(got, a) and got.flags[f"{order}_CONTIGUOUS"]
+    assert got.astype(np.int64).tolist() == want
 
 
 def test_rand_mod_bounds():

@@ -15,7 +15,6 @@ from qksat.peeling import (
     empirical_log_rank,
     nosegay_peel,
     sunflower_peel,
-    trace_steps,
     write_trace_csv,
 )
 from qksat.rng import make_rng
@@ -23,13 +22,12 @@ from support import write_trace_csv_reference
 
 
 def columns(trace):
-    """(vertices_remaining, edges_remaining, params tuple, anomalies) per
-    step, as Python ints."""
-    s = trace.steps
-    return list(zip(s["vertices_remaining"].tolist(),
-                    s["edges_remaining"].tolist(),
-                    map(tuple, s["params"].tolist()),
-                    s["anomalies"].tolist()))
+    """(vertices_remaining, edges_remaining, hanging counts tuple, anomalies)
+    per step, as Python ints."""
+    return list(zip(trace.vertices_remaining.tolist(),
+                    trace.edges_remaining.tolist(),
+                    map(tuple, trace.steps.tolist()),
+                    trace.step_anomalies.tolist()))
 
 
 def reference_sunflower_peel(g, seed):
@@ -121,9 +119,9 @@ def test_sunflower_peel_metadata_and_conservation():
     assert (trace.algorithm, trace.n, trace.m, trace.k, trace.seed) == \
         ("sunflower", 50, 120, 3, 7)
     assert len(trace.steps) == g.n
-    assert trace.steps["params"].sum() == g.m
-    assert trace.steps[-1]["vertices_remaining"] == 0
-    assert trace.steps[-1]["edges_remaining"] == 0
+    assert trace.steps.sum() == g.m
+    assert trace.vertices_remaining[-1] == trace.edges_remaining[-1] == 0
+    assert trace.steps.dtype == trace.step_anomalies.dtype == np.int64
     # plain Python numbers, so that json.dumps takes them
     assert [type(x) for x in (empirical_log_rank(trace), len(trace.steps),
                               trace.anomalies)] == [float, int, int]
@@ -160,7 +158,7 @@ def test_sunflower_sharing_pair_flags_anomaly():
     saw_joint = saw_split = False
     for seed in range(20):
         trace = sunflower_peel(g, seed)
-        degrees = sorted(d for d in trace.steps["params"][:, 0].tolist() if d)
+        degrees = sorted(d for d in trace.steps[:, 0].tolist() if d)
         if degrees == [2]:
             saw_joint = True
             assert trace.anomalies == 1
@@ -192,7 +190,7 @@ def test_nosegay_peel_chain_branches():
     shapes = set()
     for seed in range(15):
         trace = nosegay_peel(g, seed)
-        gadgets = [tuple(p) for p in trace.steps["params"].tolist()]
+        gadgets = [tuple(p) for p in trace.steps.tolist()]
         if len(gadgets) == 1:
             assert gadgets[0] == (1, 0, 1)
         else:
@@ -219,13 +217,13 @@ def test_nosegay_peel_invariants_random():
     for seed in range(5):
         g = random_hypergraph(60, 170, 3, seed=2000 + seed)
         trace = nosegay_peel(g, seed)
-        steps = trace.steps
-        assert len(steps) + steps["params"].sum() == g.m
-        rem = steps["edges_remaining"].tolist()
+        assert len(trace.steps) + trace.steps.sum() == g.m
+        rem = trace.edges_remaining.tolist()
         assert all(x > y for x, y in zip(rem, rem[1:]))
         assert rem[-1] == 0
-        for i, v in enumerate(steps["vertices_remaining"].tolist()):
+        for i, v in enumerate(trace.vertices_remaining.tolist()):
             assert v == g.n - 3 * (i + 1)
+        assert trace.steps.dtype == trace.step_anomalies.dtype == np.int64
     g = random_hypergraph(60, 170, 3, seed=2100)
     assert columns(nosegay_peel(g, 5)) == columns(nosegay_peel(g, 5))
 
@@ -248,10 +246,36 @@ def test_nosegay_peel_requires_uniform_arity():
         nosegay_peel(Hypergraph(4, [(0, 1), (1, 2, 3)]), 0)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_remaining_counts_match_each_peels_formula(k):
+    # the star rule against each peel's own count: a sunflower takes one
+    # vertex and its d petals, a nosegay k vertices and 1 + sum(d) edges
+    g = random_hypergraph(200, 40 * k, k, seed=50 + k)
+    trace = sunflower_peel(g, 2)
+    assert trace.vertices_remaining.tolist() == list(range(g.n - 1, -1, -1))
+    assert trace.edges_remaining.tolist() == (
+        g.m - np.cumsum(trace.steps[:, 0])).tolist()
+    trace = nosegay_peel(g, 2)
+    assert len(trace.steps) > 1
+    i = np.arange(len(trace.steps))
+    assert trace.vertices_remaining.tolist() == (g.n - k * (i + 1)).tolist()
+    assert trace.edges_remaining.tolist() == (
+        g.m - np.cumsum(1 + trace.steps.sum(axis=1))).tolist()
+
+
+@pytest.mark.parametrize("peel", [sunflower_peel, nosegay_peel])
+def test_peel_of_no_vertices_has_no_log_rank(peel):
+    trace = peel(Hypergraph(0, []), 0)
+    assert len(trace.steps) == trace.anomalies == 0
+    with pytest.raises(ValueError, match="n = 0"):
+        empirical_log_rank(trace)
+
+
 def test_empirical_log_rank_manual_trace():
-    steps = trace_steps([2, 1, 0], [1, 0, 0], np.array([[1], [1], [0]]),
-                        [0, 0, 0])
-    trace = PeelTrace("sunflower", 3, 2, 3, 0, steps)
+    trace = PeelTrace("sunflower", 3, 2, 3, 0, np.array([[1], [1], [0]]),
+                      np.zeros(3, dtype=np.int64))
+    assert (trace.vertices_remaining.tolist(),
+            trace.edges_remaining.tolist()) == ([2, 1, 0], [1, 0, 0])
     assert empirical_log_rank(trace) == pytest.approx(
         math.log(2) + 2 * math.log(7 / 8) / 3)
     assert (len(trace.steps), trace.anomalies) == (3, 0)
@@ -259,15 +283,15 @@ def test_empirical_log_rank_manual_trace():
 
 def test_empirical_log_rank_zero_rank_gadget(monkeypatch):
     # no sunflower or nosegay has rank 0, so stand one in for (0, 0, 0)
-    def weight(family, **params):
-        return (-math.inf if (family, params) == ("nosegay-k",
-                                                  {"dvec": (0, 0, 0), "k": 3})
-                else gadget_log_weight(family, **params))
+    def weight(dvec, h):
+        return (-math.inf if (dvec, h) == ((0, 0, 0), 3)
+                else gadget_log_weight(dvec, h))
 
     monkeypatch.setattr(peeling, "gadget_log_weight", weight)
-    steps = trace_steps([4, 1], [1, 0], np.array([[0, 0, 0], [0, 0, 0]]),
-                        [2, 0])
-    trace = PeelTrace("nosegay", 7, 2, 3, 0, steps)
+    trace = PeelTrace("nosegay", 7, 2, 3, 0, np.zeros((2, 3), dtype=np.int64),
+                      np.array([2, 0]))
+    assert (trace.vertices_remaining.tolist(),
+            trace.edges_remaining.tolist()) == ([4, 1], [1, 0])
     assert empirical_log_rank(trace) == -math.inf
     assert trace.anomalies == 2
 
@@ -276,23 +300,22 @@ def test_empirical_matches_direct_sum():
     g = random_hypergraph(200, 700, 3, seed=42)
     trace = sunflower_peel(g, 1)
     want = math.log(2) + sum(
-        gadget_log_weight("sunflower", d=d, k=3)
-        for d in trace.steps["params"][:, 0].tolist()) / g.n
+        gadget_log_weight((d,), 3) for d in trace.steps[:, 0].tolist()) / g.n
     assert empirical_log_rank(trace) == pytest.approx(want)
 
 
 def test_gadget_weights_computed_once_per_trace(tmp_path, monkeypatch):
     calls = []
 
-    def weight(family, **params):
-        calls.append((family, tuple(params.items())))
-        return gadget_log_weight(family, **params)
+    def weight(dvec, h):
+        calls.append((dvec, h))
+        return gadget_log_weight(dvec, h)
 
     monkeypatch.setattr(peeling, "gadget_log_weight", weight)
     trace = nosegay_peel(random_hypergraph(60, 170, 3, seed=5), 1)
     empirical_log_rank(trace)
     write_trace_csv(trace, tmp_path / "trace.csv")
-    distinct = np.unique(trace.steps["params"], axis=0)
+    distinct = np.unique(trace.steps, axis=0)
     assert len(calls) == len(set(calls)) == len(distinct)
 
 
@@ -308,7 +331,7 @@ def test_trace_csv_format(tmp_path):
     assert len(rows) == 1 + len(trace.steps)
     for i, (row, (v, e, (d,), a)) in enumerate(zip(rows[1:], columns(trace))):
         assert row == [str(i), str(v), str(e), "sunflower", str(d),
-                       repr(gadget_log_weight("sunflower", d=d, k=3)), str(a)]
+                       repr(gadget_log_weight((d,), 3)), str(a)]
 
 
 def test_trace_csv_nosegay_params(tmp_path):
@@ -322,24 +345,23 @@ def test_trace_csv_nosegay_params(tmp_path):
     for row, (_, _, (a, b, c), _) in zip(rows[1:], columns(trace)):
         assert row[3] == "nosegay-k"
         assert row[4] == f"{a};{b};{c}"
-        assert float(row[5]) == gadget_log_weight("nosegay-k", dvec=(a, b, c),
-                                                  k=3)
+        assert float(row[5]) == gadget_log_weight((a, b, c), 3)
 
 
 def hand_built_traces():
-    """A zero-step trace and traces with params, sizes and anomaly counts
-    far beyond what a peel at test scale produces."""
+    """A zero-step trace and traces with hanging counts, sizes and anomaly
+    counts far beyond what a peel at test scale produces."""
     big = 1 << 40
-    yield PeelTrace("sunflower", 0, 0, 3, 0, trace_steps(
-        [], [], np.zeros((0, 1), dtype=np.int64), []))
-    yield PeelTrace("nosegay", 0, 0, 4, 0, trace_steps(
-        [], [], np.zeros((0, 4), dtype=np.int64), []))
-    yield PeelTrace("sunflower", big, big, 3, 0, trace_steps(
-        [big - 1, big - 2, big - 3], [big, 10**9, 0],
-        np.array([[10**6], [0], [10**6]]), [big, 0, 123456789]))
-    yield PeelTrace("nosegay", big, big, 3, 0, trace_steps(
-        [big - 3, big - 6], [big, 0],
-        np.array([[10**5, 0, 77], [0, 0, 0]]), [0, big]))
+    none = np.zeros(0, dtype=np.int64)
+    yield PeelTrace("sunflower", 0, 0, 3, 0, np.zeros((0, 1), dtype=np.int64),
+                    none)
+    yield PeelTrace("nosegay", 0, 0, 4, 0, np.zeros((0, 4), dtype=np.int64),
+                    none)
+    yield PeelTrace("sunflower", big, big, 3, 0,
+                    np.array([[10**6], [0], [10**6]]),
+                    np.array([big, 0, 123456789]))
+    yield PeelTrace("nosegay", big, big, 3, 0,
+                    np.array([[10**5, 0, 77], [0, 0, 0]]), np.array([0, big]))
 
 
 def check_trace_csv(tmp_path, monkeypatch, trace):
@@ -368,7 +390,7 @@ def test_hand_built_trace_csv_matches_csv_writer(tmp_path, monkeypatch):
 @pytest.mark.parametrize("rows", [0, 1, 2, 500])
 @pytest.mark.parametrize("width", [1, 3, 4])
 def test_gadget_grouping_matches_unique(monkeypatch, rows, width):
-    monkeypatch.setattr(peeling, "gadget_log_weight", lambda family, **_: 0.0)
+    monkeypatch.setattr(peeling, "gadget_log_weight", lambda dvec, h: 0.0)
     rng = np.random.default_rng(rows * 10 + width)
     info = np.iinfo(np.int64)
     for params in (rng.integers(-2, 3, size=(rows, width)),
@@ -376,8 +398,7 @@ def test_gadget_grouping_matches_unique(monkeypatch, rows, width):
                                 endpoint=True)):
         algorithm = "sunflower" if width == 1 else "nosegay"
         zeros = np.zeros(rows, dtype=np.int64)
-        trace = PeelTrace(algorithm, rows, rows, width, 0,
-                          trace_steps(zeros, zeros, params, zeros))
+        trace = PeelTrace(algorithm, rows, rows, width, 0, params, zeros)
         got_rows, _, got_counts, got_inverse = trace.gadgets
         want_rows, want_inverse, want_counts = np.unique(
             params, axis=0, return_inverse=True, return_counts=True)
