@@ -2,27 +2,19 @@
 
 The per-qubit log-rank bounds all have the shape ln 2 + (expected gadget
 log-weight per vertex); a negative value certifies that random formulas at
-that clause density are unsatisfiable with high probability. The sunflower and
-nosegay bounds integrate an expectation under i.i.d. Poisson degrees along
-their peel's trajectory with one integrator, _poisson_integral. It builds the
-pmf in log space, so that terms survive large degrees, a block of grid rows
-at a time: one float64 array of at most _BLOCK_CELLS = 2^20 entries (8 MB),
-built in place. Its grids are fixed: SUNFLOWER_PANELS = 4096 Simpson panels
-over peel time t, NOSEGAY_PANELS = 1000 over nu. On those grids the Simpson
-rule carries a Richardson error estimate (|S_N - S_{N/2}| / 15), quad_error,
-that is never silently trusted: BoundReport.upper adds it to the value.
-
-Truncations are one-sided by construction: every gadget log-weight is
-negative, so cutting the degree sum or the Poisson expectation only raises
-the reported value, and a negative truncated bound still certifies. The
-nosegay bound reports the Poisson mass it drops (max_poisson_tail). Both
-refuse unbuilt, by rng.check_memory, a cutoff whose tables cannot fit.
+that clause density are unsatisfiable with high probability. The sunflower
+bound sums closed-form degree densities, and its quad_error bounds their
+rounding. Only the nosegay bound integrates, with _poisson_integral, and
+its quad_error is a Richardson estimate; BoundReport.upper adds quad_error
+to the value. Cutting degrees only raises the value, as every gadget
+log-weight is negative. Both bounds refuse unbuilt, by rng.check_memory, a
+cutoff whose tables cannot fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, inf, log, log1p, sqrt, ulp
+from math import ceil, gamma, inf, lgamma, log, log1p, pi, sqrt, ulp
 
 import numpy as np
 
@@ -34,9 +26,10 @@ LN2 = log(2.0)
 _BLOCK_CELLS = 1 << 20
 # what the ln(1 - y) series of the nosegay bound may leave out per vector
 SERIES_TAIL = 1e-17
-# Simpson panels over t (sunflower) and over nu (nosegay); multiples of 4
-# keep the half-resolution rule of the error estimate Simpson too
-SUNFLOWER_PANELS, NOSEGAY_PANELS = 4096, 1000
+# Simpson panels over nu; a multiple of 4 keeps the half-resolution rule of
+# the error estimate Simpson too
+NOSEGAY_PANELS = 1000
+U = 2.0 ** -53    # float64's unit roundoff
 
 
 @dataclass(frozen=True)
@@ -124,34 +117,64 @@ def _cutoff(alpha: float, k: int, cutoff, name: str, least: int) -> int:
     return require_int(cutoff, name, least)
 
 
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x+1) - (x+1/2) ln x + x - ln(2 pi)/2 by five terms of its
+    asymptotic series; from x = 16 on the rest is below 1.1e-16."""
+    z = (y := 1.0 / x) * y
+    return y * (1/12 - z * (1/360 - z * (1/1260 - z * (1/1680 - z/1188))))
+
+
+def sunflower_densities(alpha: float, k: int = 3, d_max: int | None = None):
+    """(a, err): the limiting share a_d of sunflower peel steps of degree
+    d = 0..d_max, and a bound on the rounding error of each. With A = k alpha
+    and s = 1/(k-1), a_d = s gamma(d+s, A) / (d! A^s) = c_d R_d, where
+    c_d = s Gamma(d+s) / d!, R_d = sum_{i>=d} q_i, q_i = e^-A A^i/Gamma(i+s+1),
+    the sum cut to i in [A - 12 sqrt(A) - 20, max(d_max, A) + 12 sqrt(A) + 20]
+    (README, "Numerical notes")."""
+    d_max = _cutoff(alpha, k, d_max, "d_max", 1)
+    big, s, spread = k * alpha, 1.0 / (k - 1), int(12.0 * sqrt(k * alpha)) + 20
+    lo, top = max(0, int(big) - spread), max(d_max, int(big)) + spread + 1
+    # 72 B per degree and per q_i, measured with tracemalloc
+    check_memory(80 * (d_max + top - lo + 2), "the sunflower degree table")
+    x = (i := np.arange(lo, top + 1)) + s
+    with np.errstate(over="ignore", invalid="ignore"):  # (x-A)/A = inf, tiny A
+        # ln q_i in Loader's form, and the magnitudes bounding its rounding
+        p, half = x * np.log1p((x - big) / big), 0.5 * np.log(2.0 * pi * x)
+        log_q = (x - big) - p - _stirlerr(x) - half - s * log(big)
+        size = np.abs(p) + np.abs(x - big) + half + s * abs(log(big)) + 1.0
+        n = int(np.count_nonzero(x < 16))    # directly below x = 16
+        g = np.array([lgamma(v + 1.0) for v in x[:n]])
+        log_q[:n] = i[:n] * log(big) - big - g
+        size[:n] = x[:n] * abs(log(big)) + big + np.abs(g) + x[:n] + 2.0
+        q = np.exp(log_q)
+        terms = np.stack([q, np.where(q > 0, q * size, 0.0)])
+    r, e = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    d = np.arange(16.0, d_max + 1)
+    c = np.exp(log(s) - s - (1.0 - s) * np.log(d + s) + (d + 0.5)
+               * np.log1p(s / d) + _stirlerr(d + s) - _stirlerr(d))
+    c = np.r_[[s * gamma(j + s) / gamma(j + 1) for j in range(16)][:d_max + 1], c]
+    at = np.maximum(np.arange(d_max + 1) - lo, 0)
+    relative = (16 * (abs(log(s)) + log(d_max + 1.0) + 3) + len(q) + 2) * U
+    return c * r[at], c * (16 * U * e[at] + relative * r[at])
+
+
 def sunflower_bound(alpha: float, k: int = 3,
                     d_max: int | None = None) -> BoundReport:
     """ln 2 + sum_{d<=d_max} a_d (d ln(1 - 2^(1-k)) + ln(d/(2^k-2) + 1)).
-
-    d_max=None takes _cutoff's default, far into the Poisson tail. The
-    omitted terms are negative, so the value is an upper bound regardless.
-    """
-    d_max = _cutoff(alpha, k, d_max, "d_max", 1)
-    # the table, one pmf row and their temporaries: 65 B per degree measured
-    check_memory(80 * (d_max + 1), "the sunflower degree table")
-    ds = np.arange(d_max + 1)
-    table = np.stack([ds * log1p(-(2.0 ** (1 - k)))
-                      + np.log(ds / float((1 << k) - 2) + 1.0),
-                      np.ones(d_max + 1), ds], axis=1)
-    t = np.linspace(0.0, 1.0, SUNFLOWER_PANELS + 1)
-    (total, mass, edge_mass), errors = _poisson_integral(
-        k * alpha * t ** (k - 1), 0.0, 1.0, d_max, lambda pmf: pmf @ table)
-    value, quad_error = LN2 + float(total), float(errors[0])
-    return BoundReport(
-        method="sunflower", alpha=float(alpha), k=k, value=value,
-        quad_error=quad_error,
-        params={
-            "d_max": d_max,
-            "quadrature_points": SUNFLOWER_PANELS,
-            "density_mass": float(mass),
-            "density_edge_mass": float(edge_mass),
-        },
-    )
+    d_max=None takes _cutoff's default, far into the Poisson tail; omitted
+    terms are negative, so the value is an upper bound regardless."""
+    a, err = sunflower_densities(alpha, k, d_max)
+    ds = np.arange(len(a))
+    slope, g = log1p(-(2.0 ** (1 - k))), np.log1p(ds / float((1 << k) - 2))
+    w = ds * slope + g
+    # numpy sums each contiguous array pairwise
+    total, mass, edge_mass, g_mass, w_err = (
+        float(np.sum(v)) for v in (a * w, a, a * ds, a * g, err * w))
+    value = LN2 + total
+    quad_error = (16 * U * (g_mass - slope * edge_mass) - w_err
+                  - (len(a).bit_length() + 32) * U * total + U * (abs(value) + 1))
+    return BoundReport("sunflower", float(alpha), k, value, quad_error, {
+        "d_max": len(a) - 1, "density_mass": mass, "density_edge_mass": edge_mass})
 
 
 def nosegay_ode(alpha: float, k: int = 3) -> tuple[float, float]:
@@ -229,17 +252,11 @@ def nosegay_bound(alpha: float, k: int = 3,
     else:   # past max(T, 2 lam[-1]) each term is at most half the one before
         pmf = _poisson_pmf(lam[-1:], max(truncation, ceil(2 * lam[-1])) + 60)
         tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
-    return BoundReport(
-        method="nosegay", alpha=float(alpha), k=k, value=value,
-        quad_error=quad_error,
-        params={
-            "truncation": truncation,
-            "quadrature_points": NOSEGAY_PANELS,
-            "nu0": nu0,
-            # 1 - (1 - tail)^k, accurate at both ends
-            "max_poisson_tail": tail * sum((1.0 - tail) ** i for i in range(k)),
-        },
-    )
+    return BoundReport("nosegay", float(alpha), k, value, quad_error, {
+        "truncation": truncation, "quadrature_points": NOSEGAY_PANELS,
+        "nu0": nu0,
+        # 1 - (1 - tail)^k, accurate at both ends
+        "max_poisson_tail": tail * sum((1.0 - tail) ** i for i in range(k))})
 
 
 def general_k_bound(alpha: float, k: int) -> BoundReport:
@@ -358,18 +375,16 @@ _NEGATIVE_AT = {("nosegay", 3): 3.594, ("sunflower", 3): 3.894}
 def threshold_root(method: str, k: int = 3, **options) -> float:
     """A density at most ROOT_PRECISION above the zero crossing of the
     selected bound's upper (value + quad_error), at which upper was evaluated
-    negative: the right end of the bracket that bisection ends with. The
-    bound falls as alpha grows (gadget log-weights fall with degree, and
-    the Poisson means rise with alpha), and bisect_bracket rests on that to
-    return plain bisection's bracket from few bound evaluations. The
-    quad_error estimate has no such proof, so bisect_bracket evaluates the
-    right end if it had not and refuses an upper not negative there.
-    The bracket starts from 0.5 and a density
-    known to certify, _NEGATIVE_AT or else 2^k b plus max(1, 2^k 1e-10), a
-    margin that covers solve_b's bisection width; tests find the general-k
-    bound negative there for k = 3..39. From k = 40 on, floats near the root
-    are spaced wider than ROOT_PRECISION, so the bracket could not close,
-    and the arity is refused before any bound is evaluated."""
+    negative: the right end of the bracket that bisection ends with.
+    bisect_bracket rests on the bound falling as alpha grows (gadget
+    log-weights fall with degree, and the Poisson means rise with alpha).
+    Rounding and the nosegay's error estimate have no such proof, so it
+    evaluates the right end if it had not and refuses an upper not negative
+    there. The bracket starts from 0.5 and a density known to certify,
+    _NEGATIVE_AT or else 2^k b plus max(1, 2^k 1e-10), a margin that covers
+    solve_b's bisection width; tests find the general-k bound negative there
+    for k = 3..39. From k = 40 on, floats near the root are spaced wider than
+    ROOT_PRECISION, so the arity is refused before any bound is evaluated."""
     check_model(0.5, k)     # the left end; refuses k before 2^k is built
     right = _NEGATIVE_AT.get((method, k))
     if right is None:

@@ -4,6 +4,7 @@ import csv
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -47,15 +48,42 @@ def nosegay3_via_binomial(a: int, b: int, c: int) -> int:
     return total
 
 
+# Simpson panels over peel time of the sunflower degree density reference
+SUNFLOWER_PANELS = 4096
+
+
 def sunflower_degree_densities(d_max: int, alpha: float,
                                k: int = 3) -> np.ndarray:
     """a_d for d = 0..d_max: the limiting fraction of peeling steps whose
     sunflower has degree d, the integral over peel time t in [0, 1] of the
-    Poisson pmf of mean k alpha t^(k-1), on the sunflower bound's grid."""
+    Poisson pmf of mean k alpha t^(k-1), by the Simpson rule on
+    SUNFLOWER_PANELS panels: a quadrature reference for the closed form of
+    analysis.sunflower_densities."""
     analysis.check_model(alpha, k)
-    t = np.linspace(0.0, 1.0, analysis.SUNFLOWER_PANELS + 1)
+    t = np.linspace(0.0, 1.0, SUNFLOWER_PANELS + 1)
     return analysis._poisson_integral(k * alpha * t ** (k - 1), 0.0, 1.0,
                                       d_max, lambda pmf: pmf)[0]
+
+
+def sunflower_bound_reference(alpha: float, k: int, d_max: int):
+    """The sunflower bound ln 2 + sum_{d<=d_max} a_d (d ln(1 - 2^(1-k))
+    + ln(1 + d/(2^k - 2))) in 40-digit mpmath, from a_d = s gamma(d+s, A) /
+    (d! A^s), A = k alpha and s = 1/(k-1): mpmath.gammainc gives the lower
+    incomplete gamma at d_max + s, and the all-positive recurrence
+    gamma(a, A) = (gamma(a+1, A) + A^a e^-A) / a the ones below."""
+    with mpmath.workdps(40):
+        big, s = mpmath.mpf(k) * mpmath.mpf(alpha), mpmath.mpf(1) / (k - 1)
+        slope = mpmath.log1p(-mpmath.mpf(2) ** (1 - k))
+        gam = mpmath.gammainc(d_max + s, 0, big)
+        power = big ** (d_max + s) * mpmath.exp(-big)
+        total = mpmath.mpf(0)
+        for d in range(d_max, -1, -1):
+            a_d = s * gam / (mpmath.factorial(d) * big ** s)
+            total += a_d * (d * slope + mpmath.log1p(d / (mpmath.mpf(2) ** k - 2)))
+            if d:
+                power /= big
+                gam = (gam + power) / (d - 1 + s)
+        return mpmath.log(2) + total
 
 
 def bisect_reference(f, lo: float, hi: float, width: float):

@@ -23,6 +23,7 @@ from qksat.analysis import (
     single_clause_threshold,
     solve_b,
     sunflower_bound,
+    sunflower_densities,
 )
 from qksat.gadgets import (
     k2_rank,
@@ -42,7 +43,7 @@ from qksat.rank_oracle import (
 from qksat.rng import child_rng, make_rng
 from support import (attach, nosegay3_paper_rank, nosegay3_via_binomial,
                      nosegay_mu, random_mixed_graph,
-                     stoquastic_component_count, sunflower_degree_densities)
+                     stoquastic_component_count)
 
 
 def _report(capsys, num, description, ok, detail=""):
@@ -220,7 +221,7 @@ def test_criterion_5_peeling_matches_analytics(capsys):
 
     alpha_s = 3.894
     target_s = sunflower_bound(alpha_s, 3).value
-    densities = sunflower_degree_densities(10, alpha_s, 3)
+    densities = sunflower_densities(alpha_s, 3, 10)[0]
     for seed in seeds:
         g = random_hypergraph(n, round(alpha_s * n), 3, child_rng(seed, 0))
         trace = sunflower_peel(g, seed)

@@ -21,14 +21,16 @@ from qksat.analysis import (
     single_clause_threshold,
     solve_b,
     sunflower_bound,
+    sunflower_densities,
     threshold_root,
 )
 from qksat.gadgets import gadget_log_weight, nosegay_k_rank
-from support import bisect_reference, nosegay_mu, sunflower_degree_densities
+from support import (bisect_reference, nosegay_mu, sunflower_bound_reference,
+                     sunflower_degree_densities)
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3) -> float:
-    return float(sunflower_degree_densities(d, alpha, k)[d])
+    return float(sunflower_densities(alpha, k, max(d, 1))[0][d])
 
 
 def log_lower_incomplete_gamma(s: float, x: float) -> float:
@@ -60,7 +62,7 @@ def erf_degree_zero(alpha: float) -> float:
 def test_densities_normalize():
     for alpha, k in [(3.894, 3), (2.0, 4), (0.7, 2)]:
         dmax = 40 + int(10 * alpha * k)
-        dens = sunflower_degree_densities(dmax, alpha, k)
+        dens = sunflower_densities(alpha, k, dmax)[0]
         assert dens.min() >= 0.0
         assert dens.sum() == pytest.approx(1.0, abs=1e-8)
         assert float(dens @ np.arange(dmax + 1)) == pytest.approx(alpha, abs=1e-8)
@@ -77,16 +79,27 @@ def test_density_matches_scipy_quadrature():
             assert got == pytest.approx(want, rel=1e-8), (alpha, k, d)
 
 
-def test_density_matches_incomplete_gamma_form(monkeypatch):
+def test_density_matches_incomplete_gamma_form():
     # at k = 3, a_d = gamma(d + 1/2, 3 alpha) / (2 d! sqrt(3 alpha))
-    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 16384)
     alpha = 3.894
     x = 3.0 * alpha
-    dens = sunflower_degree_densities(100, alpha, 3)
+    dens = sunflower_densities(alpha, 3, 100)[0]
     for d in range(101):
         lg = log_lower_incomplete_gamma(d + 0.5, x)
         want = math.exp(lg - math.lgamma(d + 1)) / (2.0 * math.sqrt(x))
         assert math.isclose(dens[d], want, rel_tol=1e-8, abs_tol=1e-300), d
+
+
+@pytest.mark.parametrize("alpha, k", [(3.894, 3), (2.0, 4), (0.7, 2),
+                                      (31.775, 6)])
+def test_densities_match_the_simpson_reference(alpha, k):
+    # the closed form against the quadrature it replaced, on 4096 panels
+    dmax = int(k * alpha + 12 * math.sqrt(k * alpha)) + 20
+    dens, err = sunflower_densities(alpha, k, dmax)
+    np.testing.assert_allclose(dens, sunflower_degree_densities(dmax, alpha, k),
+                               rtol=0, atol=1e-12)
+    assert err.shape == dens.shape and (err >= 0).all()
+    assert (err <= 1e-12 * dens.max()).all()
 
 
 def test_degree_zero_erf_form():
@@ -121,6 +134,24 @@ def test_sunflower_truncation_is_one_sided():
     auto = sunflower_bound(3.894, 3, d_max=None).value
     assert short > full
     assert auto == pytest.approx(full, abs=1e-12)
+
+
+# the sunflower roots of the README table, and of threshold sunflower --k 2
+SUNFLOWER_ROOTS = {2: 1.78814, 3: 3.89338, 4: 7.97982, 5: 15.99584,
+                   6: 31.77520, 7: 62.90069, 8: 124.39107}
+
+
+@pytest.mark.parametrize("k", sorted(SUNFLOWER_ROOTS))
+def test_sunflower_quad_error_bounds_the_rounding(k):
+    # against 40 digits, on each side of the root, with the derived cutoff
+    # and with d_max = 300 (below the window of the k = 8 Poisson terms)
+    for alpha in (SUNFLOWER_ROOTS[k] - 1e-3, SUNFLOWER_ROOTS[k] + 1e-3):
+        for d_max in (None, 300):
+            report = sunflower_bound(alpha, k, d_max)
+            want = sunflower_bound_reference(alpha, k, report.params["d_max"])
+            assert 0 < report.quad_error < 1e-12, (k, alpha, d_max)
+            assert abs(report.value - want) <= report.quad_error, (
+                k, alpha, d_max, float(report.value - want), report.quad_error)
 
 
 def test_nosegay_ode_closed_form():
@@ -196,13 +227,13 @@ def test_poisson_pmf_matches_closed_form():
 
 
 def test_poisson_pmf_peaks_at_one_block():
-    # the sunflower bound's block at alpha = 3.7: 4097 x 73 cells, built in
-    # place, so no second pmf-sized temporary
+    # a 4096-panel grid over peel time at alpha = 3.7: 4097 x 73 cells,
+    # built in place, so no second pmf-sized temporary
     import tracemalloc
 
     from qksat.analysis import _poisson_pmf
 
-    t = np.linspace(0.0, 1.0, analysis.SUNFLOWER_PANELS + 1)
+    t = np.linspace(0.0, 1.0, 4097)
     lam = 3 * 3.7 * t ** 2
     tracemalloc.start()
     try:
@@ -236,12 +267,15 @@ def test_integrator_blocks_do_not_change_results(monkeypatch, rows):
     # one grid row per block, or 7-row blocks that split 4097, 1005 and
     # 4097 grid points unevenly, against the default single block
     monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 1004)
+    t = np.linspace(0.0, 1.0, 4097)
 
     def run():
-        sun = sunflower_bound(3.894, 3, d_max=100)
+        # the sunflower's degree moments at alpha = 3.894 on 4096 panels
+        sun = analysis._poisson_integral(3 * 3.894 * t ** 2, 0.0, 1.0, 100,
+                                         lambda pmf: pmf @ np.arange(101.0))
         nose = nosegay_bound(3.594, truncation=50)
         dens = sunflower_degree_densities(60, 3.894)
-        return [sun.value, sun.quad_error, nose.value, nose.quad_error], dens
+        return [*sun, nose.value, nose.quad_error], dens
 
     default, default_dens = run()
     # the pmf widths d_max + 1 of the three calls: each cap gives one of them
@@ -447,23 +481,24 @@ def test_threshold_root_nosegay(monkeypatch):
 
 def test_verdict_and_root_count_quad_error(monkeypatch):
     # four panels: the value is negative, but not by more than its error
-    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 4)
-    report = bound("sunflower", 3.894)
-    assert report.value == pytest.approx(-1.47e-4, abs=1e-6)
-    assert report.quad_error == pytest.approx(1.64e-4, abs=1e-6)
+    monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 4)
+    report = bound("nosegay", 3.5938)
+    assert report.value == pytest.approx(-5.21e-5, abs=1e-6)
+    assert report.quad_error == pytest.approx(8.98e-5, abs=1e-6)
     assert report.verdict == "inconclusive"
-    monkeypatch.setitem(analysis._NEGATIVE_AT, ("sunflower", 3), 4.0)
-    root = threshold_root("sunflower", 3)
-    at_root = bound("sunflower", root)
+    monkeypatch.setitem(analysis._NEGATIVE_AT, ("nosegay", 3), 4.0)
+    root = threshold_root("nosegay", 3)
+    at_root = bound("nosegay", root)
     assert at_root.value + at_root.quad_error < 0
     assert at_root.verdict == "unsat-whp"
 
 
 @pytest.mark.parametrize("method", ["sunflower", "nosegay", "general_k"])
 def test_verdict_is_upper_below_zero_around_each_root(method, monkeypatch):
-    # coarse grids make quad_error large, so just left of each Poisson
-    # bound's root the value is negative while value + quad_error is not
-    monkeypatch.setattr(analysis, "SUNFLOWER_PANELS", 4)
+    # a coarse grid, and a unit roundoff of 1e-7 in the sunflower's error
+    # bound, make quad_error about 9e-5, so just left of each Poisson bound's
+    # root the value is negative while value + quad_error is not
+    monkeypatch.setattr(analysis, "U", 1e-7)
     monkeypatch.setattr(analysis, "NOSEGAY_PANELS", 4)
     if method != "general_k":
         monkeypatch.setitem(analysis._NEGATIVE_AT, (method, 3), 4.0)

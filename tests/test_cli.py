@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,10 +91,10 @@ def test_bound_sunflower_refuses_oversized_cutoff(capsys, monkeypatch):
     import qksat.analysis as analysis
 
     def unreachable(*args):
-        raise AssertionError("the pmf was built before the refusal")
+        raise AssertionError("the table was built before the refusal")
 
-    monkeypatch.setattr(analysis, "_poisson_pmf", unreachable)
-    # 10^12 degrees: terabytes of table and pmf row
+    monkeypatch.setattr(analysis, "_stirlerr", unreachable)
+    # 10^12 degrees: terabytes of table
     code, out, err = run_cli(capsys, "bound", "sunflower", "--alpha", "3.894",
                              "--dmax", str(10 ** 12))
     assert code == 2 and out == ""
@@ -479,6 +480,45 @@ def test_bounds_certify_at_their_roots_for_larger_k(capsys):
         assert roots["nosegay"] < roots["sunflower"], k
 
 
+def test_sunflower_bound_and_root_are_quick_at_wide_cutoffs(capsys):
+    # a closed form, no quadrature: 9.5 s and minutes before
+    start = time.perf_counter()
+    payload = run_json(capsys, "bound", "sunflower", "--alpha", "3.894",
+                       "--dmax", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert payload["params"]["d_max"] == 100000
+    assert payload["verdict"] == "unsat-whp"
+    start = time.perf_counter()
+    root = run_json(capsys, "threshold", "sunflower", "--k", "16")["root"]
+    assert time.perf_counter() - start < 5.0
+    at_root = run_json(capsys, "bound", "sunflower", "--alpha", repr(root),
+                       "--k", "16")
+    assert at_root["verdict"] == "unsat-whp"
+
+
+@pytest.mark.parametrize("k", range(18, 23))
+def test_sunflower_root_at_large_k_certifies_or_is_refused(capsys,
+                                                           monkeypatch, k):
+    # as on a machine with 384 MiB: k = 18 runs (about 2 s and 240 MB) and
+    # the tables of k = 19..22 are refused by name before they are built;
+    # a root must certify, one precision below it the bound must not
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 384 << 20}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: fake[name] if name in fake else real(name))
+    code, out, err = run_cli(capsys, "threshold", "sunflower", "--k", str(k))
+    if k > 18:
+        assert code == 2 and out == ""
+        assert "the sunflower degree table needs" in err
+        return
+    assert code == 0, err
+    root = json.loads(out)["root"]
+    verdicts = [run_json(capsys, "bound", "sunflower", "--alpha", repr(alpha),
+                         "--k", str(k))["verdict"]
+                for alpha in (root, root - 1e-4)]
+    assert verdicts == ["unsat-whp", "inconclusive"]
+
+
 def test_peel_nosegay_any_k(tmp_path, capsys):
     trace = tmp_path / "steps.csv"
     payload = run_json(capsys, "peel", "--n", "400", "--alpha", "7.0",
@@ -778,14 +818,14 @@ GOLDEN_BOUNDS = [
     (("bound", "nosegay", "--alpha", "3.65"), "4ff493f6b4f95c24"),
     (("bound", "nosegay", "--alpha", "3.7"), "663fc5a5d3af7c8c"),
     (("bound", "nosegay", "--alpha", "3.8"), "5d85bf5d4a8b2b47"),
-    (("bound", "sunflower", "--alpha", "3.894"), "1e65e7e9b5d446f4"),
+    (("bound", "sunflower", "--alpha", "3.894"), "a0295e9808d8db8c"),
     (("threshold", "nosegay"), "c2a1edcda611164d"),
     # outside the benchmark's grid: k = 4 roots, rows of tiny mean, and
     # cutoffs wide enough that the integrator takes two blocks
     (("threshold", "sunflower", "--k", "4"), "9171b6487c32aef0"),
-    (("bound", "sunflower", "--alpha", "0.5"), "457ca7351995a34d"),
+    (("bound", "sunflower", "--alpha", "0.5"), "006138f432b5a3c1"),
     (("bound", "sunflower", "--alpha", "3.894", "--dmax", "300"),
-     "3288fad83e4994ee"),
+     "531e103f137c496e"),
     (("bound", "nosegay", "--alpha", "123.264", "--k", "8"), "cc157a9ee1256312"),
     (("threshold", "nosegay", "--k", "4", "--trunc", "40"), "0e8b23cc1177e406"),
 ]
