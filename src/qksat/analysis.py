@@ -13,6 +13,7 @@ cutoff whose tables cannot fit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import ceil, gamma, inf, lgamma, log, log1p, pi, sqrt, ulp
 
@@ -201,29 +202,78 @@ def _nosegay_vertex_terms(k: int, ds: np.ndarray):
     return h, (ds + m) / (ds + 2.0 * m)
 
 
-def _nosegay_expectation(k: int, truncation: int):
-    """pmf -> E[nosegay log-weight; all d_i <= T], the d_i i.i.d. by each
-    pmf row: k E[h] P^(k-1) - k ln 2 P^k - sum_{j<=J} E[x^j]^k / j, P the
-    kept mass, from ln(1-y) = -sum_j y^j/j. J is the least with tail
-    y^(J+1)/((J+1)(1-y)) <= SERIES_TAIL at y = x(T)^k, the largest y kept;
-    all terms are negative, so both cuts only raise the value. The (T+1) x J
-    table of x^j is refused unbuilt if its first column, or J's bound
-    ln(SERIES_TAIL (1-y)) / ln y, says it cannot fit in memory; the first
-    check also refuses every T at which y would round to 1."""
+def _poisson_tail(lam: float, truncation: int):
+    """(P(d = 0..T), P(d > T)) of the Poisson law of mean lam. Below the
+    mean, T < lam, P(d > T) is above about 1/2 and is read as 1 - P(d <= T)
+    from T + 1 pmf columns; from it on, it is summed from the upper tail
+    itself, whose terms past max(T, 2 lam) each are at most half the one
+    before."""
+    if truncation < lam:
+        head = _poisson_pmf(np.array([lam]), truncation)[0]
+        return head, max(1.0 - float(head.sum()), 0.0)
+    pmf = _poisson_pmf(np.array([lam]), max(truncation, ceil(2 * lam)) + 60)[0]
+    return pmf[:truncation + 1], min(float(pmf[truncation + 1:].sum()), 1.0)
+
+
+def _series_terms_max(y: float) -> int:
+    """A J at which the worst-case tail y^(J+1)/((J+1)(1-y)) of
+    ln(1 - y) = -sum_j y^j/j is below SERIES_TAIL."""
+    return ceil(log(SERIES_TAIL * (1.0 - y)) / log(y))
+
+
+def _nosegay_preflight(k: int, truncation: int) -> None:
+    """Refuse unbuilt, by check_memory, a (T+1) x J table of x(d)^j that
+    cannot fit, J counted at its worst case _series_terms_max(x(T)^k). The
+    first check, of one column, also refuses every T at which x(T)^k would
+    round to 1."""
     check_memory(8 * (truncation + 1), "the nosegay series table")
-    y, terms = _nosegay_vertex_terms(k, np.array([truncation]))[1][0] ** k, 1
-    terms_max = ceil(log(SERIES_TAIL * (1.0 - y)) / log(y))
-    check_memory(8 * (truncation + 1) * terms_max, "the nosegay series table")
+    y = _nosegay_vertex_terms(k, np.array([truncation]))[1][0] ** k
+    check_memory(8 * (truncation + 1) * _series_terms_max(y),
+                 "the nosegay series table")
+
+
+def _nosegay_terms(x: np.ndarray, k: int, top_mean: float) -> int:
+    """J, the number of terms of ln(1 - y) = -sum_j y^j/j that
+    _nosegay_expectation keeps, given x(d) for d = 0..T and top_mean, the
+    largest Poisson mean of its pmf rows.
+
+    g_j(d) = x(min(d, T))^j rises in d, and the Poisson law rises
+    stochastically in its mean, so every row's E[x^j; d <= T] is at most
+    E_top[g_j] under the mean top_mean; and x <= x(T), so each row's tail
+    after J terms is at most E_top[g_(J+1)]^k / ((J+1)(1-y)), y = x(T)^k.
+    J is the least j at which that bound, or the worst case
+    y^(j+1)/((j+1)(1-y)) where it is smaller, is at most SERIES_TAIL. Both
+    fall as j grows, so J is bisected, on the top row alone, below the
+    worst-case count that the preflight charges.
+    """
+    y = x[-1] ** k
+    head, tail = _poisson_tail(top_mean, len(x) - 1)
+    # P(d > T) rounded up, far above the rounding of the pmf sums
+    over = min(tail + 1e-9, 1.0)
+
+    def fits(j: int) -> bool:
+        top = head @ x ** (j + 1) + over * x[-1] ** (j + 1)
+        return min(top ** k, y ** (j + 1)) / ((j + 1) * (1.0 - y)) <= SERIES_TAIL
+
+    return bisect_left(range(1, _series_terms_max(y)), True, key=fits) + 1
+
+
+def _nosegay_expectation(k: int, truncation: int, top_mean: float):
+    """pmf -> E[nosegay log-weight; all d_i <= T], the d_i i.i.d. by each
+    pmf row, a Poisson law of mean at most top_mean: k E[h] P^(k-1)
+    - k ln 2 P^k - sum_{j<=J} E[x^j]^k / j, P the kept mass, from
+    ln(1-y) = -sum_j y^j/j with J from _nosegay_terms. All terms are
+    negative, so both cuts only raise the value. The table of x^j has
+    T + 1 rows and J columns."""
     h, x = _nosegay_vertex_terms(k, np.arange(truncation + 1))
-    while y ** (terms + 1) / ((terms + 1) * (1.0 - y)) > SERIES_TAIL:
-        terms += 1
-    js = np.arange(1, terms + 1)
+    js = np.arange(1, _nosegay_terms(x, k, top_mean) + 1)
     powers, inverses = x[:, None] ** js, 1.0 / js
 
     def expectation(pmf: np.ndarray) -> np.ndarray:
         mass = pmf.sum(axis=1)
-        return (k * (pmf @ h) * mass ** (k - 1) - k * LN2 * mass ** k
-                - (pmf @ powers) ** k @ inverses)
+        q = pmf @ powers
+        np.power(q, k, out=q)
+        return k * (pmf @ h) * mass ** (k - 1) - k * LN2 * mass ** k - q @ inverses
 
     return expectation
 
@@ -234,24 +284,21 @@ def nosegay_bound(alpha: float, k: int = 3,
     Poisson of mean k mu/nu along nosegay_ode.
 
     Vectors with some d_i above `truncation` are dropped; truncation=None
-    takes _cutoff's default, as sunflower_bound does. max_poisson_tail
-    is the dropped mass 1 - P(d <= T)^k at nu = 1, where the mean (k alpha)
-    and with it the tail are largest. Below that mean, T < lam, the mass
-    dropped per vertex is above about 1/2 and is read as 1 - P(d <= T) from
-    T + 1 pmf columns; from it on, it is summed from the upper tail itself.
+    takes _cutoff's default, as sunflower_bound does. The means rise with
+    nu, so the last grid row, at nu = 1, has the largest (k alpha): its row
+    sizes the ln(1 - y) series of every row (_nosegay_expectation), and
+    max_poisson_tail is its dropped mass 1 - P(d <= T)^k, the largest of
+    any row, from _poisson_tail.
     """
     truncation = _cutoff(alpha, k, truncation, "truncation", 10)
-    expectation = _nosegay_expectation(k, truncation)
+    _nosegay_preflight(k, truncation)
     c, nu0 = nosegay_ode(alpha, k)
     nus = np.linspace(nu0, 1.0, NOSEGAY_PANELS + 1)
     lam = np.maximum((c * nus ** (k - 1) - 1.0) / (k - 1), 0.0)
+    expectation = _nosegay_expectation(k, truncation, lam[-1])
     integral, error = _poisson_integral(lam, nu0, 1.0, truncation, expectation)
     value, quad_error = LN2 + float(integral) / k, float(error) / k
-    if truncation < lam[-1]:
-        tail = max(1.0 - float(_poisson_pmf(lam[-1:], truncation).sum()), 0.0)
-    else:   # past max(T, 2 lam[-1]) each term is at most half the one before
-        pmf = _poisson_pmf(lam[-1:], max(truncation, ceil(2 * lam[-1])) + 60)
-        tail = min(float(pmf[0, truncation + 1:].sum()), 1.0)
+    tail = _poisson_tail(lam[-1], truncation)[1]
     return BoundReport("nosegay", float(alpha), k, value, quad_error, {
         "truncation": truncation, "quadrature_points": NOSEGAY_PANELS,
         "nu0": nu0,

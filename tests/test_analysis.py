@@ -202,8 +202,72 @@ def test_nosegay_expectation_matches_brute_force():
             math.prod(pmf[d] for d in dvec)
             * gadget_log_weight(dvec, k)
             for dvec in itertools.product(range(trunc + 1), repeat=k))
-        fast = _nosegay_expectation(k, trunc)(np.array([pmf]))
+        fast = _nosegay_expectation(k, trunc, lam)(np.array([pmf]))
         assert float(fast[0]) == pytest.approx(brute, rel=1e-12)
+
+
+def nosegay_series_run(monkeypatch, alpha, k, trunc):
+    """nosegay_bound's report, the series length J it kept and its grid of
+    Poisson means, recorded as the bound computes them."""
+    seen = {}
+    terms, integral = analysis._nosegay_terms, analysis._poisson_integral
+
+    def record_terms(x, k, top_mean):
+        seen["terms"] = terms(x, k, top_mean)
+        return seen["terms"]
+
+    def record_grid(lam, *args):
+        seen["lam"] = lam
+        return integral(lam, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_nosegay_terms", record_terms)
+        patch.setattr(analysis, "_poisson_integral", record_grid)
+        report = nosegay_bound(alpha, k, trunc)
+    return report, seen["terms"], seen["lam"]
+
+
+def worst_case_terms(y: float) -> int:
+    # the least J with y^(J+1) / ((J+1)(1-y)) <= SERIES_TAIL, y = x(T)^k:
+    # the series length sized as if every row put its mass at d = T
+    terms = 1
+    while y ** (terms + 1) / ((terms + 1) * (1.0 - y)) > analysis.SERIES_TAIL:
+        terms += 1
+    return terms
+
+
+@pytest.mark.parametrize("alpha, k, trunc", [
+    (3.594, 3, None), (3.65, 3, 25), (3.65, 3, 12), (7.6, 4, None),
+    (7.6, 4, 40), (123.264, 8, None)])
+def test_nosegay_series_tail_is_below_series_tail_on_every_row(
+        monkeypatch, alpha, k, trunc):
+    # J is sized on the top-mean row alone; on every grid row, with an
+    # independent pmf, the terms it omits up to the worst-case length J_old,
+    # plus the row's own geometric remainder past J_old, stay within
+    # SERIES_TAIL
+    from scipy.stats import poisson
+
+    report, terms, lam = nosegay_series_run(monkeypatch, alpha, k, trunc)
+    truncation = report.params["truncation"]
+    x = analysis._nosegay_vertex_terms(k, np.arange(truncation + 1))[1]
+    y = x[-1] ** k
+    old = worst_case_terms(y)
+    assert terms <= old
+    pmf = poisson.pmf(np.arange(truncation + 1), lam[:, None])
+    js = np.arange(terms + 1, old + 2)
+    moments = (pmf @ x[:, None] ** js) ** k
+    omitted = moments[:, :-1] @ (1.0 / js[:-1])
+    remainder = moments[:, -1] / ((old + 1) * (1.0 - y))
+    assert (omitted + remainder).max() <= analysis.SERIES_TAIL
+
+
+def test_nosegay_series_stays_short_at_a_wide_truncation(monkeypatch):
+    # T = 1000 at alpha = 3.6: the worst case y = x(T)^3 asks for 3970
+    # terms, the top-mean row (k alpha = 10.8) for fewer than 100
+    report, terms, _ = nosegay_series_run(monkeypatch, 3.6, 3, 1000)
+    assert terms < 100
+    assert report.value == pytest.approx(nosegay_bound(3.6, 3, 300).value,
+                                         rel=0, abs=1e-15)
 
 
 def test_poisson_pmf_matches_closed_form():
