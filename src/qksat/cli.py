@@ -112,9 +112,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 # peak RSS of `peel --trace` above the interpreter's own 37 MB, either gadget,
-# n = 1e5 and 1e6, k = 2, 3 and 8: at most 115 B per vertex at alpha = 0, and
-# at most 43 B per edge endpoint (k per edge) beyond 120 B per vertex
-PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 64
+# n = 1e5 and 1e6, k = 2, 3 and 8, median of 3 runs: at most 155 B per vertex
+# at alpha = 0, and at most 28 B per edge endpoint (k per edge) beyond 160 B
+# per vertex
+PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 40
 
 
 def _cmd_peel(args) -> tuple[int, dict]:

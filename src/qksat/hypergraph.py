@@ -5,6 +5,13 @@ A hypergraph keeps all its edges in one int64 array, `vertices`, with
 distinct and ascending. Repeated edges are kept with multiplicity because
 each one carries its own clause, and arities may be mixed within one
 hypergraph.
+
+The constructor refuses the same edges in either form. An (m, k) array is
+checked by columns, with no flat pass over its km endpoints: k >= 2 from the
+shape (when m > 0), distinct vertices from strictly ascending rows (rows that
+are not ascending are sorted in a copy and checked again), the range from the
+first column's minimum and the last column's maximum, and its arities are
+(k,). A sequence of edges is checked on its flat sorted vertices.
 """
 
 from __future__ import annotations
@@ -25,38 +32,14 @@ class Hypergraph:
     def __init__(self, n: int, edges):
         require_int(n, "vertex count n")
         if isinstance(edges, np.ndarray):
-            if edges.ndim != 2 or edges.dtype.kind not in "iu":
-                raise ValueError(f"an edge array must hold (m, k) integers, "
-                                 f"got {edges.dtype} of shape {edges.shape}")
-            edges = edges.astype(np.int64, copy=False)
-            if not ascending_rows(edges).all():
-                edges = np.sort(edges, axis=1)
-            offsets = np.arange(len(edges) + 1) * edges.shape[1]
+            vertices, offsets, arities, low, high = _array_edges(edges)
         else:
-            if any(t is bool or not issubclass(t, (int, np.integer))
-                   for t in {type(v) for e in edges for v in e}):
-                raise ValueError("vertices must be integers, not bool or float")
-            rows = [sorted(e) for e in edges]
-            offsets = np.cumsum([0, *map(len, rows)])
-            edges = [v for row in rows for v in row]
-        try:
-            vertices = np.asarray(edges, dtype=np.int64).reshape(-1)
-        except OverflowError:
-            raise ValueError("a vertex lies outside int64") from None
-        arity, step = np.diff(offsets), np.diff(vertices)
-        if (arity < 2).any():
-            i = np.argmax(arity < 2)
-            raise ValueError(f"edge {i} has arity {arity[i]}; arity >= 2 required")
-        step[offsets[1:-1] - 1] = 1     # pairs that straddle two edges
-        if (step <= 0).any():
-            raise ValueError(f"an edge repeats vertex {vertices[np.argmax(step <= 0)]}"
-                             f" (self-loops not supported)")
-        if vertices.size and not 0 <= vertices.min() <= vertices.max() < n:
-            raise ValueError(f"vertices {vertices.min()}..{vertices.max()} out of "
-                             f"range for n={n}")
+            vertices, offsets, arities, low, high = _sequence_edges(edges)
+        if vertices.size and not 0 <= low <= high < n:
+            raise ValueError(f"vertices {low}..{high} out of range for n={n}")
         self.n, self.vertices, self.offsets = n, vertices, offsets
         # counted once here, so that a peel needs no array of m arities
-        self._arities = tuple(np.flatnonzero(np.bincount(arity)).tolist())
+        self._arities = arities
 
     @property
     def m(self) -> int:
@@ -72,14 +55,76 @@ class Hypergraph:
         return set(self._arities)
 
 
-def row_reduce(ufunc, rows: np.ndarray, dtype=None) -> np.ndarray:
-    """ufunc.reduce(rows, axis=1, dtype) of an (m, k) array, k >= 1, as k - 1
-    calls on its columns into one m-array, updated in place: numpy reduces a
-    short axis one row at a time, at about 25 ns a row, and a column in bulk."""
-    out = np.array(rows[:, 0], dtype=dtype)
+def _array_edges(edges: np.ndarray):
+    """Check an (m, k) edge array by columns: k >= 2 from the shape, distinct
+    vertices from ascending rows (sorting a copy when a row is not), and the
+    range from the first and last columns."""
+    if edges.ndim != 2 or edges.dtype.kind not in "iu":
+        raise ValueError(f"an edge array must hold (m, k) integers, "
+                         f"got {edges.dtype} of shape {edges.shape}")
+    (m, k), rows = edges.shape, edges.astype(np.int64, copy=False)
+    if m == 0:
+        return rows.reshape(-1), np.zeros(1, dtype=np.int64), (), 0, 0
+    if k < 2:
+        raise ValueError(f"edge 0 has arity {k}; arity >= 2 required")
+    if not (ok := ascending_rows(rows)).all():
+        rows = np.sort(rows, axis=1)
+        if not (ok := ascending_rows(rows)).all():
+            row = rows[np.argmin(ok)]
+            raise ValueError(f"an edge repeats vertex {row[np.argmax(row[1:] <= row[:-1])]}"
+                             f" (self-loops not supported)")
+    return (rows.reshape(-1), np.arange(m + 1) * k, (k,),
+            rows[:, 0].min(), rows[:, -1].max())
+
+
+def _sequence_edges(edges):
+    """Check a sequence of vertex sequences on its flat, sorted vertices."""
+    if any(t is bool or not issubclass(t, (int, np.integer))
+           for t in {type(v) for e in edges for v in e}):
+        raise ValueError("vertices must be integers, not bool or float")
+    rows = [sorted(e) for e in edges]
+    offsets = np.cumsum([0, *map(len, rows)])
+    try:
+        vertices = np.array([v for row in rows for v in row], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a vertex lies outside int64") from None
+    arity, step = np.diff(offsets), np.diff(vertices)
+    if (arity < 2).any():
+        i = np.argmax(arity < 2)
+        raise ValueError(f"edge {i} has arity {arity[i]}; arity >= 2 required")
+    step[offsets[1:-1] - 1] = 1     # pairs that straddle two edges
+    if (step <= 0).any():
+        raise ValueError(f"an edge repeats vertex {vertices[np.argmax(step <= 0)]}"
+                         f" (self-loops not supported)")
+    arities = tuple(np.flatnonzero(np.bincount(arity)).tolist())
+    if not vertices.size:
+        return vertices, offsets, arities, 0, 0
+    return vertices, offsets, arities, vertices.min(), vertices.max()
+
+
+def row_reduce(ufunc, rows: np.ndarray, dtype=None, table=None,
+               select=None) -> np.ndarray:
+    """ufunc.reduce(x, axis=1, dtype) for x = table[rows[select]] of an (m,
+    k) array rows, k >= 1, the table or the selection (an index array or a
+    mask) left out when None, as k - 1 calls on columns into one m-array,
+    updated in place: numpy reduces a short axis one row at a time, at about
+    25 ns a row, and a column in bulk. The columns of x are gathered one at a
+    time (`column`), so no (m, k) temporary is built."""
+    gathered = table is not None or select is not None     # not a view of rows
+    out = np.array(column(rows, 0, table, select), dtype=dtype,
+                   copy=None if gathered else True)
     for j in range(1, rows.shape[1]):
-        ufunc(out, rows[:, j], out=out)
+        ufunc(out, column(rows, j, table, select), out=out)
     return out
+
+
+def column(rows: np.ndarray, j: int, table=None, select=None) -> np.ndarray:
+    """Column j of table[rows[select]] by 1-D gathers, the table or the
+    selection left out when None; a view of rows when both are."""
+    x = rows[:, j]
+    if select is not None:
+        x = x[select]
+    return x if table is None else table[x]
 
 
 def ascending_rows(rows: np.ndarray) -> np.ndarray:
@@ -110,10 +155,12 @@ def random_hypergraph(n: int, m: int, k: int, seed) -> Hypergraph:
         raise ValueError(f"k={k} of n={n} vertices are all distinct with "
                          f"probability p={p:.3g} < 2^-12: too rare to draw by rejection")
     rng = make_rng(seed)
-    edges = np.sort(rng.integers(0, n, size=(m, k)), axis=1)
+    edges = rng.integers(0, n, size=(m, k))
+    edges.sort(axis=1)
     bad = np.flatnonzero(~ascending_rows(edges))
     while bad.size:     # only the redrawn rows are sorted and checked again
-        redrawn = np.sort(rng.integers(0, n, size=(bad.size, k)), axis=1)
+        redrawn = rng.integers(0, n, size=(bad.size, k))
+        redrawn.sort(axis=1)
         edges[bad] = redrawn
         bad = bad[~ascending_rows(redrawn)]
     return Hypergraph(n, edges)

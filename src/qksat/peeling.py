@@ -12,9 +12,16 @@ Each step is a star of `gadgets._star`: a trace keeps its (s, c) int64
 hanging counts, the sunflower's `d` (c = 1) or the nosegay's `d_1..d_k`
 (c = k), and each step's anomaly count. A step takes its c centers, its
 hanging edges and, when c >= 2, a central edge: the remaining vertex and
-edge counts derive from that. Per-edge (m, k) arrays are reduced by column
-(`row_reduce`): numpy walks a short axis row by row, which cost about a
-quarter of the `peel` benchmark's time.
+edge counts derive from that.
+
+Every pass over per-edge data goes by column, and none builds an (m, k)
+temporary: a gather from a vertex table, a scatter or a `ufunc.at` takes one
+1-D column per call (`hypergraph.column`), and a reduction accumulates the
+columns in place (`row_reduce`, gathering each from its table in turn). numpy
+walks a short axis row by row and takes its slow path for a 2-D fancy index
+or `ufunc.at`. The one exception is dropping rows: the nosegay's packing
+rounds shrink their rows with `np.take(rows, kept, axis=0)`, which copies each
+row whole and is faster than k column gathers.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .gadgets import LN2, gadget_log_weight
-from .hypergraph import Hypergraph, row_reduce
+from .hypergraph import Hypergraph, column, row_reduce
 from .rng import make_rng, require_int
 
 # steps per write of the trace CSV: bounds the writer's memory whatever n is
@@ -86,11 +93,11 @@ def _uniform_arity(g: Hypergraph, algorithm: str) -> int:
     return ks.pop()
 
 
-def _consuming_step(step: np.ndarray, edges: np.ndarray):
-    """Each edge's least vertex step, and the mask of its vertices at it."""
-    at_vertex = step[edges]
-    at = row_reduce(np.minimum, at_vertex)
-    return at, at_vertex == at[:, None]
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of range(len(order)), by one scatter."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return inverse
 
 
 def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
@@ -105,18 +112,27 @@ def sunflower_peel(g: Hypergraph, seed) -> PeelTrace:
     """
     require_int(seed, "seed")
     k = _uniform_arity(g, "sunflower")
-    order = make_rng(seed).permutation(g.n)
+    step = _inverse(make_rng(seed).permutation(g.n))
     edges = g.vertices.reshape(g.m, k)
-    consumed_at, center = _consuming_step(np.argsort(order), edges)
+    consumed_at = row_reduce(np.minimum, edges, table=step)
     degree = np.bincount(consumed_at, minlength=g.n)
 
-    # a non-center vertex met by c petals of one step adds c(c-1)/2 pairs
-    keys, seen = np.unique((consumed_at[:, None] * g.n + edges)[~center],
-                           return_counts=True)
-    anomalies = np.bincount(keys // g.n, weights=seen * (seen - 1) // 2,
-                            minlength=g.n)
-    return PeelTrace("sunflower", g.n, g.m, k, seed, degree[:, None],
-                     anomalies.astype(np.int64))
+    # an edge's vertices have distinct steps, so it has one center and k - 1
+    # (step, vertex) keys off it; a vertex met by c petals of one step
+    # repeats its key c times and adds c(c-1)/2 pairs
+    keys, end = np.empty(g.m * (k - 1), dtype=np.int64), 0
+    for j in range(k):
+        off = np.flatnonzero(column(edges, j, step) != consumed_at)
+        part = keys[end:end + len(off)]
+        np.take(consumed_at, off, out=part)
+        part *= g.n
+        part += column(edges, j, select=off)
+        end += len(off)
+    keys.sort()
+    met, repeats = np.unique(keys[1:][keys[1:] == keys[:-1]], return_counts=True)
+    anomalies = np.zeros(g.n, dtype=np.int64)
+    np.add.at(anomalies, met // g.n, repeats * (repeats + 1) // 2)
+    return PeelTrace("sunflower", g.n, g.m, k, seed, degree[:, None], anomalies)
 
 
 def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
@@ -140,26 +156,39 @@ def nosegay_peel(g: Hypergraph, seed) -> PeelTrace:
     k = _uniform_arity(g, "nosegay")
     edges = g.vertices.reshape(g.m, k)
     order = make_rng(seed).permutation(g.m)
-    rank, alive = np.argsort(order), np.arange(g.m)
-    packed, used = np.zeros(g.m, dtype=bool), np.zeros(g.n, dtype=bool)
-    while alive.size:
-        rows, first = edges[alive], np.full(g.n, g.m)
-        np.minimum.at(first, rows, rank[alive, None])
-        enter = alive[row_reduce(np.minimum, first[rows]) == rank[alive]]
-        packed[enter], used[edges[enter]] = True, True
-        alive = alive[~row_reduce(np.logical_or, used[rows])]
-    central = order[packed[order]]
+    # the alive edges' vertex columns (a view of edges until the first
+    # round drops some) and ranks, and whether each rank entered the packing
+    rows, alive_rank = edges, _inverse(order)
+    entered, used = np.zeros(g.m, dtype=bool), np.zeros(g.n, dtype=bool)
+    while len(alive_rank):
+        first = np.full(g.n, g.m)
+        for j in range(k):
+            np.minimum.at(first, rows[:, j], alive_rank)
+        enter = np.flatnonzero(row_reduce(np.minimum, rows, table=first)
+                               == alive_rank)
+        entered[alive_rank[enter]] = True
+        for j in range(k):
+            used[column(rows, j, select=enter)] = True
+        keep = np.flatnonzero(~row_reduce(np.logical_or, rows, table=used))
+        rows = np.take(rows, keep, axis=0)
+        alive_rank = alive_rank[keep]
+    central = order[entered]
     s = len(central)
+    packed = np.zeros(g.m, dtype=bool)
+    packed[central] = True
 
     # k * step + position on its center for each vertex, k s off the packing
     key = np.full(g.n, k * s, dtype=np.int64)
-    key[edges[central]] = k * np.arange(s)[:, None] + np.arange(k)
-    hanging = edges[~packed]
-    at, meets = _consuming_step(key // k, hanging)
-    dvecs = np.bincount(row_reduce(np.minimum, key[hanging]),
-                        minlength=k * s).reshape(s, k)
-    anomalies = np.bincount(at, weights=row_reduce(np.add, meets, np.int64) - 1,
-                            minlength=s)
+    for j in range(k):
+        key[column(edges, j, select=central)] = k * np.arange(s) + j
+    hanging = np.flatnonzero(~packed)
+    least = row_reduce(np.minimum, edges, table=key, select=hanging)
+    dvecs = np.bincount(least, minlength=k * s).reshape(s, k)
+    # the meetings of a hanging edge with its step's center beyond the first
+    at, step, extra = least // k, key // k, np.full(len(hanging), -1)
+    for j in range(k):
+        extra += column(edges, j, step, hanging) == at
+    anomalies = np.bincount(at, weights=extra, minlength=s)
     return PeelTrace("nosegay", g.n, g.m, k, seed, dvecs,
                      anomalies.astype(np.int64))
 

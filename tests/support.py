@@ -1,6 +1,7 @@
 """Independent reference routes and graph utilities that only the tests use."""
 
 import csv
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -256,3 +257,15 @@ def write_trace_csv_reference(trace, path) -> None:
                 weights[key] = gadget_log_weight(key, trace.k)
             writer.writerow([i, vertices, edges, family, ";".join(map(str, row)),
                              repr(weights[key]), a])
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call() in bytes, over what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -19,7 +20,7 @@ from qksat.hypergraph import (
     row_reduce,
 )
 from qksat.rng import make_rng
-from support import attach, format_hypergraph, write_hypergraph
+from support import attach, format_hypergraph, traced_peak, write_hypergraph
 
 
 def test_edge_normalization():
@@ -67,6 +68,7 @@ BAD_EDGES = [
     (3, [(0.9, 2.2)]),
     (3, [(0.0, 2.0)]),
     (3, [(True, False)]),
+    (3, [(2, 0, 2)]),            # unsorted, with a repeat: an array sorts first
 ]
 
 
@@ -93,6 +95,36 @@ def test_rejects_bad_edges():
         Hypergraph(3, np.array([[0, 2 ** 64 - 1]], dtype=np.uint64))
     with pytest.raises(ValueError):
         Hypergraph(-1, [])
+    # an array's arity comes from its shape, its sign from its first column
+    for shape in [(2, 1), (2, 0)]:
+        with pytest.raises(ValueError, match="arity >= 2 required"):
+            Hypergraph(3, np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError, match="out of range"):
+        Hypergraph(3, np.array([[1, -2, 0]], dtype=np.int32))
+    empty = Hypergraph(3, np.zeros((0, 3), dtype=np.int64))
+    assert (empty.m, empty.arities(), empty.offsets.tolist()) == (0, set(), [0])
+
+
+def test_array_form_refuses_as_the_sequence_form():
+    # the same message from the column checks as from the flat ones
+    for n, rows in BAD_EDGES:
+        array = np.array(rows)
+        if array.dtype.kind not in "iu":
+            continue
+        with pytest.raises(ValueError) as flat:
+            Hypergraph(n, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(flat.value))}$"):
+            Hypergraph(n, array)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 300])
+def test_random_hypergraph_matches_sequence_form(k, m):
+    g = random_hypergraph(40, m, k, seed=k * 100 + m)
+    h = Hypergraph(40, g.edges)
+    assert g.vertices.tolist() == h.vertices.tolist()
+    assert g.offsets.tolist() == h.offsets.tolist()
+    assert g.arities() == h.arities() == ({k} if m else set())
 
 
 def test_repeated_edges_allowed():
@@ -196,6 +228,13 @@ def test_row_reduce_holds_one_m_array():
         tracemalloc.stop()
     assert out.nbytes == 8 * m
     assert peak < 1.5 * out.nbytes
+
+
+def test_random_hypergraph_sorts_its_draw_in_place():
+    # the draw and its checks, not a sorted copy of it: at k = 3 the graph
+    # itself is 3 m-arrays
+    m = 200_000
+    assert traced_peak(lambda: random_hypergraph(50_000, m, 3, 0)) < 6 * 8 * m
 
 
 def test_degree_distribution_binomial():

@@ -18,7 +18,7 @@ from qksat.peeling import (
     write_trace_csv,
 )
 from qksat.rng import make_rng
-from support import write_trace_csv_reference
+from support import traced_peak, write_trace_csv_reference
 
 
 def columns(trace):
@@ -167,6 +167,33 @@ def test_sunflower_sharing_pair_flags_anomaly():
             saw_split = True
             assert trace.anomalies == 0
     assert saw_joint and saw_split
+
+
+@pytest.mark.parametrize("n, edges, pairs", [
+    # three petals through vertices 0 and 5: 3 pairs when one step takes all
+    (6, [(0, 5, 1), (0, 5, 2), (0, 5, 3)], 3),
+    # two 4-petals sharing two vertices besides any one of 0, 1, 2
+    (5, [(0, 1, 2, 3), (0, 1, 2, 4)], 2),
+    (4, [(0, 1), (0, 1), (0, 2), (1, 3)], 1),
+    (3, [], 0),
+], ids=["three-petals", "k4-two-shared", "k2", "m0"])
+def test_sunflower_anomalies_match_reference(n, edges, pairs):
+    g = Hypergraph(n, edges)
+    most = 0
+    for seed in range(20):
+        trace = sunflower_peel(g, seed)
+        got = [(v, e, d, a) for v, e, (d,), a in columns(trace)]
+        assert got == reference_sunflower_peel(g, seed)
+        most = max(most, trace.step_anomalies.max(initial=0))
+    assert most == pairs
+
+
+def test_sunflower_peel_memory_stays_linear():
+    # the m (k - 1) off-center keys and one gathered column at a time, not
+    # (m, k) key and mask temporaries
+    m = 200_000
+    g = random_hypergraph(51_360, m, 3, seed=0)
+    assert traced_peak(lambda: sunflower_peel(g, 0)) < 6 * 8 * m
 
 
 def test_nosegay_peel_single_edge():
