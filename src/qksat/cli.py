@@ -111,11 +111,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if failures == 0 else 1), payload
 
 
-# peak RSS of `peel --trace` above the interpreter's own 37 MB, either gadget,
-# n = 1e5 and 1e6, k = 2, 3 and 8, median of 3 runs: at most 155 B per vertex
-# at alpha = 0, and at most 28 B per edge endpoint (k per edge) beyond 160 B
-# per vertex
-PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 160, 40
+# peak RSS of `peel --trace` above the 35 MiB it takes at n = 100, either
+# gadget, n = 1e5 and 1e6, k = 2, 3 and 8, median of 3 runs: at alpha = 0 at
+# most a fixed 14 MiB plus 32 B per vertex (16.8 MiB at n = 1e5, 43.9 MiB at
+# 1e6), and beyond 16 MiB plus 32 B per vertex at most 37 B per edge
+# endpoint (k per edge)
+PEEL_FIXED_BYTES, PEEL_VERTEX_BYTES, PEEL_ENDPOINT_BYTES = 16 << 20, 32, 40
 
 
 def _cmd_peel(args) -> tuple[int, dict]:
@@ -124,8 +125,9 @@ def _cmd_peel(args) -> tuple[int, dict]:
     if abs(args.n) > sys.float_info.max:
         raise ValueError("vertex count n is too large for a float")
     edges = args.alpha * args.n     # a float, so that an overflow is refused
-    check_memory(PEEL_VERTEX_BYTES * args.n + PEEL_ENDPOINT_BYTES * args.k
-                 * edges, f"the peel of alpha * n = {edges:.4g} edges")
+    check_memory(PEEL_FIXED_BYTES + PEEL_VERTEX_BYTES * args.n
+                 + PEEL_ENDPOINT_BYTES * args.k * edges,
+                 f"the peel of alpha * n = {edges:.4g} edges")
     if args.trace == "":
         raise ValueError("the trace path '' is empty")
     if args.trace and os.path.isdir(args.trace):

@@ -1,7 +1,9 @@
 """Tests for degree densities, analytic bounds, and threshold roots."""
 
+import gc
 import itertools
 import math
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -26,7 +28,7 @@ from qksat.analysis import (
 )
 from qksat.gadgets import gadget_log_weight, nosegay_k_rank
 from support import (bisect_reference, nosegay_mu, sunflower_bound_reference,
-                     sunflower_degree_densities)
+                     sunflower_degree_densities, traced_peak)
 
 
 def sunflower_degree_density(d: int, alpha: float, k: int = 3) -> float:
@@ -609,3 +611,112 @@ def test_report_shape():
     report = sunflower_bound(1.0, 3)
     assert isinstance(report, BoundReport)
     assert report.method == "sunflower" and report.alpha == 1.0 and report.k == 3
+
+
+@pytest.mark.parametrize("alpha, k", [(31.183, 6), (123.264, 8)])
+def test_nosegay_preflight_covers_the_traced_peak(monkeypatch, alpha, k):
+    # just above each root: the charge counts the x^j table, the pmf block
+    # (about 8 MB at k = 8) with its q, the top row and the vectors together
+    charged = []
+    monkeypatch.setattr(analysis, "check_memory",
+                        lambda nbytes, what: charged.append(nbytes))
+    peak = traced_peak(lambda: nosegay_bound(alpha, k))
+    assert max(charged) >= peak
+
+
+def recorded_builds(monkeypatch):
+    """(kind, key) of every table asked of a Tables memo, and of every one
+    it built, in order; and weak references to the arrays it built."""
+    asked, built, arrays = [], [], []
+    get = analysis.Tables.get
+
+    def recording(self, kind, key, build):
+        def counted():
+            built.append((kind, key))
+            table = build()
+            arrays.extend(weakref.ref(v) for v in table
+                          if isinstance(v, np.ndarray))
+            return table
+
+        asked.append((kind, key))
+        return get(self, kind, key, counted)
+
+    monkeypatch.setattr(analysis.Tables, "get", recording)
+    return asked, built, arrays
+
+
+def searched_reports(monkeypatch, method, k, options):
+    """The reports threshold_root got from bound at each density it tried."""
+    reports, real = [], analysis.bound
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "bound", recording)
+        threshold_root(method, k, **options)
+    return reports
+
+
+# default and given cutoffs; at k = 4 a truncation of 25 drops so much of
+# the mean-30 Poisson law that the bound stays positive, so it takes 40
+SEARCHES = [(method, k, options) for k in (3, 4) for method, options in [
+    ("sunflower", {}), ("sunflower", {"d_max": 300}), ("nosegay", {}),
+    ("nosegay", {"truncation": 25 if k == 3 else 40})]]
+
+
+@pytest.mark.parametrize("method, k, options", SEARCHES, ids=str)
+def test_search_reports_equal_fresh_bounds(monkeypatch, method, k, options):
+    # the memo's tables hold the floats a fresh bound computes: repr tells
+    # -0.0 from 0.0 and prints every float round-trip
+    reports = searched_reports(monkeypatch, method, k, options)
+    assert len(reports) >= 6
+    for report in reports:
+        fresh = bound(method, report.alpha, k, **options)
+        assert repr((fresh.value, fresh.quad_error, fresh.params)) == repr(
+            (report.value, report.quad_error, report.params)), report.alpha
+
+
+@pytest.mark.parametrize("method, k, options", SEARCHES, ids=str)
+def test_search_builds_each_table_once_per_key(monkeypatch, method, k, options):
+    asked, built, _ = recorded_builds(monkeypatch)
+    threshold_root(method, k, **options)
+    kinds = {kind for kind, _ in asked}
+    for kind in kinds:
+        keys = [key for asked_kind, key in asked if asked_kind == kind]
+        builds = [key for built_kind, key in built if built_kind == kind]
+        assert builds == list(dict.fromkeys(keys)), kind
+    # the per-degree tables are reused: fewer builds than evaluations
+    assert len(built) < len(asked)
+
+
+@pytest.mark.parametrize("method", ["sunflower", "nosegay"])
+def test_top_level_bounds_build_their_own_tables(monkeypatch, method):
+    # nothing is kept between two calls, and no table outlives its call
+    _, built, arrays = recorded_builds(monkeypatch)
+    bound(method, 3.9)
+    first = list(built)
+    assert len(first) >= 2
+    bound(method, 3.9)
+    assert built == 2 * first
+    threshold_root(method, 3, **({"truncation": 25} if method == "nosegay"
+                                 else {}))
+    gc.collect()
+    assert all(ref() is None for ref in arrays)
+
+
+def test_tables_hold_one_table_per_kind():
+    tables = analysis.Tables()
+    assert tables.get("t", (1,), lambda: (np.zeros(3), 7))[1] == 7
+    assert tables.get("t", (1,), lambda: pytest.fail("rebuilt"))[1] == 7
+
+    def build():
+        assert tables.nbytes == 0, "the old table was held during the build"
+        return (np.zeros(5)[1:], np.ones(2))
+
+    tables.get("t", (2,), build)
+    # a view counts as the array it shows
+    assert tables.nbytes == 8 * (5 + 2)
+    tables.get("u", (2,), lambda: (np.zeros(4),))
+    assert tables.nbytes == 8 * (5 + 2 + 4)

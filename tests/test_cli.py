@@ -74,6 +74,27 @@ def test_bound_nosegay_refuses_before_building_its_tables(capsys, monkeypatch):
     assert "nosegay series table" in err
 
 
+def test_nosegay_preflight_counts_the_pmf_block(capsys, monkeypatch):
+    # at k = 8 the x^j table takes 0.7 MB and a pmf block 8 MB: on a 4 MiB
+    # machine the table alone would fit, the bound does not, and it is
+    # refused before any table or pmf is built
+    import qksat.analysis as analysis
+
+    def unreachable(*args):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(analysis.Tables, "get", unreachable)
+    monkeypatch.setattr(analysis, "_poisson_pmf", unreachable)
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 << 20}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: fake[name] if name in fake else real(name))
+    code, out, err = run_cli(capsys, "bound", "nosegay", "--alpha", "123.264",
+                             "--k", "8")
+    assert code == 2 and out == ""
+    assert "the nosegay series table and pmf block needs" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "nosegay", "--alpha", "1e17"),
     ("bound", "nosegay", "--alpha", "1e20"),
