@@ -11,12 +11,12 @@ log-weight is negative. Both bounds refuse unbuilt, by rng.check_memory, a
 cutoff whose tables cannot fit.
 
 The two Poisson bounds split their work by what it depends on. Their
-per-degree tables depend on k and the degree cutoff only: the sunflower's
-c_d, d, ln(d/(2^k-2) + 1) and log-weights and its window of ln Gamma
-terms over i = lo..top; the nosegay's h(d), x(d), its (T+1) x J table of
-x(d)^j, ln d! and the Simpson pattern of its grid. The alpha step reads them
-and builds what depends on alpha: the Poisson terms, the pmf rows and the
-sums. A Tables memo holds the first kind for one top-level call:
+tables depend on k and the degree cutoff only: the sunflower's c_d, d,
+ln(d/(2^k-2) + 1) and log-weights, and the alpha-free terms of its ln q_i
+window; the nosegay's h(d), x(d), its (T+1) x J table of x(d)^j, ln d! and
+the Simpson pattern of its fixed grid. The alpha step reads them and builds
+what depends on alpha: the q_i, the Poisson means, the pmf rows and the
+sums. A Tables memo holds the tables for one top-level call:
 threshold_root makes one per search and passes it to every bound it
 evaluates, so a table is built once per distinct key, and a bound called
 without one builds its own and drops it on return. No table is kept
